@@ -12,8 +12,9 @@ Layout (all integers little-endian uint32):
 
 Values are stored as float32 regardless of the model's working dtype, so a
 float64 model round-trips with float32 precision.  Loading validates magic,
-version, manifest-vs-model shape agreement, payload length, and the checksum,
-raising :class:`~tqnet.errors.CheckpointError` with the offending detail.
+version, the header schema, manifest-vs-model shape agreement, payload
+length, and the checksum, raising :class:`~tqnet.errors.CheckpointError`
+with the offending detail.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -74,18 +75,36 @@ def load_checkpoint(path):
         header = json.loads(body[:header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header must be a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {header.get('format_version')!r} "
             f"not supported (expected {FORMAT_VERSION})"
         )
 
-    config = ModelConfig(**header["config"])
-    variant = VariantSpec(**header["variant"])
-    model = TQNet(config, variant=variant)
+    config = _header_section(path, header, "config", ModelConfig)
+    variant = _header_section(path, header, "variant", VariantSpec)
+    try:
+        model = TQNet(config, variant=variant)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: header key 'config' does not build a model ({exc})"
+        ) from None
 
     expected = {name: p for name, p in model.named_parameters()}
-    manifest = header["params"]
+    manifest = header.get("params")
+    if not isinstance(manifest, list) or not all(
+        isinstance(m, dict)
+        and isinstance(m.get("name"), str)
+        and type(m.get("rows")) is int
+        and type(m.get("cols")) is int
+        for m in manifest
+    ):
+        raise CheckpointError(
+            f"{path}: header key 'params' must be a list of "
+            "{name, rows, cols} entries"
+        )
     if [m["name"] for m in manifest] != list(expected):
         raise CheckpointError(
             f"{path}: parameter manifest does not match the model built from "
@@ -109,3 +128,22 @@ def load_checkpoint(path):
     if offset != len(body):
         raise CheckpointError(f"{path}: {len(body) - offset} trailing payload bytes")
     return model
+
+
+def _header_section(path, header, key, cls):
+    """Build ``cls`` from the header object under ``key``; every schema
+    fault becomes a :class:`CheckpointError` naming the file and the key."""
+    section = header.get(key)
+    if not isinstance(section, dict):
+        raise CheckpointError(f"{path}: header key {key!r} must be an object")
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    if unknown:
+        raise CheckpointError(
+            f"{path}: header key {key!r} has unknown field {unknown[0]!r}"
+        )
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: header key {key!r} is invalid ({exc})"
+        ) from None

@@ -84,40 +84,30 @@ class RunConfig:
     max_rows: int | None = None
 
     def model_config(self, channels):
-        return ModelConfig(
-            channels=channels,
-            lookback=self.lookback,
-            horizon=self.horizon,
-            period=self.period,
-            hidden=self.hidden,
-            heads=self.heads,
-            attn_dropout=self.attn_dropout,
-            out_dropout=self.out_dropout,
-            use_instance_norm=self.use_instance_norm,
-            norm_eps=self.norm_eps,
-            scale_by_head_dim=self.scale_by_head_dim,
-            seed=self.seed,
-            dtype=self.dtype,
-        )
+        return self._build(ModelConfig, channels=channels)
 
     def train_plan(self):
-        return TrainPlan(
-            lr=self.lr,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            shuffle=self.shuffle,
-            seed=self.seed,
-        )
+        return self._build(TrainPlan)
 
     def split_spec(self):
-        return SplitSpec(
-            train=self.train_frac,
-            val=self.val_frac,
-            test=self.test_frac,
-            border_context=self.border_context,
-            max_rows=self.max_rows,
-        )
+        return self._build(SplitSpec, _SPLIT_FIELDS)
+
+    def _build(self, cls, renames=None, **given):
+        """``cls`` from the fields it shares with this config (looked up
+        under ``renames`` where the names differ) plus ``given``; fields this
+        config lacks keep ``cls``'s defaults."""
+        renames = renames or {}
+        for f in fields(cls):
+            src = renames.get(f.name, f.name)
+            if src in _RUN_KEYS:
+                given.setdefault(f.name, getattr(self, src))
+        return cls(**given)
+
+
+_RUN_KEYS = tuple(f.name for f in fields(RunConfig))
+
+# SplitSpec field -> RunConfig field; the ratios carry a suffix as flags.
+_SPLIT_FIELDS = {"train": "train_frac", "val": "val_frac", "test": "test_frac"}
 
 
 _OPTIONAL_INT = {"max_rows"}
@@ -127,7 +117,6 @@ _OPTIONAL_STR = {"data", "dataset", "out_dir"}
 def resolve_config(config_path=None, overrides=None):
     """defaults < file < overrides, with unknown-key and type checking."""
     values = asdict(RunConfig())
-    known = {f.name for f in fields(RunConfig)}
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -139,11 +128,11 @@ def resolve_config(config_path=None, overrides=None):
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_path}: top level must be an object")
         for key in loaded:
-            if key not in known:
+            if key not in _RUN_KEYS:
                 raise ConfigError(f"{config_path}: unknown config key {key!r}")
         values.update(loaded)
     for key, val in (overrides or {}).items():
-        if key not in known:
+        if key not in _RUN_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         if val is not None:
             values[key] = val
@@ -195,9 +184,6 @@ def _add_config_flags(p, keys):
         else:
             p.add_argument(flag, dest=f.name, default=None,
                            type=type_map[type(f.default)])
-
-
-_RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def build_parser():

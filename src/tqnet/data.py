@@ -72,8 +72,8 @@ def load_csv(path):
     """Read a header + timestamp-column CSV into a :class:`SeriesTable`.
 
     Column 1 is a timestamp label (kept verbatim), the rest must be numeric.
-    Ragged rows, blank cells, and non-numeric cells raise :class:`DataError`
-    naming the offending row and column.
+    Ragged rows, blank cells, and non-numeric or non-finite cells raise
+    :class:`DataError` naming the offending row and column.
     """
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -95,19 +95,29 @@ def load_csv(path):
                     f"{len(header)}"
                 )
             timestamps.append(row[0])
-            vals = np.empty(len(names), dtype=np.float64)
-            for c, cell in enumerate(row[1:]):
-                try:
-                    vals[c] = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {lineno}, column {names[c]!r}: "
-                        f"non-numeric value {cell!r}"
-                    ) from None
-            rows.append(vals)
+            rows.append([
+                _parse_cell(path, lineno, names[c], cell)
+                for c, cell in enumerate(row[1:])
+            ])
         if not rows:
             raise DataError(f"{path}: no data rows")
-    return SeriesTable(names=names, timestamps=tuple(timestamps), data=np.array(rows))
+    return SeriesTable(
+        names=names, timestamps=tuple(timestamps), data=np.array(rows, dtype=np.float64)
+    )
+
+
+def _parse_cell(path, lineno, column, cell):
+    try:
+        val = float(cell)
+    except ValueError:
+        raise DataError(
+            f"{path}: row {lineno}, column {column!r}: non-numeric value {cell!r}"
+        ) from None
+    if not math.isfinite(val):
+        raise DataError(
+            f"{path}: row {lineno}, column {column!r}: non-finite value {cell!r}"
+        )
+    return val
 
 
 def write_csv(table, path, float_fmt="%.10g"):
@@ -138,7 +148,18 @@ def read_matrix_csv(path):
             names = tuple(next(reader))
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
-        rows = [list(map(float, row)) for row in reader if row]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise DataError(
+                    f"{path}: row {lineno} has {len(row)} fields, expected "
+                    f"{len(names)}"
+                )
+            rows.append([
+                _parse_cell(path, lineno, names[c], cell) for c, cell in enumerate(row)
+            ])
     matrix = np.array(rows, dtype=np.float64)
     if matrix.shape != (len(names), len(names)):
         raise DataError(

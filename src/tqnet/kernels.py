@@ -1,63 +1,46 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels, written in plain numpy.
 
-Backend selection happens once at import time via the TQNET_KERNELS
-environment variable:
-
-    auto   (default)  use numba when it imports, else numpy
-    numba             require the jitted path, fail loudly if unavailable
-    numpy             force the fallback path
-
-Both backends are kept importable side by side (the ``numpy_backend`` /
-``numba_backend`` dicts) so tests and ``benchmarks/bench_kernels.py`` can
-compare them directly.  Results agree to floating-point tolerance, not
-bitwise: numba's libm and numpy's vectorized transcendentals round
-differently in the last ulp.  Determinism guarantees therefore hold within
-one backend.
-
-Kernels stay dtype-generic: float32 in, float32 out (ditto float64); numba
-specializes per dtype and caches the compiled artifacts on disk.
+Kernels stay dtype-generic: float32 in, float32 out (ditto float64).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.special import erf as _erf
+
+# Recorded in run metadata; numpy is the only kernel implementation.
+ACTIVE_BACKEND = "numpy"
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def _np_gelu(x):
+def gelu(x):
     return (0.5 * x * (1.0 + _erf(x * _INV_SQRT2))).astype(x.dtype, copy=False)
 
 
-def _np_gelu_grad(x):
+def gelu_grad(x):
     # d/dx [x * Phi(x)] = Phi(x) + x * phi(x), exact (erf) formulation
     phi = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
     return (cdf + x * phi).astype(x.dtype, copy=False)
 
 
-def _np_softmax_rows(x):
+def softmax_rows(x):
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _np_softmax_rows_grad(y, g):
+def softmax_rows_grad(y, g):
     # y = softmax(x) rowwise; dx = y * (g - <g, y>_row)
     dot = (g * y).sum(axis=1, keepdims=True)
     return y * (g - dot)
 
 
-def _np_row_norm_stats(x, eps):
+def row_norm_stats(x, eps):
     mu = x.mean(axis=1)
     var = x.var(axis=1)  # population variance, matches the biased estimator
     inv = 1.0 / np.sqrt(var + eps)
@@ -65,7 +48,7 @@ def _np_row_norm_stats(x, eps):
     return xn.astype(x.dtype, copy=False), mu, var
 
 
-def _np_adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
+def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
     # in-place fused step; t is the 1-based step count
     m *= beta1
     m += (1.0 - beta1) * g
@@ -76,192 +59,11 @@ def _np_adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
     p -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def _np_scatter_add_cols(grad, idx, g):
+def scatter_add_cols(grad, idx, g):
     # grad[:, idx[j]] += g[:, j] with repeated indices accumulating
     np.add.at(grad, (slice(None), idx), g)
 
 
-def _np_mse_mae(a, b):
+def mse_mae(a, b):
     d = a.astype(np.float64, copy=False) - b.astype(np.float64, copy=False)
     return float(np.mean(d * d)), float(np.mean(np.abs(d)))
-
-
-numpy_backend = {
-    "gelu": _np_gelu,
-    "gelu_grad": _np_gelu_grad,
-    "softmax_rows": _np_softmax_rows,
-    "softmax_rows_grad": _np_softmax_rows_grad,
-    "row_norm_stats": _np_row_norm_stats,
-    "adam_update": _np_adam_update,
-    "scatter_add_cols": _np_scatter_add_cols,
-    "mse_mae": _np_mse_mae,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba-jitted implementations
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_gelu(x):
-        out = np.empty_like(x)
-        flat_x = x.ravel()
-        flat_o = out.ravel()
-        for i in range(flat_x.size):
-            xi = flat_x[i]
-            flat_o[i] = 0.5 * xi * (1.0 + math.erf(xi * _INV_SQRT2))
-        return out
-
-    @njit(cache=True)
-    def _nb_gelu_grad(x):
-        out = np.empty_like(x)
-        flat_x = x.ravel()
-        flat_o = out.ravel()
-        for i in range(flat_x.size):
-            xi = flat_x[i]
-            cdf = 0.5 * (1.0 + math.erf(xi * _INV_SQRT2))
-            phi = math.exp(-0.5 * xi * xi) * _INV_SQRT_2PI
-            flat_o[i] = cdf + xi * phi
-        return out
-
-    @njit(cache=True)
-    def _nb_softmax_rows(x):
-        out = np.empty_like(x)
-        for r in range(x.shape[0]):
-            m = x[r, 0]
-            for c in range(1, x.shape[1]):
-                if x[r, c] > m:
-                    m = x[r, c]
-            s = 0.0
-            for c in range(x.shape[1]):
-                e = math.exp(x[r, c] - m)
-                out[r, c] = e
-                s += e
-            for c in range(x.shape[1]):
-                out[r, c] /= s
-        return out
-
-    @njit(cache=True)
-    def _nb_softmax_rows_grad(y, g):
-        out = np.empty_like(y)
-        for r in range(y.shape[0]):
-            dot = 0.0
-            for c in range(y.shape[1]):
-                dot += g[r, c] * y[r, c]
-            for c in range(y.shape[1]):
-                out[r, c] = y[r, c] * (g[r, c] - dot)
-        return out
-
-    @njit(cache=True)
-    def _nb_row_norm_stats(x, eps):
-        rows, cols = x.shape
-        xn = np.empty_like(x)
-        mu = np.empty(rows, dtype=x.dtype)
-        var = np.empty(rows, dtype=x.dtype)
-        for r in range(rows):
-            s = 0.0
-            for c in range(cols):
-                s += x[r, c]
-            mean = s / cols
-            sq = 0.0
-            for c in range(cols):
-                d = x[r, c] - mean
-                sq += d * d
-            v = sq / cols
-            inv = 1.0 / math.sqrt(v + eps)
-            for c in range(cols):
-                xn[r, c] = (x[r, c] - mean) * inv
-            mu[r] = mean
-            var[r] = v
-        return xn, mu, var
-
-    @njit(cache=True)
-    def _nb_adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
-        c1 = 1.0 - beta1 ** t
-        c2 = 1.0 - beta2 ** t
-        fp = p.ravel()
-        fg = g.ravel()
-        fm = m.ravel()
-        fv = v.ravel()
-        for i in range(fp.size):
-            gi = fg[i]
-            fm[i] = beta1 * fm[i] + (1.0 - beta1) * gi
-            fv[i] = beta2 * fv[i] + (1.0 - beta2) * gi * gi
-            mhat = fm[i] / c1
-            vhat = fv[i] / c2
-            fp[i] -= lr * mhat / (math.sqrt(vhat) + eps)
-
-    @njit(cache=True)
-    def _nb_scatter_add_cols(grad, idx, g):
-        for j in range(idx.size):
-            tgt = idx[j]
-            for r in range(grad.shape[0]):
-                grad[r, tgt] += g[r, j]
-
-    @njit(cache=True)
-    def _nb_mse_mae(a, b):
-        se = 0.0
-        ae = 0.0
-        fa = a.ravel()
-        fb = b.ravel()
-        for i in range(fa.size):
-            d = float(fa[i]) - float(fb[i])
-            se += d * d
-            ae += abs(d)
-        n = fa.size
-        return se / n, ae / n
-
-    def _nb_mse_mae_wrap(a, b):
-        mse, mae = _nb_mse_mae(a, b)
-        return float(mse), float(mae)
-
-    numba_backend = {
-        "gelu": _nb_gelu,
-        "gelu_grad": _nb_gelu_grad,
-        "softmax_rows": _nb_softmax_rows,
-        "softmax_rows_grad": _nb_softmax_rows_grad,
-        "row_norm_stats": _nb_row_norm_stats,
-        "adam_update": _nb_adam_update,
-        "scatter_add_cols": _nb_scatter_add_cols,
-        "mse_mae": _nb_mse_mae_wrap,
-    }
-else:
-    numba_backend = None
-
-
-def _select_backend():
-    choice = os.environ.get("TQNET_KERNELS", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"TQNET_KERNELS must be one of auto/numba/numpy, got {choice!r}"
-        )
-    if choice == "numpy":
-        return "numpy", numpy_backend
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise ImportError("TQNET_KERNELS=numba but numba is not importable")
-        return "numba", numba_backend
-    if HAS_NUMBA:
-        return "numba", numba_backend
-    return "numpy", numpy_backend
-
-
-ACTIVE_BACKEND, _active = _select_backend()
-
-gelu = _active["gelu"]
-gelu_grad = _active["gelu_grad"]
-softmax_rows = _active["softmax_rows"]
-softmax_rows_grad = _active["softmax_rows_grad"]
-row_norm_stats = _active["row_norm_stats"]
-adam_update = _active["adam_update"]
-scatter_add_cols = _active["scatter_add_cols"]
-mse_mae = _active["mse_mae"]

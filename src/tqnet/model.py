@@ -275,29 +275,11 @@ class TQNet:
         cfg = self.config
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        x = np.asarray(x, dtype=cfg.np_dtype)
-        if x.shape != (cfg.channels, cfg.lookback):
-            raise ShapeError(
-                f"expected window of shape ({cfg.channels}, {cfg.lookback}), "
-                f"got {x.shape}"
-            )
-        check_finite(x, "input window")
-
-        if cfg.use_instance_norm:
-            xn, mu, var = instance_norm(x, cfg.norm_eps)
-        else:
-            xn = x
-        xt = DiffTensor(xn, name="window")
-
-        seg = None
-        if self.bank is not None:
-            seg = self.bank.extract(tape, t, cfg.lookback)
+        xt, seg, stats = self._inputs(x, t, tape)
 
         if self.variant.attention:
-            q_src = seg if self.variant.query_source == "bank" else xt
-            k_src = seg if self.variant.key_source == "bank" else xt
-            h = self._attention(tape, q_src, k_src, xt, mode, rng)
-        elif self.bank is not None:
+            h = self._attention(tape, *self._qk_sources(xt, seg), xt, mode, rng)
+        elif seg is not None:
             h = add(tape, xt, seg)
         else:
             h = xt
@@ -314,49 +296,69 @@ class TQNet:
         h2 = dropout(tape, h2, cfg.out_dropout, mode, rng)
         y = linear(tape, h2, self.proj_out_w, self.proj_out_b)
 
-        if cfg.use_instance_norm:
+        if stats is not None:
+            mu, var = stats
             y = row_affine(tape, y, np.sqrt(var + cfg.norm_eps), mu)
         if mode == "eval":
             check_finite(y, "output projection")
         return y
 
-    def _attention(self, tape, q_src, k_src, v_src, mode, rng):
+    def _inputs(self, x, t, tape):
+        """Validate a window; return it as a (normalized) tensor, the bank
+        segment at phase ``t`` (None without a bank), and the instance-norm
+        ``(mu, var)`` the output denorm needs (None with the norm off)."""
+        cfg = self.config
+        x = np.asarray(x, dtype=cfg.np_dtype)
+        if x.shape != (cfg.channels, cfg.lookback):
+            raise ShapeError(
+                f"expected window of shape ({cfg.channels}, {cfg.lookback}), "
+                f"got {x.shape}"
+            )
+        check_finite(x, "input window")
+        stats = None
+        if cfg.use_instance_norm:
+            x, mu, var = instance_norm(x, cfg.norm_eps)
+            stats = (mu, var)
+        seg = None
+        if self.bank is not None:
+            seg = self.bank.extract(tape, t, cfg.lookback)
+        return DiffTensor(x, name="window"), seg, stats
+
+    def _qk_sources(self, xt, seg):
+        pick = {"bank": seg, "window": xt}
+        return pick[self.variant.query_source], pick[self.variant.key_source]
+
+    def _head_weights(self, tape, q_src, k_src, h):
+        """Softmax of head ``h``'s scaled channel-by-channel scores."""
         cfg = self.config
         denom = cfg.head_dim if cfg.scale_by_head_dim else cfg.lookback
         inv_scale = 1.0 / math.sqrt(denom)
+        q = matmul(tape, q_src, self.wq[h])
+        k = matmul(tape, k_src, self.wk[h])
+        scores = scale(tape, matmul(tape, q, k, transpose_b=True), inv_scale)
+        return softmax_rows(tape, scores)
+
+    def _attention(self, tape, q_src, k_src, v_src, mode, rng):
+        cfg = self.config
         heads = []
         for h in range(cfg.heads):
-            q = matmul(tape, q_src, self.wq[h])
-            k = matmul(tape, k_src, self.wk[h])
-            v = matmul(tape, v_src, self.wv[h])
-            scores = scale(tape, matmul(tape, q, k, transpose_b=True), inv_scale)
-            weights = softmax_rows(tape, scores)
+            weights = self._head_weights(tape, q_src, k_src, h)
             weights = dropout(tape, weights, cfg.attn_dropout, mode, rng)
+            v = matmul(tape, v_src, self.wv[h])
             heads.append(matmul(tape, weights, v))
         mixed = matmul(tape, concat_cols(tape, heads), self.wo)
         return add(tape, mixed, v_src)
 
     def attention_weights(self, x, t):
         """Eval-mode per-head softmax weights (channels x channels each)."""
-        cfg = self.config
         if not self.variant.attention:
             raise ConfigError("variant has no attention block")
-        x = np.asarray(x, dtype=cfg.np_dtype)
-        if cfg.use_instance_norm:
-            x = instance_norm(x, cfg.norm_eps)[0]
-        xt = DiffTensor(x)
-        seg = self.bank.extract(None, t, cfg.lookback) if self.bank else None
-        q_src = seg if self.variant.query_source == "bank" else xt
-        k_src = seg if self.variant.key_source == "bank" else xt
-        denom = cfg.head_dim if cfg.scale_by_head_dim else cfg.lookback
-        inv_scale = 1.0 / math.sqrt(denom)
-        out = []
-        for h in range(cfg.heads):
-            q = matmul(None, q_src, self.wq[h])
-            k = matmul(None, k_src, self.wk[h])
-            scores = scale(None, matmul(None, q, k, transpose_b=True), inv_scale)
-            out.append(softmax_rows(None, scores).values)
-        return out
+        xt, seg, _ = self._inputs(x, t, None)
+        q_src, k_src = self._qk_sources(xt, seg)
+        return [
+            self._head_weights(None, q_src, k_src, h).values
+            for h in range(self.config.heads)
+        ]
 
     def predict(self, x, t):
         return self.forward(x, t, tape=None, mode="eval").values

@@ -1,4 +1,5 @@
-"""Checkpoint format: byte-exact round trips and corruption detection."""
+"""Checkpoint format: byte-exact round trips, corruption detection, and
+header schema validation."""
 
 import json
 import struct
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from tqnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
+from tqnet.cli import main
 from tqnet.errors import CheckpointError
 from tqnet.model import ModelConfig, TQNet, VariantSpec
 
@@ -111,3 +113,28 @@ def test_unsupported_version(tmp_path, model):
     _rewrite_header(p, bump)
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("mutate,key", [
+    pytest.param(lambda h: h.pop("config"), "config", id="no-config"),
+    pytest.param(lambda h: h["config"].update(colour=1), "colour",
+                 id="unknown-config-key"),
+    pytest.param(lambda h: h["config"].pop("channels"), "channels",
+                 id="missing-config-key"),
+    pytest.param(lambda h: h["config"].update(seed="x"), "config",
+                 id="bad-config-value"),
+    pytest.param(lambda h: h.update(variant="default"), "variant",
+                 id="variant-not-object"),
+    pytest.param(lambda h: h.update(params={}), "params", id="params-not-list"),
+    pytest.param(lambda h: h["params"][0].pop("rows"), "params",
+                 id="params-entry-incomplete"),
+])
+def test_malformed_header_is_checkpoint_error(tmp_path, model, capsys, mutate, key):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model)
+    _rewrite_header(p, mutate)
+    with pytest.raises(CheckpointError, match=f"{p}.*{key}"):
+        load_checkpoint(p)
+    assert main(["corr", "--checkpoint", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err

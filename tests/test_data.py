@@ -66,9 +66,10 @@ class TestCSV:
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "n.csv"
-        p.write_text("date,a,b\n1,1.0,2.0\n2,oops,4.0\n")
-        with pytest.raises(DataError, match=r"row 3, column 'a'"):
-            load_csv(p)
+        for cell in ("oops", "nan", "inf", "-Infinity"):
+            p.write_text(f"date,a,b\n1,1.0,2.0\n2,{cell},4.0\n")
+            with pytest.raises(DataError, match=r"row 3, column 'a'"):
+                load_csv(p)
 
     def test_blank_cell_rejected(self, tmp_path):
         p = tmp_path / "b.csv"
@@ -80,6 +81,13 @@ class TestCSV:
         t = toy_table()
         with pytest.raises(ValueError):
             t.data[0, 0] = 99.0
+
+    def test_matrix_csv_bad_cell_names_file_and_row(self, tmp_path):
+        p = tmp_path / "m.csv"
+        for body in ("1.0,0.5\n0.5,x\n", "1.0,0.5\n0.5\n", "1.0,nan\n0.5,1.0\n"):
+            p.write_text("a,b\n" + body)
+            with pytest.raises(DataError, match=rf"{p}: row [23]"):
+                read_matrix_csv(p)
 
     def test_matrix_csv_round_trip(self, tmp_path):
         m = np.array([[1.0, 0.25], [0.25, 1.0]])

@@ -1,5 +1,5 @@
-"""Kernel-level checks: frozen scalar values, finite-difference oracles for
-the gradient kernels, and numpy/numba backend parity."""
+"""Kernel-level checks: frozen scalar values and finite-difference oracles
+for the gradient kernels."""
 
 import math
 
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from tqnet import kernels
-from tqnet.kernels import HAS_NUMBA, numba_backend, numpy_backend
 
 RNG = np.random.default_rng(42)
 
@@ -104,52 +103,3 @@ def test_mse_mae_frozen_example():
     mse, mae = kernels.mse_mae(np.array([[0.0, 0.0]]), np.array([[1.0, 2.0]]))
     assert mse == pytest.approx(2.5)
     assert mae == pytest.approx(1.5)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-def test_backend_parity(dtype, tol):
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(6, 11)).astype(dtype)
-    g = rng.normal(size=(6, 11)).astype(dtype)
-
-    for name in ("gelu", "gelu_grad", "softmax_rows"):
-        np.testing.assert_allclose(
-            numba_backend[name](x), numpy_backend[name](x), atol=tol, rtol=tol
-        )
-    y = numpy_backend["softmax_rows"](x)
-    np.testing.assert_allclose(
-        numba_backend["softmax_rows_grad"](y, g),
-        numpy_backend["softmax_rows_grad"](y, g),
-        atol=tol, rtol=tol,
-    )
-
-    xn_a = numba_backend["row_norm_stats"](x, 1e-5)
-    xn_b = numpy_backend["row_norm_stats"](x, 1e-5)
-    for a, b in zip(xn_a, xn_b):
-        np.testing.assert_allclose(a, b, atol=tol, rtol=tol)
-
-    idx = rng.integers(0, 4, size=11).astype(np.int64)
-    ga = np.zeros((6, 4), dtype=dtype)
-    gb = np.zeros((6, 4), dtype=dtype)
-    numba_backend["scatter_add_cols"](ga, idx, g)
-    numpy_backend["scatter_add_cols"](gb, idx, g)
-    np.testing.assert_allclose(ga, gb, atol=tol, rtol=tol)
-
-    pa, pb = x.copy(), x.copy()
-    ma, mb = np.zeros_like(x), np.zeros_like(x)
-    va, vb = np.zeros_like(x), np.zeros_like(x)
-    for t in (1, 2, 3):
-        numba_backend["adam_update"](pa, g, ma, va, 1e-3, 0.9, 0.999, 1e-8, t)
-        numpy_backend["adam_update"](pb, g, mb, vb, 1e-3, 0.9, 0.999, 1e-8, t)
-    np.testing.assert_allclose(pa, pb, atol=tol, rtol=tol)
-
-    np.testing.assert_allclose(
-        numba_backend["mse_mae"](x, g), numpy_backend["mse_mae"](x, g),
-        rtol=tol,  # reductions: summation order differs between backends
-    )
-
-
-def test_backend_env_selection():
-    assert kernels.ACTIVE_BACKEND in ("numba", "numpy")
-    assert kernels._select_backend()[0] == kernels.ACTIVE_BACKEND
