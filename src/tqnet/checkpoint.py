@@ -14,7 +14,8 @@ Values are stored as float32 regardless of the model's working dtype, so a
 float64 model round-trips with float32 precision.  Loading validates magic,
 version, the header schema, manifest-vs-model shape agreement, payload
 length, and the checksum, raising :class:`~tqnet.errors.CheckpointError`
-with the offending detail.
+with the offending detail.  The shapes and the payload length are checked
+against the stored config before any parameter array is allocated.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .errors import CheckpointError
-from .model import ModelConfig, TQNet, VariantSpec
+from .model import ModelConfig, TQNet, VariantSpec, parameter_shapes
 
 MAGIC = b"TQNETCK1"
 FORMAT_VERSION = 1
@@ -85,14 +86,6 @@ def load_checkpoint(path):
 
     config = _header_section(path, header, "config", ModelConfig)
     variant = _header_section(path, header, "variant", VariantSpec)
-    try:
-        model = TQNet(config, variant=variant)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"{path}: header key 'config' does not build a model ({exc})"
-        ) from None
-
-    expected = {name: p for name, p in model.named_parameters()}
     manifest = header.get("params")
     if not isinstance(manifest, list) or not all(
         isinstance(m, dict)
@@ -105,28 +98,35 @@ def load_checkpoint(path):
             f"{path}: header key 'params' must be a list of "
             "{name, rows, cols} entries"
         )
-    if [m["name"] for m in manifest] != list(expected):
+    expected = parameter_shapes(config, variant)
+    if [m["name"] for m in manifest] != [name for name, _ in expected]:
         raise CheckpointError(
             f"{path}: parameter manifest does not match the model built from "
             "the stored config"
         )
-    offset = header_len
-    for m in manifest:
-        p = expected[m["name"]]
-        if (m["rows"], m["cols"]) != p.shape:
+    for m, (name, shape) in zip(manifest, expected):
+        if (m["rows"], m["cols"]) != shape:
             raise CheckpointError(
-                f"{path}: parameter {m['name']} has shape "
-                f"({m['rows']}, {m['cols']}), model expects {p.shape}"
+                f"{path}: parameter {name} has shape ({m['rows']}, {m['cols']}) "
+                f"in the manifest, the stored config gives {shape}"
             )
-        nbytes = m["rows"] * m["cols"] * 4
-        chunk = body[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated payload at {m['name']}")
-        vals = np.frombuffer(chunk, dtype="<f4").reshape(m["rows"], m["cols"])
-        p.values[...] = vals.astype(config.np_dtype)
-        offset += nbytes
-    if offset != len(body):
-        raise CheckpointError(f"{path}: {len(body) - offset} trailing payload bytes")
+    have = len(body) - header_len
+    needed = sum(rows * cols * 4 for _, (rows, cols) in expected)
+    if have != needed:
+        raise CheckpointError(
+            f"{path}: payload has {have} bytes, the manifest needs {needed}"
+        )
+
+    try:
+        model = TQNet(config, variant=variant)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: header key 'config' does not build a model ({exc})"
+        ) from None
+    flat, offset = np.frombuffer(body, dtype="<f4", offset=header_len), 0
+    for _, p in model.named_parameters():
+        p.values[...] = flat[offset : offset + p.values.size].reshape(p.shape)
+        offset += p.values.size
     return model
 
 

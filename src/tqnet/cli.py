@@ -249,7 +249,7 @@ def build_parser():
         p.add_argument(f"--{name}", type=typ, default=dflt)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the "
-                       "full model's gradients")
+                       "full model's gradients on a batch of three windows")
     p.add_argument("--channels", type=int, default=2)
     p.add_argument("--lookback", type=int, default=8)
     p.add_argument("--horizon", type=int, default=2)
@@ -503,8 +503,11 @@ def cmd_gradcheck(args):
     )
     model = TQNet(config, variant=VariantSpec.named(args.variant))
     rng = np.random.default_rng(args.seed + 1)
-    x = rng.normal(size=(config.channels, config.lookback))
-    y = rng.normal(size=(config.channels, config.horizon))
+    # the training path: windows at distinct phases, a row mask with a repeat
+    t = np.array([3, 0, 6])
+    x = rng.normal(size=(len(t), config.channels, config.lookback))
+    y = rng.normal(size=(len(t), config.channels, config.horizon))
+    rows = (0, config.channels - 1, config.channels - 1)
     # give the zero-initialized bank a gradient path worth checking
     if model.bank is not None:
         model.bank.theta.values[...] = rng.normal(
@@ -513,8 +516,8 @@ def cmd_gradcheck(args):
 
     def closure():
         tape = Tape()
-        pred = model.forward(x, t=3, tape=tape, mode="train")
-        return mse_loss(tape, pred, y), tape
+        pred = model.forward(x, t, tape=tape, mode="train")
+        return mse_loss(tape, pred, y, rows=rows), tape
 
     result = gradient_check(
         closure, model.parameters(), eps=args.eps, tol=args.tol

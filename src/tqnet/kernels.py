@@ -1,6 +1,7 @@
 """Hot numeric kernels, written in plain numpy.
 
-Kernels stay dtype-generic: float32 in, float32 out (ditto float64).
+Kernels stay dtype-generic: float32 in, float32 out (ditto float64).  The
+row kernels reduce over the last axis, so leading axes are a batch.
 """
 
 from __future__ import annotations
@@ -29,22 +30,22 @@ def gelu_grad(x):
 
 
 def softmax_rows(x):
-    m = x.max(axis=1, keepdims=True)
+    m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_rows_grad(y, g):
     # y = softmax(x) rowwise; dx = y * (g - <g, y>_row)
-    dot = (g * y).sum(axis=1, keepdims=True)
+    dot = (g * y).sum(axis=-1, keepdims=True)
     return y * (g - dot)
 
 
 def row_norm_stats(x, eps):
-    mu = x.mean(axis=1)
-    var = x.var(axis=1)  # population variance, matches the biased estimator
+    mu = x.mean(axis=-1)
+    var = x.var(axis=-1)  # population variance, matches the biased estimator
     inv = 1.0 / np.sqrt(var + eps)
-    xn = (x - mu[:, None]) * inv[:, None]
+    xn = (x - mu[..., None]) * inv[..., None]
     return xn.astype(x.dtype, copy=False), mu, var
 
 
@@ -60,7 +61,7 @@ def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
 
 
 def scatter_add_cols(grad, idx, g):
-    # grad[:, idx[j]] += g[:, j] with repeated indices accumulating
+    # grad[:, idx[j]] += g[:, j], repeats accumulating; g is shaped like grad[:, idx]
     np.add.at(grad, (slice(None), idx), g)
 
 

@@ -2,12 +2,14 @@
 multi-head attention over channels, followed by a residual MLP trunk.
 
 Data layout convention: one sample is a (channels x lookback) window ``x``
-whose absolute start position ``t`` is known.  Each channel owns a learnable
-query vector of length ``period`` (one slot per position of the assumed
-cycle).  For a window starting at ``t``, slot ``(t + j) mod period`` is read
-for offset ``j``, so two windows whose starts differ by a whole number of
-periods read byte-identical query segments — the query bank is a phase-locked
-description of each channel, not of any single window.
+whose absolute start position ``t`` is known; a minibatch is a stack
+(B x channels x lookback) with one start per window, run in one pass.  Each
+channel owns a learnable query vector of length ``period`` (one slot per
+position of the assumed cycle).  For a window starting at ``t``, slot
+``(t + j) mod period`` is read for offset ``j``, so two windows whose starts
+differ by a whole number of periods read byte-identical query segments — the
+query bank is a phase-locked description of each channel, not of any single
+window.
 
 Attention mixes *channels* (rows): queries come from the bank segment, keys
 and values from the observed window, so a channel attends to the raw channels
@@ -19,7 +21,7 @@ identifiers, plain MLP).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,10 +163,12 @@ class TemporalQueryBank:
         )
 
     def segment_indices(self, t, length):
-        """Column indices for a window of ``length`` starting at ``t``."""
-        if t < 0:
+        """Column indices for a window of ``length`` starting at ``t``; an
+        array of starts gives one row of indices per start."""
+        t = np.asarray(t, dtype=np.int64)
+        if (t < 0).any():
             raise ValueError(f"window start must be non-negative, got {t}")
-        return (t + np.arange(length, dtype=np.int64)) % self.period
+        return (t[..., None] + np.arange(length, dtype=np.int64)) % self.period
 
     def extract(self, tape, t, length):
         return gather_cols(tape, self.theta, self.segment_indices(t, length))
@@ -176,12 +180,30 @@ def instance_norm(x, eps):
 
 
 def instance_denorm(y, mu, var, eps):
-    return y * np.sqrt(var + eps)[:, None] + mu[:, None]
+    return y * np.sqrt(var + eps)[..., None] + mu[..., None]
 
 
 def _uniform_init(rng, rows, cols, dtype):
     bound = 1.0 / math.sqrt(rows)
     return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
+
+
+def parameter_shapes(config, variant):
+    """``(name, (rows, cols))`` of every parameter of ``TQNet(config,
+    variant)``, in ``named_parameters`` order, without allocating any."""
+    C, L, H, d = config.channels, config.lookback, config.horizon, config.hidden
+    shapes = [("bank.theta", (C, config.period))] if variant.bank else []
+    if variant.attention:
+        for h in range(config.heads):
+            shapes += [(f"attn.h{h}.{w}", (L, config.head_dim))
+                       for w in ("wq", "wk", "wv")]
+        shapes.append(("attn.wo", (L, L)))
+    return shapes + [
+        ("proj_in.w", (L, d)), ("proj_in.b", (1, d)),
+        ("mlp.w1", (d, d)), ("mlp.b1", (1, d)),
+        ("mlp.w2", (d, d)), ("mlp.b2", (1, d)),
+        ("proj_out.w", (d, H)), ("proj_out.b", (1, H)),
+    ]
 
 
 class TQNet:
@@ -192,65 +214,26 @@ class TQNet:
         self.variant = variant if variant is not None else VariantSpec()
         rng = init_rng if init_rng is not None else np.random.default_rng(config.seed)
         dt = config.np_dtype
-        C, L, H, d = config.channels, config.lookback, config.horizon, config.hidden
-        hd = config.head_dim
 
         self.bank = None
-        if self.variant.bank:
-            self.bank = TemporalQueryBank(C, config.period, dtype=dt)
-
-        self.wq = self.wk = self.wv = self.wo = None
-        if self.variant.attention:
-            self.wq, self.wk, self.wv = [], [], []
-            for h in range(config.heads):
-                self.wq.append(self._param(f"attn.h{h}.wq", _uniform_init(rng, L, hd, dt)))
-                self.wk.append(self._param(f"attn.h{h}.wk", _uniform_init(rng, L, hd, dt)))
-                self.wv.append(self._param(f"attn.h{h}.wv", _uniform_init(rng, L, hd, dt)))
-            self.wo = self._param("attn.wo", _uniform_init(rng, L, L, dt))
-
-        self.proj_in_w = self._param("proj_in.w", _uniform_init(rng, L, d, dt))
-        self.proj_in_b = self._param("proj_in.b", np.zeros((1, d), dtype=dt))
-        self.mlp_w1 = self._param("mlp.w1", _uniform_init(rng, d, d, dt))
-        self.mlp_b1 = self._param("mlp.b1", np.zeros((1, d), dtype=dt))
-        self.mlp_w2 = self._param("mlp.w2", _uniform_init(rng, d, d, dt))
-        self.mlp_b2 = self._param("mlp.b2", np.zeros((1, d), dtype=dt))
-        self.proj_out_w = self._param("proj_out.w", _uniform_init(rng, d, H, dt))
-        self.proj_out_b = self._param("proj_out.b", np.zeros((1, H), dtype=dt))
-
-    @staticmethod
-    def _param(name, values):
-        return DiffTensor(values, requires_grad=True, name=name)
+        self.params = {}  # name -> DiffTensor, in parameter_shapes order
+        for name, shape in parameter_shapes(config, self.variant):
+            if name == "bank.theta":
+                self.bank = TemporalQueryBank(*shape, dtype=dt)
+                self.params[name] = self.bank.theta
+                continue
+            # the weights (".w*") draw in this order; biases start at zero
+            weight = name.rpartition(".")[2].startswith("w")
+            values = _uniform_init(rng, *shape, dt) if weight else np.zeros(shape, dt)
+            self.params[name] = DiffTensor(values, requires_grad=True, name=name)
 
     # -- parameter bookkeeping ------------------------------------------------
 
     def named_parameters(self):
-        out = []
-        if self.bank is not None:
-            out.append((self.bank.theta.name, self.bank.theta))
-        if self.variant.attention:
-            for h in range(self.config.heads):
-                for p in (self.wq[h], self.wk[h], self.wv[h]):
-                    out.append((p.name, p))
-            out.append((self.wo.name, self.wo))
-        for p in (
-            self.proj_in_w,
-            self.proj_in_b,
-            self.mlp_w1,
-            self.mlp_b1,
-            self.mlp_w2,
-            self.mlp_b2,
-            self.proj_out_w,
-            self.proj_out_b,
-        ):
-            out.append((p.name, p))
-        return out
+        return list(self.params.items())
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
-
-    def zero_grads(self):
-        for p in self.parameters():
-            p.zero_grad()
 
     def snapshot(self):
         return {name: p.values.copy() for name, p in self.named_parameters()}
@@ -259,18 +242,17 @@ class TQNet:
         for name, p in self.named_parameters():
             p.values[...] = state[name]
 
-    def param_count(self):
-        return sum(p.values.size for p in self.parameters())
-
     # -- forward --------------------------------------------------------------
 
     def forward(self, x, t, tape=None, mode="eval", rng=None):
-        """Map one (channels x lookback) window to (channels x horizon).
+        """Map a (channels x lookback) window to (channels x horizon), or a
+        stack of B windows (B, channels, lookback) to (B, channels, horizon).
 
-        ``t`` is the window's absolute start index in its series; the bank is
-        read at phase ``t mod period``.  ``mode`` is "train" or "eval"; eval
-        additionally guards against non-finite intermediates.  ``rng`` drives
-        dropout and must be given in train mode when any dropout is active.
+        ``t`` is the window's absolute start index in its series, a scalar
+        for one window and shape (B,) for a stack; the bank is read at phase
+        ``t mod period``.  ``mode`` is "train" or "eval"; eval additionally
+        guards against non-finite intermediates.  ``rng`` drives dropout and
+        must be given in train mode when any dropout is active.
         """
         cfg = self.config
         if mode not in ("train", "eval"):
@@ -286,15 +268,16 @@ class TQNet:
         if mode == "eval":
             check_finite(h, "attention block")
 
-        h1 = linear(tape, h, self.proj_in_w, self.proj_in_b)
-        z = linear(tape, h1, self.mlp_w1, self.mlp_b1)
+        p = self.params
+        h1 = linear(tape, h, p["proj_in.w"], p["proj_in.b"])
+        z = linear(tape, h1, p["mlp.w1"], p["mlp.b1"])
         z = gelu(tape, z)
-        z = linear(tape, z, self.mlp_w2, self.mlp_b2)
+        z = linear(tape, z, p["mlp.w2"], p["mlp.b2"])
         h2 = add(tape, z, h1)
         if mode == "eval":
             check_finite(h2, "mlp block")
         h2 = dropout(tape, h2, cfg.out_dropout, mode, rng)
-        y = linear(tape, h2, self.proj_out_w, self.proj_out_b)
+        y = linear(tape, h2, p["proj_out.w"], p["proj_out.b"])
 
         if stats is not None:
             mu, var = stats
@@ -304,16 +287,18 @@ class TQNet:
         return y
 
     def _inputs(self, x, t, tape):
-        """Validate a window; return it as a (normalized) tensor, the bank
-        segment at phase ``t`` (None without a bank), and the instance-norm
-        ``(mu, var)`` the output denorm needs (None with the norm off)."""
+        """Validate a window or a stack; return it as a (normalized) tensor,
+        the bank segment at phase ``t`` (None without a bank), and the
+        instance-norm ``(mu, var)`` the output denorm needs (None with the
+        norm off)."""
         cfg = self.config
         x = np.asarray(x, dtype=cfg.np_dtype)
-        if x.shape != (cfg.channels, cfg.lookback):
+        t = np.asarray(t)
+        window = (cfg.channels, cfg.lookback)
+        if x.ndim not in (2, 3) or x.shape[-2:] != window or t.shape != x.shape[:-2]:
             raise ShapeError(
-                f"expected window of shape ({cfg.channels}, {cfg.lookback}), "
-                f"got {x.shape}"
-            )
+                f"expected x {window} with a scalar t, or x (B, {window[0]}, "
+                f"{window[1]}) with t (B,); got x {x.shape} and t {t.shape}")
         check_finite(x, "input window")
         stats = None
         if cfg.use_instance_norm:
@@ -333,8 +318,8 @@ class TQNet:
         cfg = self.config
         denom = cfg.head_dim if cfg.scale_by_head_dim else cfg.lookback
         inv_scale = 1.0 / math.sqrt(denom)
-        q = matmul(tape, q_src, self.wq[h])
-        k = matmul(tape, k_src, self.wk[h])
+        q = matmul(tape, q_src, self.params[f"attn.h{h}.wq"])
+        k = matmul(tape, k_src, self.params[f"attn.h{h}.wk"])
         scores = scale(tape, matmul(tape, q, k, transpose_b=True), inv_scale)
         return softmax_rows(tape, scores)
 
@@ -344,9 +329,9 @@ class TQNet:
         for h in range(cfg.heads):
             weights = self._head_weights(tape, q_src, k_src, h)
             weights = dropout(tape, weights, cfg.attn_dropout, mode, rng)
-            v = matmul(tape, v_src, self.wv[h])
+            v = matmul(tape, v_src, self.params[f"attn.h{h}.wv"])
             heads.append(matmul(tape, weights, v))
-        mixed = matmul(tape, concat_cols(tape, heads), self.wo)
+        mixed = matmul(tape, concat_cols(tape, heads), self.params["attn.wo"])
         return add(tape, mixed, v_src)
 
     def attention_weights(self, x, t):
@@ -362,7 +347,3 @@ class TQNet:
 
     def predict(self, x, t):
         return self.forward(x, t, tape=None, mode="eval").values
-
-    def with_config(self, **overrides):
-        """Fresh model from this one's config with fields replaced."""
-        return TQNet(replace(self.config, **overrides), variant=self.variant)

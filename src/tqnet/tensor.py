@@ -1,11 +1,13 @@
-"""Reverse-mode automatic differentiation on 2-D tensors.
+"""Reverse-mode automatic differentiation on stacks of matrices.
 
-A deliberately small engine: every value is a rank-2 float array wrapped in
-:class:`DiffTensor`, every differentiable operation appends one backward
-closure to a :class:`Tape`, and ``Tape.backward`` replays the closures in
-reverse recording order.  Gradients accumulate additively, so a parameter
-used in several places (or across several per-sample tapes) ends up with the
-sum of all contributions — which is exactly what minibatch training needs.
+A deliberately small engine: every value is a float array of rank >= 2
+wrapped in :class:`DiffTensor`, every differentiable operation appends one
+backward closure to a :class:`Tape`, and ``Tape.backward`` replays the
+closures in reverse recording order.  Ops act on the last two axes (rows and
+columns); any leading axes are a batch, so one tape records a whole
+minibatch.  A 2-D weight is shared by every matrix of the batch, and its
+gradient is the sum over the batch.  Gradients accumulate additively, so a
+parameter used in several places ends up with the sum of all contributions.
 
 Ops take the tape as their first argument; passing ``tape=None`` runs the
 same math without recording anything (cheap inference path).
@@ -22,14 +24,15 @@ from .errors import NumericError, ShapeError, TapeError
 
 
 class DiffTensor:
-    """A 2-D array plus an optional, lazily allocated gradient buffer."""
+    """An array of rank >= 2 (``rows`` and ``cols`` are its last two axes)
+    plus an optional, lazily allocated gradient buffer."""
 
     __slots__ = ("values", "grad", "requires_grad", "name")
 
     def __init__(self, values, requires_grad=False, name=None):
         values = np.asarray(values)
-        if values.ndim != 2:
-            raise ShapeError(f"DiffTensor must be 2-D, got shape {values.shape}")
+        if values.ndim < 2:
+            raise ShapeError(f"DiffTensor needs rank >= 2, got shape {values.shape}")
         if values.dtype not in (np.float32, np.float64):
             values = values.astype(np.float64)
         self.values = values
@@ -39,11 +42,11 @@ class DiffTensor:
 
     @property
     def rows(self):
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def cols(self):
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def shape(self):
@@ -72,7 +75,7 @@ class DiffTensor:
 
 
 class Tape:
-    """Ordered log of backward closures; replayed last-recorded-first."""
+    """Ordered log of backward closures; replayed last-recorded-first, once."""
 
     __slots__ = ("_nodes",)
 
@@ -85,24 +88,32 @@ class Tape:
     def record(self, fn):
         self._nodes.append(fn)
 
-    def backward(self, out, seed=1.0):
-        """Seed ``out.grad`` with ``seed`` and propagate to every input.
+    def backward(self, out):
+        """Seed ``out.grad`` with one and propagate to every input.
 
-        ``seed`` scales the whole gradient; passing ``1/batch_size`` while
-        looping per-sample tapes realizes a batch-mean loss without ever
-        materializing the batch.
+        Each node is dropped as it runs, which frees the activations and
+        intermediate gradients it holds; so a tape runs backward only once.
         """
         if not self._nodes:
-            raise TapeError("backward on an empty tape; run a recorded forward first")
-        if out.grad is None:
-            out.grad = np.zeros_like(out.values)
-        out.grad += np.asarray(seed, dtype=out.values.dtype)
-        for fn in reversed(self._nodes):
-            fn()
+            raise TapeError("backward on an empty tape: nothing was recorded, "
+                            "or backward already ran on it")
+        out.grad = np.ones_like(out.values) if out.grad is None else out.grad + 1
+        while self._nodes:
+            self._nodes.pop()()
 
 
 def _needs(*tensors):
     return any(t.requires_grad for t in tensors)
+
+
+def _mm(x, w):
+    """``x @ w`` for a 2-D ``w``: one GEMM over the flattened leading axes."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
+def _weight_grad(x, g):
+    """Gradient of a 2-D ``w`` in ``x @ w``, summed over the leading axes."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +121,17 @@ def _needs(*tensors):
 # ---------------------------------------------------------------------------
 
 def matmul(tape, a, b, transpose_b=False):
-    bv = b.values.T if transpose_b else b.values
-    if a.cols != bv.shape[0]:
+    """``a @ b`` on the last two axes; a 2-D ``b`` is shared by the batch,
+    otherwise ``b`` has the same leading axes as ``a``."""
+    bv = np.swapaxes(b.values, -1, -2) if transpose_b else b.values
+    shared = bv.ndim == 2
+    if a.cols != bv.shape[-2] or not (shared or bv.shape[:-2] == a.shape[:-2]):
         raise ShapeError(
-            f"matmul: inner dims differ, {a.shape} @ "
+            f"matmul: shapes do not match, {a.shape} @ "
             f"{b.shape}{'^T' if transpose_b else ''}"
         )
-    out = DiffTensor(a.values @ bv, requires_grad=_needs(a, b))
+    out = DiffTensor(_mm(a.values, bv) if shared else a.values @ bv,
+                     requires_grad=_needs(a, b))
     if tape is not None and out.requires_grad:
         av = a.values
 
@@ -125,20 +140,21 @@ def matmul(tape, a, b, transpose_b=False):
             if g is None:
                 return
             if a.requires_grad:
-                a.accumulate(g @ bv.T)
+                bt = np.swapaxes(bv, -1, -2)
+                a.accumulate(_mm(g, bt) if shared else g @ bt)
             if b.requires_grad:
-                gb = av.T @ g
-                b.accumulate(gb.T if transpose_b else gb)
+                gb = _weight_grad(av, g) if shared else np.swapaxes(av, -1, -2) @ g
+                b.accumulate(np.swapaxes(gb, -1, -2) if transpose_b else gb)
 
         tape.record(backward)
     return out
 
 
 def linear(tape, x, w, bias=None):
-    """x @ w + bias, bias broadcast across rows (shape 1 x cols)."""
+    """x @ w + bias for a 2-D ``w``, bias broadcast across rows (shape 1 x cols)."""
     if x.cols != w.rows:
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    vals = x.values @ w.values
+    vals = _mm(x.values, w.values)
     if bias is not None:
         if bias.shape != (1, w.cols):
             raise ShapeError(
@@ -156,11 +172,11 @@ def linear(tape, x, w, bias=None):
             if g is None:
                 return
             if x.requires_grad:
-                x.accumulate(g @ wv.T)
+                x.accumulate(_mm(g, wv.T))
             if w.requires_grad:
-                w.accumulate(xv.T @ g)
+                w.accumulate(_weight_grad(xv, g))
             if bias is not None and bias.requires_grad:
-                bias.accumulate(g.sum(axis=0, keepdims=True))
+                bias.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True))
 
         tape.record(backward)
     return out
@@ -216,11 +232,10 @@ def gelu(tape, x):
     """Exact (erf-based) gaussian error linear unit."""
     out = DiffTensor(kernels.gelu(x.values), requires_grad=x.requires_grad)
     if tape is not None and out.requires_grad:
-        xv = x.values.copy()
 
         def backward():
             if out.grad is not None:
-                x.accumulate(out.grad * kernels.gelu_grad(xv))
+                x.accumulate(out.grad * kernels.gelu_grad(x.values))
 
         tape.record(backward)
     return out
@@ -257,14 +272,11 @@ def dropout(tape, x, p, mode, rng=None):
 def concat_cols(tape, parts):
     if not parts:
         raise ShapeError("concat_cols needs at least one part")
-    rows = parts[0].rows
-    for p in parts:
-        if p.rows != rows:
-            raise ShapeError(
-                f"concat_cols: row counts differ, {rows} vs {p.rows}"
-            )
+    if any(p.shape[:-1] != parts[0].shape[:-1] for p in parts):
+        shapes = [p.shape for p in parts]
+        raise ShapeError(f"concat_cols: shapes differ before the last axis, {shapes}")
     out = DiffTensor(
-        np.concatenate([p.values for p in parts], axis=1),
+        np.concatenate([p.values for p in parts], axis=-1),
         requires_grad=any(p.requires_grad for p in parts),
     )
     if tape is not None and out.requires_grad:
@@ -277,7 +289,7 @@ def concat_cols(tape, parts):
             off = 0
             for p, w in zip(parts, widths):
                 if p.requires_grad:
-                    p.accumulate(g[:, off : off + w])
+                    p.accumulate(g[..., off : off + w])
                 off += w
 
         tape.record(backward)
@@ -285,15 +297,19 @@ def concat_cols(tape, parts):
 
 
 def gather_cols(tape, x, idx):
-    """Select columns ``idx`` (repeats allowed); backward scatter-adds."""
+    """Select columns ``idx`` of a 2-D ``x`` (repeats allowed); backward
+    scatter-adds.  A ``(B, L)`` index gives one ``(rows, L)`` matrix per
+    index row, stacked as ``(B, rows, L)``."""
     idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_cols: index must be 1-D, got shape {idx.shape}")
+    if idx.ndim not in (1, 2):
+        raise ShapeError(f"gather_cols: index must be 1-D or 2-D, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.cols):
         raise ShapeError(
             f"gather_cols: index out of range for {x.cols} columns"
         )
-    out = DiffTensor(x.values[:, idx], requires_grad=x.requires_grad)
+    # x[:, idx] is (rows, L) or (rows, B, L); the rows axis moves to -2
+    vals = np.moveaxis(x.values[:, idx], 0, -2)
+    out = DiffTensor(vals, requires_grad=x.requires_grad)
     if tape is not None and out.requires_grad:
 
         def backward():
@@ -302,64 +318,51 @@ def gather_cols(tape, x, idx):
                 return
             if x.grad is None:
                 x.grad = np.zeros_like(x.values)
-            kernels.scatter_add_cols(x.grad, idx, np.ascontiguousarray(g))
-
-        tape.record(backward)
-    return out
-
-
-def take_rows(tape, x, rows):
-    """Select a subset of rows; backward scatters into the originals."""
-    rows = list(rows)
-    if any(r < 0 or r >= x.rows for r in rows):
-        raise ShapeError(f"take_rows: row index out of range for {x.rows} rows")
-    out = DiffTensor(x.values[rows, :], requires_grad=x.requires_grad)
-    if tape is not None and out.requires_grad:
-
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            if x.grad is None:
-                x.grad = np.zeros_like(x.values)
-            for i, r in enumerate(rows):
-                x.grad[r, :] += g[i, :]
+            kernels.scatter_add_cols(x.grad, idx, np.moveaxis(g, -2, 0))
 
         tape.record(backward)
     return out
 
 
 def row_affine(tape, x, scale_vec, shift_vec):
-    """Per-row ``x * scale + shift`` with constant (non-learned) vectors."""
-    scale_vec = np.asarray(scale_vec, dtype=x.dtype).reshape(-1)
-    shift_vec = np.asarray(shift_vec, dtype=x.dtype).reshape(-1)
-    if scale_vec.size != x.rows or shift_vec.size != x.rows:
+    """Per-row ``x * scale + shift`` with constant (non-learned) arrays of
+    shape ``x.shape[:-1]``."""
+    scale_vec = np.asarray(scale_vec, dtype=x.dtype)
+    shift_vec = np.asarray(shift_vec, dtype=x.dtype)
+    if scale_vec.shape != x.shape[:-1] or shift_vec.shape != x.shape[:-1]:
         raise ShapeError(
-            f"row_affine: need {x.rows} per-row constants, got "
-            f"{scale_vec.size} scales / {shift_vec.size} shifts"
+            f"row_affine: need per-row constants of shape {x.shape[:-1]}, got "
+            f"{scale_vec.shape} scales / {shift_vec.shape} shifts"
         )
     out = DiffTensor(
-        x.values * scale_vec[:, None] + shift_vec[:, None],
+        x.values * scale_vec[..., None] + shift_vec[..., None],
         requires_grad=x.requires_grad,
     )
     if tape is not None and out.requires_grad:
 
         def backward():
             if out.grad is not None:
-                x.accumulate(out.grad * scale_vec[:, None])
+                x.accumulate(out.grad * scale_vec[..., None])
 
         tape.record(backward)
     return out
 
 
-def mse_loss(tape, pred, target):
-    """Mean squared error against a constant target, as a 1x1 tensor."""
+def mse_loss(tape, pred, target, rows=None):
+    """Mean squared error against a constant target, as a 1x1 tensor;
+    ``rows`` restricts it to those rows of every matrix, a repeat counting twice."""
     target = np.asarray(target, dtype=pred.dtype)
     if target.shape != pred.shape:
         raise ShapeError(
             f"mse_loss: target {target.shape} does not match prediction {pred.shape}"
         )
     diff = pred.values - target
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or not rows.size or rows.min() < 0 or rows.max() >= pred.rows:
+            raise ShapeError(f"mse_loss: rows {rows.tolist()} out of range "
+                             f"for {pred.rows} rows")
+        diff = diff[..., rows, :]
     out = DiffTensor(
         np.array([[np.mean(diff * diff)]], dtype=pred.dtype),
         requires_grad=pred.requires_grad,
@@ -371,7 +374,11 @@ def mse_loss(tape, pred, target):
             g = out.grad
             if g is None:
                 return
-            pred.accumulate((2.0 * g[0, 0] / n) * diff)
+            grad = (2.0 * g[0, 0] / n) * diff
+            if rows is not None:
+                grad, scattered = np.zeros_like(pred.values), grad
+                np.add.at(grad, (..., rows, slice(None)), scattered)
+            pred.accumulate(grad)
 
         tape.record(backward)
     return out

@@ -1,12 +1,12 @@
 """Optimization loop: Adam, patience-based early stopping, evaluation, and
 the JSONL results log.
 
-The batch-mean L2 gradient is assembled sample by sample: each window gets
-its own tape and ``backward`` is seeded with ``1/batch_size``, so gradients
-accumulate across the batch into the shared parameters before one fused Adam
-step.  Validation runs after every epoch; when the patience budget of
-consecutive non-improving epochs is spent, training stops and the
-best-validation parameter snapshot is restored.
+Each minibatch is stacked into one (B, channels, lookback) array and run
+through one forward pass on one tape; the batch-mean L2 loss's ``backward``
+leaves the minibatch gradient in the parameters for one fused Adam step.
+Validation runs after every epoch; when the patience budget of consecutive
+non-improving epochs is spent, training stops and the best-validation
+parameter snapshot is restored.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ from . import kernels
 from .data import make_windows, split_and_scale
 from .errors import ConfigError, NumericError
 from .model import TQNet
-from .tensor import Tape, mse_loss, take_rows
+from .tensor import Tape, mse_loss
+
+# windows per forward pass in ``evaluate``; bounds its working set
+EVAL_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -97,34 +100,39 @@ class EarlyStopper:
         return self.streak >= self.patience
 
 
+def _rows(a, target_rows):
+    return a if target_rows is None else a[..., list(target_rows), :]
+
+
 def loss_and_metrics(tape, pred, target, target_rows=None):
     """(loss tensor, mse, mae); optionally restricted to ``target_rows``."""
     target = np.asarray(target, dtype=pred.dtype)
-    if target_rows is not None:
-        rows = list(target_rows)
-        pred = take_rows(tape, pred, rows)
-        target = target[rows, :]
-    loss = mse_loss(tape, pred, target)
-    _, mae = kernels.mse_mae(pred.values, target)
+    loss = mse_loss(tape, pred, target, rows=target_rows)
+    pred_rows, target = _rows(pred.values, target_rows), _rows(target, target_rows)
+    _, mae = kernels.mse_mae(pred_rows, target)
     return loss, loss.item(), mae
+
+
+def _stack(windows):
+    """The windows' ``x``, ``t`` and ``y``, each stacked on a leading batch axis."""
+    return [np.stack([getattr(w, k) for w in windows]) for k in "xty"]
 
 
 def evaluate(model, windows, target_rows=None):
     """Mean per-window MSE/MAE in eval mode, uniform over windows."""
     if not windows:
         raise ConfigError("evaluate needs at least one window")
-    rows = list(target_rows) if target_rows is not None else None
     mse_sum = 0.0
     mae_sum = 0.0
-    for w in windows:
-        pred = model.predict(w.x, w.t)
-        target = w.y
-        if rows is not None:
-            pred = pred[rows, :]
-            target = target[rows, :]
-        mse, mae = kernels.mse_mae(pred, np.asarray(target, dtype=pred.dtype))
-        mse_sum += mse
-        mae_sum += mae
+    for start in range(0, len(windows), EVAL_BATCH):
+        chunk = windows[start : start + EVAL_BATCH]
+        x, t, y = _stack(chunk)
+        pred = model.predict(x, t)
+        mse, mae = kernels.mse_mae(_rows(pred, target_rows),
+                                   _rows(y.astype(pred.dtype), target_rows))
+        # windows are equal in size: a chunk's mean is that of its windows' means
+        mse_sum += mse * len(chunk)
+        mae_sum += mae * len(chunk)
     n = len(windows)
     return mse_sum / n, mae_sum / n
 
@@ -157,20 +165,18 @@ def fit(model, train_windows, val_windows, plan, log=None):
         epoch_mse = 0.0
         for b_start in range(0, n, plan.batch_size):
             batch = order[b_start : b_start + plan.batch_size]
-            inv_b = 1.0 / len(batch)
-            for i in batch:
-                w = train_windows[i]
-                tape = Tape()
-                pred = model.forward(w.x, w.t, tape, mode="train", rng=dropout_rng)
-                loss, mse, _ = loss_and_metrics(tape, pred, w.y, plan.target_rows)
-                if not np.isfinite(mse):
-                    raise NumericError(
-                        f"non-finite training loss at epoch {epoch}, "
-                        f"batch starting at sample {b_start}"
-                    )
-                tape.backward(loss, seed=inv_b)
-                epoch_mse += mse
+            x, t, y = _stack([train_windows[i] for i in batch])
+            tape = Tape()
+            pred = model.forward(x, t, tape, mode="train", rng=dropout_rng)
+            loss, mse, _ = loss_and_metrics(tape, pred, y, plan.target_rows)
+            if not np.isfinite(mse):
+                raise NumericError(
+                    f"non-finite training loss at epoch {epoch}, "
+                    f"batch starting at sample {b_start}"
+                )
+            tape.backward(loss)
             opt.step()
+            epoch_mse += mse * len(batch)
         epoch_mse /= n
 
         val_mse, _ = evaluate(model, val_windows, plan.target_rows)

@@ -114,13 +114,17 @@ def _mean_mse(runs, name):
 
 def test_criterion_1_gradient_fidelity():
     config = ModelConfig(
-        channels=2, lookback=8, horizon=2, period=4, hidden=4, heads=2,
+        channels=3, lookback=8, horizon=2, period=4, hidden=4, heads=2,
         attn_dropout=0.0, out_dropout=0.0, seed=2024, dtype="float64",
     )
     model = TQNet(config)
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(config.channels, config.lookback))
-    y = rng.normal(size=(config.channels, config.horizon))
+    # the training path: one stack of windows at distinct phases, with a
+    # row mask that repeats a row
+    t = np.array([3, 0, 6])
+    rows = (0, 2, 2)
+    x = rng.normal(size=(len(t), config.channels, config.lookback))
+    y = rng.normal(size=(len(t), config.channels, config.horizon))
     # the bank initializes to zero; move it off the origin so its gradient
     # path is exercised at a generic point
     model.bank.theta.values[...] = rng.normal(size=model.bank.theta.shape,
@@ -128,8 +132,8 @@ def test_criterion_1_gradient_fidelity():
 
     def closure():
         tape = Tape()
-        pred = model.forward(x, t=3, tape=tape, mode="train")
-        return mse_loss(tape, pred, y), tape
+        pred = model.forward(x, t, tape=tape, mode="train")
+        return mse_loss(tape, pred, y, rows=rows), tape
 
     t0 = time.perf_counter()
     result = gradient_check(closure, model.parameters(), eps=1e-5, tol=1e-4)
@@ -137,8 +141,8 @@ def test_criterion_1_gradient_fidelity():
     ok = result.passed and result.max_rel_err < 1e-4 and wall < 60.0
     _verdict(1, ok, (
         f"max relative gradient error {result.max_rel_err:.2e} over "
-        f"{len(result.per_param)} parameter groups "
-        f"(tolerance 1e-4) in {wall:.1f}s (limit 60s)"
+        f"{len(result.per_param)} parameter groups on a masked batch of "
+        f"{len(t)} windows (tolerance 1e-4) in {wall:.1f}s (limit 60s)"
     ))
 
 

@@ -91,6 +91,23 @@ def _rewrite_header(path, mutate):
     )
 
 
+def test_manifest_and_payload_must_agree(tmp_path, model):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model)
+
+    # a consistent config and manifest, but no payload to back them
+    def grow_hidden(header):
+        header["config"]["hidden"] = 1_000_000
+        for m in header["params"]:
+            for key in ("rows", "cols"):
+                if m[key] == 6:
+                    m[key] = 1_000_000
+
+    _rewrite_header(p, grow_hidden)
+    with pytest.raises(CheckpointError, match="payload has .* bytes"):
+        load_checkpoint(p)
+
+
 def test_shape_mismatch_names_parameter(tmp_path, model):
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, model)
@@ -128,6 +145,9 @@ def test_unsupported_version(tmp_path, model):
     pytest.param(lambda h: h.update(params={}), "params", id="params-not-list"),
     pytest.param(lambda h: h["params"][0].pop("rows"), "params",
                  id="params-entry-incomplete"),
+    # shapes from this config would need terabytes; nothing may be allocated
+    pytest.param(lambda h: h["config"].update(hidden=1_000_000), "config",
+                 id="oversized-config"),
 ])
 def test_malformed_header_is_checkpoint_error(tmp_path, model, capsys, mutate, key):
     p = tmp_path / "m.ckpt"

@@ -67,6 +67,16 @@ class TestBankIndexing:
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
             TemporalQueryBank(2, 4).segment_indices(-1, 4)
+        with pytest.raises(ValueError):
+            TemporalQueryBank(2, 4).segment_indices(np.array([3, -1]), 4)
+
+    def test_array_of_starts_gives_one_row_each(self):
+        bank = TemporalQueryBank(channels=1, period=4)
+        starts = np.array([3, 0, 6])
+        np.testing.assert_array_equal(
+            bank.segment_indices(starts, 6),
+            [bank.segment_indices(t, 6) for t in starts],
+        )
 
     def test_zero_bank_gives_uniform_attention(self):
         model = tiny_model()
@@ -105,6 +115,33 @@ class TestForward:
         with pytest.raises(ShapeError):
             tiny_model().predict(np.zeros((3, 8)), t=0)
 
+    @pytest.mark.parametrize("x_shape,t", [
+        ((2, 8), [0]),           # one window, a stack of starts
+        ((3, 2, 8), 0),          # a stack, one start
+        ((3, 2, 8), [0, 1]),     # a start missing
+        ((1, 3, 2, 8), [[0]]),   # rank 4
+        ((8,), 0),
+    ])
+    def test_window_and_start_shapes_must_agree(self, x_shape, t):
+        t_shape = np.asarray(t).shape
+        with pytest.raises(ShapeError, match=rf"x \({x_shape[0]},.*t \(") as err:
+            tiny_model().predict(np.zeros(x_shape), t)
+        assert str(t_shape) in str(err.value)
+
+    @pytest.mark.parametrize("vname", list(VariantSpec.NAMED))
+    def test_stack_matches_window_by_window(self, vname):
+        model = tiny_model(vname)
+        rng = np.random.default_rng(12)
+        if model.bank is not None:
+            model.bank.theta.values[...] = rng.normal(size=(2, 4))
+        x = rng.normal(size=(5, 2, 8))
+        t = np.array([0, 3, 5, 2, 9])
+        stacked = model.predict(x, t)
+        assert stacked.shape == (5, 2, 2)
+        for i in range(5):
+            np.testing.assert_allclose(stacked[i], model.predict(x[i], t[i]),
+                                       rtol=1e-12, atol=1e-12)
+
     def test_non_finite_input_rejected(self):
         x = np.zeros((2, 8))
         x[0, 0] = np.nan
@@ -113,7 +150,7 @@ class TestForward:
 
     def test_non_finite_intermediate_names_stage(self):
         model = tiny_model()
-        model.proj_out_w.values[0, 0] = np.inf
+        model.params["proj_out.w"].values[0, 0] = np.inf
         with pytest.raises(NumericError, match="output projection"):
             model.predict(np.random.default_rng(0).normal(size=(2, 8)), t=0)
 
@@ -137,8 +174,8 @@ class TestForward:
         model = tiny_model()
         for p in model.parameters():
             p.values[...] = 0.0
-        model.proj_in_w.values[TINY.lookback - 1, 0] = 1.0
-        model.proj_out_w.values[0, :] = 1.0
+        model.params["proj_in.w"].values[TINY.lookback - 1, 0] = 1.0
+        model.params["proj_out.w"].values[0, :] = 1.0
         x = np.random.default_rng(4).normal(size=(2, 8), scale=2.0)
         pred = model.predict(x, t=0)
         # de-normalization maps the normalized last value back to x[:, -1]
@@ -174,7 +211,7 @@ class TestVariants:
         loss = mse_loss(tape, model.forward(x, 2, tape, mode="train"), y)
         tape.backward(loss)
         assert model.bank.theta.grad is None  # disconnected from the loss
-        assert model.proj_out_w.grad is not None
+        assert model.params["proj_out.w"].grad is not None
 
     def test_channel_identifier_adds_bank_segment(self):
         model = tiny_model("channel_identifier", use_instance_norm=False)
@@ -201,6 +238,24 @@ class TestVariants:
         def closure():
             tape = Tape()
             return mse_loss(tape, model.forward(x, 3, tape, "train"), y), tape
+
+        res = gradient_check(closure, model.parameters(), tol=1e-4)
+        assert res.passed, res.summary()
+
+    @pytest.mark.parametrize("vname", list(VariantSpec.NAMED))
+    def test_masked_batch_gradients_per_variant(self, vname):
+        model = tiny_model(vname)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(3, 2, 8))
+        y = rng.normal(size=(3, 2, 2))
+        t = np.array([3, 0, 6])
+        if model.bank is not None:
+            model.bank.theta.values[...] = rng.normal(size=(2, 4), scale=0.1)
+
+        def closure():
+            tape = Tape()
+            pred = model.forward(x, t, tape, "train")
+            return mse_loss(tape, pred, y, rows=(1, 1)), tape
 
         res = gradient_check(closure, model.parameters(), tol=1e-4)
         assert res.passed, res.summary()

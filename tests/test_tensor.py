@@ -21,7 +21,6 @@ from tqnet.tensor import (
     row_affine,
     scale,
     softmax_rows,
-    take_rows,
 )
 
 
@@ -57,16 +56,38 @@ class TestStructure:
         tape2.backward(loss2)
         np.testing.assert_allclose(p.grad, 2 * first)
 
-    def test_batch_mean_via_seed(self):
-        p = param([[3.0]])
-        grads = []
-        for seed in (1.0, 0.25):
-            p.zero_grad()
-            tape = Tape()
-            loss = mse_loss(tape, scale(tape, p, 2.0), np.array([[1.0]]))
-            tape.backward(loss, seed=seed)
-            grads.append(p.grad[0, 0])
-        assert grads[1] == pytest.approx(grads[0] / 4.0)
+    def test_backward_runs_once_per_tape(self):
+        p = param([[3.0, -1.0]])
+        tape = Tape()
+        loss = mse_loss(tape, scale(tape, p, 2.0), np.zeros((1, 2)))
+        tape.backward(loss)
+        first = p.grad.copy()
+        with pytest.raises(TapeError, match="backward already ran"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(p.grad, first)
+
+    def test_batched_matmul_shares_a_2d_weight(self):
+        rng = np.random.default_rng(3)
+        x = DiffTensor(rng.normal(size=(4, 3, 5)))
+        w = param(rng.normal(size=(5, 2)))
+        tape = Tape()
+        out = matmul(tape, x, w)
+        np.testing.assert_allclose(out.values, x.values @ w.values)
+        tape.backward(mse_loss(tape, out, np.zeros(out.shape)))
+        # d/dw of mean((x w)^2), summed over the batch
+        expected = np.einsum("bij,bik->jk", x.values, 2 * out.values) / out.values.size
+        np.testing.assert_allclose(w.grad, expected)
+
+    def test_batched_operands_must_share_leading_shape(self):
+        a, b = param(np.zeros((2, 3, 4))), param(np.zeros((3, 3, 4)))
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 3, 4\)"):
+            matmul(None, a, b, transpose_b=True)
+
+    @pytest.mark.parametrize("rows", [[0, 3], [-1], []])
+    def test_mse_loss_rejects_bad_rows(self, rows):
+        p = param(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError, match="out of range for 3 rows"):
+            mse_loss(None, p, np.zeros((2, 3, 4)), rows=rows)
 
     def test_frozen_leaf_gets_no_gradient(self):
         x = DiffTensor(np.ones((2, 2)))  # data, requires_grad=False
@@ -132,12 +153,13 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("case", [
         "matmul_t", "softmax", "gelu", "gather", "concat",
-        "row_affine", "take_rows", "scale_add",
+        "row_affine", "mse_rows", "scale_add",
+        "batched_matmul_t", "batched_gather", "batched_row_affine",
     ])
     def test_each_op_against_central_differences(self, case):
         rng = np.random.default_rng(hash(case) % 2**32)
         p = param(rng.normal(size=(3, 6)), "p")
-        y = rng.normal(size=(3, 12))
+        y = rng.normal(size=(2, 3, 12))
         r = DiffTensor(rng.normal(size=(3, 6)))
 
         def build(tape):
@@ -152,20 +174,34 @@ class TestGradientCheck:
                 idx = (3 + np.arange(6)) % 4  # reuses columns 3,0,1,2,3,0
                 return gather_cols(tape, p, idx)
             if case == "concat":
-                return concat_cols(tape, [take_rows(tape, p, [0, 1, 2]),
-                                          scale(tape, p, -1.0)])
+                return concat_cols(tape, [gelu(tape, p), scale(tape, p, -1.0)])
             if case == "row_affine":
                 return row_affine(tape, p, [2.0, 0.5, -1.0], [1.0, 0.0, 3.0])
-            if case == "take_rows":
-                return take_rows(tape, p, [2, 0, 2])
+            if case == "mse_rows":
+                return p
             if case == "scale_add":
                 return add(tape, scale(tape, p, 1.5), p)
+            # two stacked matrices sharing ``p``
+            if case == "batched_matmul_t":
+                xs = DiffTensor(np.stack([r.values, -2.0 * r.values]))
+                q = matmul(tape, xs, p, transpose_b=True)  # shared 2-D weight
+                z = matmul(tape, q, p)
+                return matmul(tape, z, z, transpose_b=True)  # batch by batch
+            if case == "batched_gather":
+                idx = (np.array([[3], [1]]) + np.arange(6)) % 4
+                return gather_cols(tape, p, idx)
+            if case == "batched_row_affine":
+                seg = gelu(tape, gather_cols(tape, p, [[0, 1], [5, 4]]))
+                return row_affine(tape, seg, [[2.0, 0.5, -1.0], [1.0, 1.5, 0.5]],
+                                  np.zeros((2, 3)))
 
         def closure():
             tape = Tape()
             out = build(tape)
-            t = y[: out.rows, : out.cols]
-            return mse_loss(tape, out, t), tape
+            t = y[:, : out.rows, : out.cols]
+            t = t if out.values.ndim == 3 else t[0]
+            rows = [2, 0, 2] if case == "mse_rows" else None
+            return mse_loss(tape, out, t, rows=rows), tape
 
         res = gradient_check(closure, [p], eps=1e-5, tol=1e-6)
         assert res.passed, f"{case}: {res.summary()}"

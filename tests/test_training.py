@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from tqnet.data import SplitSpec, SynthSpec, generate_synthetic
+from tqnet import training
+from tqnet.data import (
+    SplitSpec,
+    SynthSpec,
+    generate_synthetic,
+    make_windows,
+    split_and_scale,
+)
 from tqnet.errors import ConfigError, NumericError
 from tqnet.model import ModelConfig, TQNet
 from tqnet.tensor import DiffTensor, Tape, mse_loss
@@ -106,19 +113,21 @@ class TestLosses:
 
     def test_evaluate_is_uniform_over_windows(self):
         model = TQNet(MICRO)
-        table = micro_table()
-        from tqnet.data import make_windows, split_and_scale
-
-        splits = split_and_scale(table, SplitSpec(0.6, 0.2, 0.2), lookback=16)
-        windows = make_windows(splits.val, 16, 8)[:7]
-        mse, mae = evaluate(model, windows)
-        per = [
-            (np.mean((model.predict(w.x, w.t) - w.y) ** 2),
-             np.mean(np.abs(model.predict(w.x, w.t) - w.y)))
-            for w in windows
-        ]
-        assert mse == pytest.approx(np.mean([p[0] for p in per]), rel=1e-6)
-        assert mae == pytest.approx(np.mean([p[1] for p in per]), rel=1e-6)
+        splits = split_and_scale(micro_table(), SplitSpec(0.6, 0.2, 0.2), lookback=16)
+        windows = make_windows(splits.val, 16, 8)
+        chunk = training.EVAL_BATCH
+        # part of a chunk; two full chunks and a part; a row mask with a repeat
+        for count, rows in ((7, None), (2 * chunk + 5, None), (chunk + 1, (2, 0, 2))):
+            assert len(windows) >= count
+            mse, mae = evaluate(model, windows[:count], target_rows=rows)
+            sel = slice(None) if rows is None else list(rows)
+            per = [
+                (np.mean((model.predict(w.x, w.t) - w.y)[sel] ** 2),
+                 np.mean(np.abs(model.predict(w.x, w.t) - w.y)[sel]))
+                for w in windows[:count]
+            ]
+            assert mse == pytest.approx(np.mean([p[0] for p in per]), rel=1e-6)
+            assert mae == pytest.approx(np.mean([p[1] for p in per]), rel=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +168,6 @@ class TestFit:
         table = micro_table()
         snaps = []
         model_cfg = MICRO
-        from tqnet.data import make_windows, split_and_scale
-
         splits = split_and_scale(table, SplitSpec(0.6, 0.2, 0.2), 16)
         train_w = make_windows(splits.train, 16, 8)
         val_w = make_windows(splits.val, 16, 8)
@@ -180,15 +187,32 @@ class TestFit:
 
     def test_non_finite_loss_raises_with_location(self):
         table = micro_table()
-        from tqnet.data import make_windows, split_and_scale
-
         splits = split_and_scale(table, SplitSpec(0.6, 0.2, 0.2), 16)
         train_w = make_windows(splits.train, 16, 8)
         val_w = make_windows(splits.val, 16, 8)
         model = TQNet(MICRO)
-        model.mlp_w1.values[0, 0] = np.nan
+        model.params["mlp.w1"].values[0, 0] = np.nan
         with pytest.raises(NumericError, match="epoch 1"):
             fit(model, train_w, val_w, TrainPlan(max_epochs=1, patience=1))
+
+    def test_one_tape_per_minibatch(self, monkeypatch):
+        tapes = []
+
+        class CountingTape(Tape):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(training, "Tape", CountingTape)
+        splits = split_and_scale(micro_table(), SplitSpec(0.6, 0.2, 0.2), 16)
+        train_w = make_windows(splits.train, 16, 8)
+        val_w = make_windows(splits.val, 16, 8)
+        plan = TrainPlan(batch_size=16, max_epochs=1, patience=1)
+        fit(TQNet(MICRO), train_w, val_w, plan)
+        assert len(tapes) == -(-len(train_w) // plan.batch_size)
+        assert len(train_w) % plan.batch_size  # the last batch is a part one
 
     def test_empty_windows_rejected(self):
         with pytest.raises(ConfigError):
