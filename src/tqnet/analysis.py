@@ -31,6 +31,9 @@ def run_variant_matrix(table, config, plan, split, variants=None, seeds=None,
     """
     variants = list(variants) if variants is not None else list(VariantSpec.NAMED)
     seeds = list(seeds) if seeds is not None else [plan.seed]
+    if not variants or not seeds:
+        raise ConfigError("run_variant_matrix needs at least one variant "
+                          f"and one seed, got {variants} and {seeds}")
     rows = []
     reports = []
     for vname in variants:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -186,6 +187,18 @@ def _add_config_flags(p, keys):
                            type=type_map[type(f.default)])
 
 
+def _positive_float(text):
+    """argparse type: a finite number above zero (argparse names the flag)."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not (math.isfinite(val) and val > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above zero, got {text!r}")
+    return val
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tqnet",
@@ -257,8 +270,8 @@ def build_parser():
     p.add_argument("--hidden", type=int, default=4)
     p.add_argument("--heads", type=int, default=2)
     p.add_argument("--variant", default="default")
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--eps", type=_positive_float, default=1e-5)
+    p.add_argument("--tol", type=_positive_float, default=1e-4)
     p.add_argument("--seed", type=int, default=2024)
 
     return parser
@@ -367,17 +380,27 @@ def cmd_evaluate(args):
     return 0
 
 
-def _int_list(text):
+def _name_list(text, flag):
+    """The non-empty items of a comma-separated flag value; none is an error."""
+    items = [x.strip() for x in text.split(",") if x.strip()]
+    if not items:
+        raise ConfigError(f"{flag} lists nothing, got {text!r}")
+    return items
+
+
+def _int_list(text, flag):
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in _name_list(text, flag)]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
+        raise ConfigError(
+            f"{flag}: expected a comma-separated integer list, got {text!r}"
+        ) from None
 
 
 def cmd_ablate(args):
     if args.covariates is not None:
         cfg = resolve_config(args.config, _overrides_from_args(args))
-        sizes = _int_list(args.covariates)
+        sizes = _int_list(args.covariates, "--covariates")
         out = _out_dir(cfg, "covariates")
         _echo_config(cfg, out / "config.json")
         rows, reports = run_covariate_study(
@@ -393,8 +416,8 @@ def cmd_ablate(args):
         return 0
 
     cfg, table, dataset = _prepare_run(args)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    seeds = _int_list(args.seeds) if args.seeds else [cfg.seed]
+    variants = _name_list(args.variants, "--variants")
+    seeds = [cfg.seed] if args.seeds is None else _int_list(args.seeds, "--seeds")
     out = _out_dir(cfg, dataset)
     _echo_config(cfg, out / "config.json")
     rows, reports = run_variant_matrix(
@@ -411,7 +434,7 @@ def cmd_ablate(args):
 
 def cmd_sweep_w(args):
     cfg, table, dataset = _prepare_run(args)
-    periods = _int_list(args.periods)
+    periods = _int_list(args.periods, "--periods")
     out = _out_dir(cfg, dataset)
     _echo_config(cfg, out / "config.json")
     rows, reports = run_period_sweep(

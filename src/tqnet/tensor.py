@@ -15,12 +15,13 @@ same math without recording anything (cheap inference path).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .errors import NumericError, ShapeError, TapeError
+from .errors import ConfigError, NumericError, ShapeError, TapeError
 
 
 class DiffTensor:
@@ -58,8 +59,11 @@ class DiffTensor:
 
     def accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # a copy, not ``g`` itself: callers pass views and shared arrays
+            self.grad = np.empty_like(self.values)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -229,13 +233,17 @@ def softmax_rows(tape, x):
 
 
 def gelu(tape, x):
-    """Exact (erf-based) gaussian error linear unit."""
-    out = DiffTensor(kernels.gelu(x.values), requires_grad=x.requires_grad)
+    """Exact (erf-based) gaussian error linear unit; the backward reuses the
+    forward's ``erf``."""
+    erf = kernels.gelu_erf(x.values)
+    out = DiffTensor(kernels.gelu(x.values, erf), requires_grad=x.requires_grad)
     if tape is not None and out.requires_grad:
 
         def backward():
             if out.grad is not None:
-                x.accumulate(out.grad * kernels.gelu_grad(x.values))
+                grad = kernels.gelu_grad(x.values, erf)
+                grad *= out.grad
+                x.accumulate(grad)
 
         tape.record(backward)
     return out
@@ -437,7 +445,13 @@ def gradient_check(closure, params, eps=1e-5, tol=1e-4, rel_floor=1e-6):
     Relative error per element is |analytic - numeric| / max(|analytic|,
     |numeric|, rel_floor).  Parameters with ``requires_grad=False`` are
     reported as frozen (gradient identically zero) and not differenced.
+    A non-finite analytic or numeric value is an error of ``inf``, so it
+    fails at any ``tol``.
     """
+    for label, value in (("eps", eps), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(
+                f"gradient_check: {label} must be finite and positive, got {value!r}")
     named = []
     for i, p in enumerate(params):
         if p.dtype != np.float64:
@@ -448,7 +462,7 @@ def gradient_check(closure, params, eps=1e-5, tol=1e-4, rel_floor=1e-6):
 
     l1, _ = closure()
     l2, _ = closure()
-    if l1.values[0, 0] != l2.values[0, 0]:
+    if not np.array_equal(l1.values, l2.values, equal_nan=True):
         raise RuntimeError(
             "closure is not deterministic: two forward passes disagree "
             f"({l1.values[0, 0]!r} vs {l2.values[0, 0]!r}); disable dropout "
@@ -481,7 +495,11 @@ def gradient_check(closure, params, eps=1e-5, tol=1e-4, rel_floor=1e-6):
             flat[j] = orig
             numeric = (fp - fm) / (2.0 * eps)
             denom = max(abs(aflat[j]), abs(numeric), rel_floor)
-            worst = max(worst, abs(aflat[j] - numeric) / denom)
+            err = abs(aflat[j] - numeric) / denom
+            if not (math.isfinite(aflat[j]) and math.isfinite(numeric)
+                    and math.isfinite(err)):
+                err = math.inf
+            worst = max(worst, err)
         result.per_param[name] = worst
     result.frozen = tuple(frozen)
     for _, p in named:

@@ -55,26 +55,53 @@ class TrainPlan:
 
 
 class Adam:
-    """Bias-corrected Adam over the model's parameter list."""
+    """Bias-corrected Adam over the model's parameter list.
+
+    On construction the parameters are packed: their values are copied into
+    one flat buffer and each ``p.values`` becomes a view of its slice, so a
+    step is one ``kernels.adam_update`` call over the whole model.  The
+    values are unchanged; code that writes parameters must write in place
+    (``p.values[...] = ...``), as ``TQNet.restore`` and ``load_checkpoint``
+    do, because a rebound ``p.values`` would no longer be trained.
+    """
 
     def __init__(self, params, plan):
         self.params = list(params)
         self.plan = plan
-        self.m = [np.zeros_like(p.values) for p in self.params]
-        self.v = [np.zeros_like(p.values) for p in self.params]
+        dtypes = {p.dtype for p in self.params}
+        if len(dtypes) != 1:
+            raise ConfigError(
+                f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}"
+            )
+        sizes = [p.values.size for p in self.params]
+        self.values = np.empty(sum(sizes), dtype=dtypes.pop())
+        self.g = np.empty_like(self.values)
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
+        self._grads = []  # each parameter's slice of ``g``, in its shape
+        offset = 0
+        for p, size in zip(self.params, sizes):
+            view = self.values[offset : offset + size].reshape(p.shape)
+            view[...] = p.values
+            p.values = view
+            self._grads.append(self.g[offset : offset + size].reshape(p.shape))
+            offset += size
         self.t = 0
 
     def step(self):
         """Apply one update from accumulated grads, then clear them."""
         self.t += 1
-        plan = self.plan
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.values)
-            kernels.adam_update(
-                p.values, g, m, v,
-                plan.lr, plan.beta1, plan.beta2, plan.adam_eps, self.t,
-            )
+        for p, g in zip(self.params, self._grads):
+            if p.grad is None:
+                g.fill(0)
+            else:
+                g[...] = p.grad
             p.zero_grad()
+        plan = self.plan
+        kernels.adam_update(
+            self.values, self.g, self.m, self.v,
+            plan.lr, plan.beta1, plan.beta2, plan.adam_eps, self.t,
+        )
 
 
 class EarlyStopper:

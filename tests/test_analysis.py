@@ -89,6 +89,13 @@ class TestVariantMatrix:
         assert reports[0].variant == "self_attention"
 
 
+    @pytest.mark.parametrize("empty", ["variants", "seeds"])
+    def test_empty_variant_or_seed_list_rejected(self, empty):
+        kwargs = {"variants": ["default"], "seeds": [1], empty: []}
+        with pytest.raises(ConfigError, match="at least one variant"):
+            run_variant_matrix(micro_table(), MICRO, PLAN, SPLIT, **kwargs)
+
+
 class TestPeriodSweep:
     def test_rows_and_disabled_baseline(self):
         rows, reports = run_period_sweep(

@@ -181,6 +181,24 @@ class TestExitCodes:
         assert "PASS" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "nan"),
+                                            ("--tol", "-1"), ("--tol", "inf")])
+    def test_gradcheck_rejects_a_non_positive_step_or_tolerance(
+            self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--variants", "--seeds"])
+    def test_ablate_rejects_an_empty_list(self, flag, synth_csv, tmp_path, capsys):
+        rc = main(["ablate", "--data", str(synth_csv), flag, ",",
+                   "--out-dir", str(tmp_path / "ablate"), *MICRO_ARGS])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "ablate").exists()
+
+
 class TestSweepAndAblate:
     def test_sweep_w_writes_table(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -1,0 +1,102 @@
+"""Property test of the CLI's exit-code contract: any argv for the fast
+subcommands ends in exit 0, 1 or 2, never in an uncaught exception.
+
+Sizes are drawn from small ranges, so no example allocates a large array or
+runs a long gradient check.
+"""
+
+import pytest
+
+from tqnet.checkpoint import save_checkpoint
+from tqnet.cli import main
+from tqnet.model import ModelConfig, TQNet
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SMALL_INT = st.integers(-2, 64).map(str)
+TINY_INT = st.integers(-1, 6).map(str)  # gradcheck cost grows with each size
+NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=32).map(repr),
+    st.sampled_from(["0", "-1", "1e9", "abc", ""]),
+)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Paths the drawn argv can name: good inputs, bad inputs, outputs."""
+    d = tmp_path_factory.mktemp("prop")
+    assert main(["synth", "--out", str(d / "good.csv"), "--channels", "3",
+                 "--timesteps", "120", "--period", "6", "--latents", "2"]) == 0
+    (d / "bad.csv").write_text("date,a\n1,xyz\n")
+    (d / "empty.csv").write_text("")
+    (d / "junk.ckpt").write_bytes(b"TQNT\x00junk")
+    save_checkpoint(d / "model.ckpt", TQNet(ModelConfig(
+        channels=3, lookback=8, horizon=4, period=6, hidden=4, heads=2)))
+    return {
+        "good.csv": d / "good.csv",
+        "truth.csv": d / "good.csv.truth.csv",
+        "bad.csv": d / "bad.csv",
+        "empty.csv": d / "empty.csv",
+        "junk.ckpt": d / "junk.ckpt",
+        "model.ckpt": d / "model.ckpt",
+        "missing": d / "no-such-file",
+        "out": d / "out.csv",
+    }
+
+
+# subcommand -> flag -> value strategy; a value of a file name is a key of
+# ``files``
+FLAGS = {
+    "gradcheck": {
+        "--channels": TINY_INT, "--lookback": TINY_INT, "--horizon": TINY_INT,
+        "--period": TINY_INT, "--hidden": TINY_INT, "--heads": TINY_INT,
+        "--variant": st.sampled_from(["default", "pure_mlp", "global_only",
+                                      "channel_identifier", "nope"]),
+        "--eps": NUMBER, "--tol": NUMBER, "--seed": SMALL_INT,
+    },
+    "acf": {
+        "--data": st.sampled_from(["good.csv", "bad.csv", "empty.csv", "missing"]),
+        "--max-lag": SMALL_INT,
+        "--out": st.just("out"),
+    },
+    "synth": {
+        "--out": st.just("out"),
+        "--channels": SMALL_INT, "--timesteps": SMALL_INT, "--period": SMALL_INT,
+        "--latents": SMALL_INT, "--noise-sigma": NUMBER, "--spike-rate": NUMBER,
+        "--spike-scale": NUMBER, "--missing-rate": NUMBER,
+        "--mixing-scale": NUMBER, "--seed": SMALL_INT,
+    },
+    "corr": {
+        "--data": st.sampled_from(["good.csv", "bad.csv", "missing"]),
+        "--checkpoint": st.sampled_from(["model.ckpt", "junk.ckpt", "missing"]),
+        "--truth": st.sampled_from(["truth.csv", "good.csv", "bad.csv", "missing"]),
+        "--out": st.just("out"),
+    },
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=6, unique=True))
+    argv = [command]
+    for flag in chosen:
+        argv += [flag, draw(flags[flag])]
+    if draw(st.booleans()) and chosen:  # a flag without its value
+        argv.append(chosen[0])
+    return argv
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None,
+                     suppress_health_check=[hypothesis.HealthCheck.too_slow])
+@hypothesis.given(argv=argvs())
+def test_any_argv_exits_0_1_or_2(files, argv):
+    argv = [str(files[a]) if a in files else a for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        rc = exc.code
+    assert rc in (0, 1, 2), argv

@@ -28,6 +28,19 @@ def test_gelu_grad_matches_central_difference():
     np.testing.assert_allclose(kernels.gelu_grad(x), numeric, atol=1e-8)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_with_a_cached_erf_is_bitwise_the_plain_expression(dtype):
+    x = (RNG.normal(size=(3, 5, 7)) * 3).astype(dtype)
+    erf = kernels.gelu_erf(x)
+    # the expressions as written before the erf was shared
+    phi = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    cdf = 0.5 * (1.0 + erf)
+    for grad in (kernels.gelu_grad(x, erf), kernels.gelu_grad(x)):
+        assert grad.dtype == dtype
+        np.testing.assert_array_equal(grad, cdf + x * phi)
+    np.testing.assert_array_equal(kernels.gelu(x, erf), kernels.gelu(x))
+
+
 def test_softmax_rows_frozen_and_stable():
     y = kernels.softmax_rows(np.array([[math.log(2.0), 0.0]]))
     np.testing.assert_allclose(y, [[2 / 3, 1 / 3]], atol=1e-12)

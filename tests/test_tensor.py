@@ -5,7 +5,8 @@ semantics, error paths) is checked directly."""
 import numpy as np
 import pytest
 
-from tqnet.errors import ShapeError, TapeError
+from tqnet import kernels
+from tqnet.errors import ConfigError, ShapeError, TapeError
 from tqnet.tensor import (
     DiffTensor,
     Tape,
@@ -102,6 +103,27 @@ class TestStructure:
         p = param(np.ones((2, 2)))
         out = gelu(None, matmul(None, p, p))
         assert out.grad is None and out.shape == (2, 2)
+
+
+    def test_first_accumulate_copies_in_the_tensor_shape_and_dtype(self):
+        t = DiffTensor(np.zeros((2, 3), dtype=np.float32))
+        g = np.ones((1, 3))
+        t.accumulate(g)
+        assert t.grad.shape == (2, 3) and t.grad.dtype == np.float32
+        g[...] = 5.0  # the tensor holds a copy, not the caller's array
+        t.accumulate(np.ones((2, 3), dtype=np.float32))
+        np.testing.assert_array_equal(t.grad, np.full((2, 3), 2.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_backward_is_bitwise_upstream_times_gelu_grad(self, dtype):
+        rng = np.random.default_rng(3)
+        x = DiffTensor(rng.normal(size=(2, 4, 6)).astype(dtype), requires_grad=True)
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        tape = Tape()
+        out = gelu(tape, x)
+        out.grad = upstream.copy()
+        tape._nodes.pop()()
+        np.testing.assert_array_equal(x.grad, upstream * kernels.gelu_grad(x.values))
 
 
 class TestDropout:
@@ -245,6 +267,35 @@ class TestGradientCheck:
 
         with pytest.raises(RuntimeError, match="deterministic"):
             gradient_check(closure, [w])
+
+    @pytest.mark.parametrize("bad", [{"eps": 0.0}, {"eps": -1e-5},
+                                     {"eps": float("nan")}, {"tol": float("inf")},
+                                     {"tol": 0.0}])
+    def test_eps_and_tol_must_be_finite_and_positive(self, bad):
+        w = param(np.ones((1, 1)), "w")
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            gradient_check(lambda: None, [w], **bad)
+
+    @pytest.mark.parametrize("poison", ["analytic", "numeric", "loss"])
+    def test_non_finite_values_fail_with_infinite_error(self, poison):
+        rng = np.random.default_rng(2)
+        x = DiffTensor(rng.normal(size=(3, 2)))
+        w = param(np.ones((2, 2)), "w")
+
+        def closure():
+            tape = Tape()
+            out = linear(tape, x, w)
+            # "numeric": a perturbation above w[0, 0] = 1 makes the loss NaN
+            bad = poison == "loss" or (poison == "numeric" and w.values[0, 0] > 1.0)
+            loss = mse_loss(tape, out, np.full(out.shape, np.nan if bad else 0.0))
+            if poison == "analytic":  # recorded last, so it runs first
+                tape.record(lambda: w.accumulate(np.full(w.shape, np.nan)))
+            return loss, tape
+
+        res = gradient_check(closure, [w])
+        assert res.per_param["w"] == np.inf
+        assert not res.passed
+        assert "inf" in res.summary() and "FAIL" in res.summary()
 
     def test_requires_float64_parameters(self):
         w = DiffTensor(np.ones((1, 1), dtype=np.float32), requires_grad=True)

@@ -2,11 +2,13 @@
 masked losses, evaluation, determinism, and the results-line schema."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tqnet import training
+from tqnet import kernels, training
+from tqnet.checkpoint import load_checkpoint, save_checkpoint
 from tqnet.data import (
     SplitSpec,
     SynthSpec,
@@ -70,6 +72,94 @@ class TestAdam:
         opt.step()
         assert unused.values[0, 0] == 1.0
         assert used.values[0, 0] != 1.0
+
+
+def adam_reference(p, g, m, v, lr, beta1, beta2, eps, t):
+    """Adam as one expression per line on whole arrays: the formula the
+    packed, chunked step must reproduce bit for bit."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    mhat = m / (1.0 - beta1 ** t)
+    vhat = v / (1.0 - beta2 ** t)
+    p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+class TestPackedAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_per_parameter_reference(self, dtype):
+        rng = np.random.default_rng(5)
+        shapes = [(3, 4), (1, 4), (2, 3, 5), (7, 1)]
+        init = [rng.normal(size=s).astype(dtype) for s in shapes]
+        params = [DiffTensor(v.copy(), requires_grad=True) for v in init]
+        ref = [v.copy() for v in init]
+        ref_m = [np.zeros_like(v) for v in init]
+        ref_v = [np.zeros_like(v) for v in init]
+        plan = TrainPlan(lr=3e-3)
+        opt = Adam(params, plan)
+        for t in range(1, 6):
+            grads = [rng.normal(size=s).astype(dtype) for s in shapes]
+            grads[2] = None  # this parameter never gets a gradient
+            if t % 2 == 0:
+                grads[1] = None  # and this one only on odd steps
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            opt.step()
+            for i, g in enumerate(grads):
+                adam_reference(
+                    ref[i], np.zeros_like(ref[i]) if g is None else g,
+                    ref_m[i], ref_v[i],
+                    plan.lr, plan.beta1, plan.beta2, plan.adam_eps, t,
+                )
+        for p, r in zip(params, ref):
+            assert p.values.shape == r.shape and p.dtype == dtype
+            np.testing.assert_array_equal(p.values, r)
+            assert p.grad is None
+
+    def test_kernel_chunks_equal_the_unchunked_formula(self):
+        n = 2 * kernels.ADAM_CHUNK + 123
+        rng = np.random.default_rng(6)
+        p, g = (rng.normal(size=n).astype(np.float32) for _ in range(2))
+        m = np.zeros_like(p)
+        v = np.zeros_like(p)
+        state = [a.copy() for a in (p, g, m, v)]
+        for t in (1, 2, 3):
+            kernels.adam_update(p, g, m, v, 1e-3, 0.9, 0.999, 1e-8, t)
+            adam_reference(*state, 1e-3, 0.9, 0.999, 1e-8, t)
+        for got, want in zip((p, m, v), (state[0], state[2], state[3])):
+            np.testing.assert_array_equal(got, want)
+
+    def test_in_place_writes_are_what_the_next_step_trains(self, tmp_path):
+        model = TQNet(MICRO)
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        trained = TQNet(replace(MICRO, seed=7))
+        plan = TrainPlan(lr=0.1)
+        for source in ("restore", "load_checkpoint"):
+            if source == "restore":
+                opt = Adam(trained.parameters(), plan)
+                trained.restore(model.snapshot())
+                target = trained
+            else:
+                target = load_checkpoint(tmp_path / "m.ckpt")
+                opt = Adam(target.parameters(), plan)
+            want = {name: p.values.copy() for name, p in model.named_parameters()}
+            for name, p in target.named_parameters():
+                np.testing.assert_array_equal(p.values, want[name])
+                p.grad = np.ones_like(p.values)
+            opt.step()
+            for name, p in target.named_parameters():
+                g, m, v = (np.ones_like(want[name]), np.zeros_like(want[name]),
+                           np.zeros_like(want[name]))
+                adam_reference(want[name], g, m, v, plan.lr, plan.beta1,
+                               plan.beta2, plan.adam_eps, 1)
+                np.testing.assert_array_equal(p.values, want[name])
+
+    def test_mixed_dtypes_rejected(self):
+        a = DiffTensor(np.zeros((1, 2), dtype=np.float32), requires_grad=True)
+        b = DiffTensor(np.zeros((1, 2), dtype=np.float64), requires_grad=True)
+        with pytest.raises(ConfigError, match="dtype"):
+            Adam([a, b], TrainPlan())
 
 
 class TestEarlyStopper:
