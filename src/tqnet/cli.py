@@ -323,9 +323,16 @@ def _write_rows_csv(path, rows):
             writer.writerow([row[k] for k in keys])
 
 
+def _run_parts(cfg, channels):
+    """The model config, train plan and split of ``cfg``.  Commands build
+    them before they write any artifact, so a rejected value leaves none."""
+    return cfg.model_config(channels), cfg.train_plan(), cfg.split_spec()
+
+
 def cmd_train(args):
     cfg, table, dataset = _prepare_run(args)
     variant = VariantSpec.named(cfg.variant)
+    config, plan, split = _run_parts(cfg, table.channels)
     out = _out_dir(cfg, dataset)
     _echo_config(cfg, out / "config.json")
     log_rows = []
@@ -337,10 +344,8 @@ def cmd_train(args):
             f"val mse {val_mse:.6f}{'  *' if improved else ''}"
         )
 
-    res = run_experiment(
-        table, cfg.model_config(table.channels), cfg.train_plan(),
-        cfg.split_spec(), variant=variant, dataset=dataset, log=log,
-    )
+    res = run_experiment(table, config, plan, split, variant=variant,
+                         dataset=dataset, log=log)
     with open(out / "train_log.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("epoch", "train_mse", "val_mse", "improved"))
@@ -401,11 +406,12 @@ def cmd_ablate(args):
     if args.covariates is not None:
         cfg = resolve_config(args.config, _overrides_from_args(args))
         sizes = _int_list(args.covariates, "--covariates")
+        config, plan, split = _run_parts(cfg, 1)
         out = _out_dir(cfg, "covariates")
         _echo_config(cfg, out / "config.json")
         rows, reports = run_covariate_study(
-            cfg.model_config(channels=1), cfg.train_plan(), cfg.split_spec(),
-            sizes, covariates=args.n_covariates, timesteps=args.timesteps,
+            config, plan, split, sizes, covariates=args.n_covariates,
+            timesteps=args.timesteps,
         )
         _write_rows_csv(out / "covariate_study.csv", rows)
         append_results(out / "results.jsonl", reports)
@@ -418,11 +424,11 @@ def cmd_ablate(args):
     cfg, table, dataset = _prepare_run(args)
     variants = _name_list(args.variants, "--variants")
     seeds = [cfg.seed] if args.seeds is None else _int_list(args.seeds, "--seeds")
+    config, plan, split = _run_parts(cfg, table.channels)
     out = _out_dir(cfg, dataset)
     _echo_config(cfg, out / "config.json")
     rows, reports = run_variant_matrix(
-        table, cfg.model_config(table.channels), cfg.train_plan(),
-        cfg.split_spec(), variants=variants, seeds=seeds, dataset=dataset,
+        table, config, plan, split, variants=variants, seeds=seeds, dataset=dataset,
     )
     _write_rows_csv(out / "variants.csv", rows)
     append_results(out / "results.jsonl", reports)
@@ -435,12 +441,12 @@ def cmd_ablate(args):
 def cmd_sweep_w(args):
     cfg, table, dataset = _prepare_run(args)
     periods = _int_list(args.periods, "--periods")
+    config, plan, split = _run_parts(cfg, table.channels)
     out = _out_dir(cfg, dataset)
     _echo_config(cfg, out / "config.json")
     rows, reports = run_period_sweep(
-        table, cfg.model_config(table.channels), cfg.train_plan(),
-        cfg.split_spec(), periods, include_disabled=args.include_disabled,
-        dataset=dataset,
+        table, config, plan, split, periods,
+        include_disabled=args.include_disabled, dataset=dataset,
     )
     _write_rows_csv(out / "period_sweep.csv", rows)
     append_results(out / "results.jsonl", reports)

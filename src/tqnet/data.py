@@ -418,8 +418,9 @@ class SynthSpec:
                 "highest harmonic must stay below the foldover frequency"
             )
         for name in ("noise_sigma", "spike_scale", "mixing_scale"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {v!r}")
         for name in ("spike_rate", "missing_rate"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")

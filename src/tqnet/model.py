@@ -13,9 +13,14 @@ window.
 
 Attention mixes *channels* (rows): queries come from the bank segment, keys
 and values from the observed window, so a channel attends to the raw channels
-most useful for predicting it.  ``VariantSpec`` rewires the block for
-component studies (raw self-attention, bank-only attention, additive channel
-identifiers, plain MLP).
+most useful for predicting it.  All heads run in one pass: Q, K and V are
+each one GEMM against the column-concatenation of the per-head weights
+(``attn.h{h}.wq`` and so on, stored per head), ``split_heads`` moves the
+head blocks to a leading axis, and one scale, softmax and dropout act on a
+single (heads, B, channels, channels) score stack before ``merge_heads``
+lays the head outputs side by side again for ``attn.wo``.  ``VariantSpec``
+rewires the block for component studies (raw self-attention, bank-only
+attention, additive channel identifiers, plain MLP).
 """
 
 from __future__ import annotations
@@ -37,9 +42,11 @@ from .tensor import (
     gelu,
     linear,
     matmul,
+    merge_heads,
     row_affine,
     scale,
     softmax_rows,
+    split_heads,
 )
 
 
@@ -72,8 +79,9 @@ class ModelConfig:
             v = getattr(self, name)
             if not 0.0 <= float(v) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {v!r}")
-        if self.norm_eps <= 0:
-            raise ConfigError(f"norm_eps must be positive, got {self.norm_eps!r}")
+        if not (math.isfinite(self.norm_eps) and self.norm_eps > 0):
+            raise ConfigError(
+                f"norm_eps must be finite and positive, got {self.norm_eps!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
@@ -313,25 +321,32 @@ class TQNet:
         pick = {"bank": seg, "window": xt}
         return pick[self.variant.query_source], pick[self.variant.key_source]
 
-    def _head_weights(self, tape, q_src, k_src, h):
-        """Softmax of head ``h``'s scaled channel-by-channel scores."""
+    def _heads(self, tape, src, w):
+        """``src`` times every head's ``attn.h*.{w}`` as one GEMM against
+        their column-concatenation, stacked as (heads, ..., channels,
+        head_dim)."""
+        cfg = self.config
+        stacked = concat_cols(tape, [self.params[f"attn.h{h}.{w}"]
+                                     for h in range(cfg.heads)])
+        return split_heads(tape, matmul(tape, src, stacked), cfg.heads)
+
+    def _weights(self, tape, q_src, k_src):
+        """Softmax of every head's scaled channel-by-channel scores, one
+        (heads, ..., channels, channels) stack."""
         cfg = self.config
         denom = cfg.head_dim if cfg.scale_by_head_dim else cfg.lookback
-        inv_scale = 1.0 / math.sqrt(denom)
-        q = matmul(tape, q_src, self.params[f"attn.h{h}.wq"])
-        k = matmul(tape, k_src, self.params[f"attn.h{h}.wk"])
-        scores = scale(tape, matmul(tape, q, k, transpose_b=True), inv_scale)
-        return softmax_rows(tape, scores)
+        q = self._heads(tape, q_src, "wq")
+        k = self._heads(tape, k_src, "wk")
+        scores = matmul(tape, q, k, transpose_b=True)
+        return softmax_rows(tape, scale(tape, scores, 1.0 / math.sqrt(denom)))
 
     def _attention(self, tape, q_src, k_src, v_src, mode, rng):
         cfg = self.config
-        heads = []
-        for h in range(cfg.heads):
-            weights = self._head_weights(tape, q_src, k_src, h)
-            weights = dropout(tape, weights, cfg.attn_dropout, mode, rng)
-            v = matmul(tape, v_src, self.params[f"attn.h{h}.wv"])
-            heads.append(matmul(tape, weights, v))
-        mixed = matmul(tape, concat_cols(tape, heads), self.params["attn.wo"])
+        # heads lead the stack, so the dropout draws come head by head
+        weights = dropout(tape, self._weights(tape, q_src, k_src),
+                          cfg.attn_dropout, mode, rng)
+        heads = matmul(tape, weights, self._heads(tape, v_src, "wv"))
+        mixed = matmul(tape, merge_heads(tape, heads), self.params["attn.wo"])
         return add(tape, mixed, v_src)
 
     def attention_weights(self, x, t):
@@ -339,11 +354,7 @@ class TQNet:
         if not self.variant.attention:
             raise ConfigError("variant has no attention block")
         xt, seg, _ = self._inputs(x, t, None)
-        q_src, k_src = self._qk_sources(xt, seg)
-        return [
-            self._head_weights(None, q_src, k_src, h).values
-            for h in range(self.config.heads)
-        ]
+        return list(self._weights(None, *self._qk_sources(xt, seg)).values)
 
     def predict(self, x, t):
         return self.forward(x, t, tape=None, mode="eval").values

@@ -304,6 +304,53 @@ def concat_cols(tape, parts):
     return out
 
 
+def _merge(v):
+    """``(heads, ..., d)`` -> ``(..., heads * d)``, head ``h`` in columns
+    ``h*d : (h+1)*d``."""
+    n = v.ndim
+    return v.transpose(*range(1, n - 1), 0, n - 1).reshape(*v.shape[1:-1], -1)
+
+
+def _split(v, heads):
+    """Inverse of ``_merge``: a view, no copy."""
+    v = v.reshape(*v.shape[:-1], heads, -1)
+    n = v.ndim
+    return v.transpose(n - 2, *range(n - 2), n - 1)
+
+
+def split_heads(tape, x, heads):
+    """Cut the last axis into ``heads`` equal column blocks and stack them
+    on a new leading axis: ``(..., heads * d)`` -> ``(heads, ..., d)``."""
+    if heads < 1 or x.cols % heads:
+        raise ShapeError(f"split_heads: {x.cols} columns do not split into "
+                         f"{heads} heads")
+    out = DiffTensor(_split(x.values, heads), requires_grad=x.requires_grad)
+    if tape is not None and out.requires_grad:
+
+        def backward():
+            if out.grad is not None:
+                x.accumulate(_merge(out.grad))
+
+        tape.record(backward)
+    return out
+
+
+def merge_heads(tape, x):
+    """Inverse of ``split_heads``: ``(heads, ..., d)`` -> ``(..., heads * d)``."""
+    if x.values.ndim < 3:
+        raise ShapeError(f"merge_heads needs a leading heads axis, got {x.shape}")
+    heads = x.shape[0]
+    out = DiffTensor(_merge(x.values), requires_grad=x.requires_grad)
+    if tape is not None and out.requires_grad:
+
+        def backward():
+            if out.grad is not None:
+                x.accumulate(_split(out.grad, heads))
+
+        tape.record(backward)
+    return out
+
+
 def gather_cols(tape, x, idx):
     """Select columns ``idx`` of a 2-D ``x`` (repeats allowed); backward
     scatter-adds.  A ``(B, L)`` index gives one ``(rows, L)`` matrix per

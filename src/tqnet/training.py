@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -42,8 +43,10 @@ class TrainPlan:
     target_rows: tuple | None = None  # restrict loss/metrics to these channels
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        for name in ("lr", "adam_eps"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {v!r}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if not 1 <= self.patience <= self.max_epochs:
@@ -131,30 +134,27 @@ def _rows(a, target_rows):
     return a if target_rows is None else a[..., list(target_rows), :]
 
 
-def loss_and_metrics(tape, pred, target, target_rows=None):
-    """(loss tensor, mse, mae); optionally restricted to ``target_rows``."""
-    target = np.asarray(target, dtype=pred.dtype)
-    loss = mse_loss(tape, pred, target, rows=target_rows)
-    pred_rows, target = _rows(pred.values, target_rows), _rows(target, target_rows)
-    _, mae = kernels.mse_mae(pred_rows, target)
-    return loss, loss.item(), mae
-
-
 def _stack(windows):
-    """The windows' ``x``, ``t`` and ``y``, each stacked on a leading batch axis."""
-    return [np.stack([getattr(w, k) for w in windows]) for k in "xty"]
+    """The windows' ``x`` and ``y``, each stacked on a leading batch axis."""
+    return np.stack([w.x for w in windows]), np.stack([w.y for w in windows])
+
+
+def _starts(windows):
+    """The windows' start indices, one int array for the whole list."""
+    return np.array([w.t for w in windows], dtype=np.int64)
 
 
 def evaluate(model, windows, target_rows=None):
     """Mean per-window MSE/MAE in eval mode, uniform over windows."""
     if not windows:
         raise ConfigError("evaluate needs at least one window")
+    starts = _starts(windows)
     mse_sum = 0.0
     mae_sum = 0.0
     for start in range(0, len(windows), EVAL_BATCH):
         chunk = windows[start : start + EVAL_BATCH]
-        x, t, y = _stack(chunk)
-        pred = model.predict(x, t)
+        x, y = _stack(chunk)
+        pred = model.predict(x, starts[start : start + EVAL_BATCH])
         mse, mae = kernels.mse_mae(_rows(pred, target_rows),
                                    _rows(y.astype(pred.dtype), target_rows))
         # windows are equal in size: a chunk's mean is that of its windows' means
@@ -187,15 +187,17 @@ def fit(model, train_windows, val_windows, plan, log=None):
     result = FitResult(best_epoch=0, epochs_run=0, best_val_mse=float("inf"))
 
     n = len(train_windows)
+    starts = _starts(train_windows)
     for epoch in range(1, plan.max_epochs + 1):
         order = shuffle_rng.permutation(n) if plan.shuffle else np.arange(n)
         epoch_mse = 0.0
         for b_start in range(0, n, plan.batch_size):
             batch = order[b_start : b_start + plan.batch_size]
-            x, t, y = _stack([train_windows[i] for i in batch])
+            x, y = _stack([train_windows[i] for i in batch])
             tape = Tape()
-            pred = model.forward(x, t, tape, mode="train", rng=dropout_rng)
-            loss, mse, _ = loss_and_metrics(tape, pred, y, plan.target_rows)
+            pred = model.forward(x, starts[batch], tape, mode="train", rng=dropout_rng)
+            loss = mse_loss(tape, pred, y, rows=plan.target_rows)
+            mse = loss.item()
             if not np.isfinite(mse):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, "

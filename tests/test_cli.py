@@ -190,6 +190,28 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_synth_rejects_an_infinite_scale(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(["synth", "--out", str(out), "--mixing-scale", "inf",
+                   "--channels", "2", "--timesteps", "30", "--period", "8",
+                   "--latents", "1"])
+        assert rc == 2
+        assert "mixing_scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["ablate"], ["ablate", "--covariates", "1"],
+        ["sweep-w", "--periods", "4"],
+    ])
+    def test_a_nan_learning_rate_exits_2_before_any_artifact(
+            self, command, synth_csv, tmp_path, capsys):
+        args = [a if a != "0.003" else "nan" for a in MICRO_ARGS]
+        rc = main([*command, "--data", str(synth_csv),
+                   "--out-dir", str(tmp_path / "run"), *args])
+        assert rc == 2
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("flag", ["--variants", "--seeds"])
     def test_ablate_rejects_an_empty_list(self, flag, synth_csv, tmp_path, capsys):
         rc = main(["ablate", "--data", str(synth_csv), flag, ",",

@@ -262,6 +262,12 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             SynthSpec(period=1)
 
+    @pytest.mark.parametrize("field", ["noise_sigma", "spike_scale", "mixing_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_scales_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SynthSpec(**{field: value})
+
 
 class TestChannelCorrelation:
     def test_perfect_and_anti_correlation(self):

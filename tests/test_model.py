@@ -1,6 +1,8 @@
 """Model-level behaviour: bank indexing, attention wiring across variants,
 instance-norm boundary, hand-constructed forecasters, and gradient flow."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(channels=1, lookback=4, horizon=1, period=2,
                         heads=2, attn_dropout=1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-5])
+    def test_norm_eps_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConfigError, match="norm_eps"):
+            ModelConfig(channels=1, lookback=4, horizon=1, period=2, heads=2,
+                        norm_eps=value)
 
     def test_unknown_variant_name(self):
         with pytest.raises(ConfigError, match="unknown variant"):
@@ -259,6 +267,87 @@ class TestVariants:
 
         res = gradient_check(closure, model.parameters(), tol=1e-4)
         assert res.passed, res.summary()
+
+
+def per_head_weights(model, q_src, k_src):
+    """Each head's softmax weights from its own narrow Q and K projections:
+    the reference for the one-stack attention."""
+    cfg, p = model.config, model.params
+    denom = cfg.head_dim if cfg.scale_by_head_dim else cfg.lookback
+    weights = []
+    for h in range(cfg.heads):
+        q = q_src @ p[f"attn.h{h}.wq"].values
+        k = k_src @ p[f"attn.h{h}.wk"].values
+        scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(denom))
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights.append(e / e.sum(axis=-1, keepdims=True))
+    return weights
+
+
+def per_head_attention(model, q_src, k_src, v_src, mode, rng):
+    """The attention block head by head, with one dropout mask per head."""
+    cfg, p = model.config, model.params
+    heads = []
+    for h, w in enumerate(per_head_weights(model, q_src, k_src)):
+        if mode == "train":
+            keep = (rng.random(w.shape) >= cfg.attn_dropout).astype(w.dtype)
+            w = w * (keep / w.dtype.type(1.0 - cfg.attn_dropout))
+        heads.append(w @ (v_src @ p[f"attn.h{h}.wv"].values))
+    return np.concatenate(heads, axis=-1) @ p["attn.wo"].values + v_src
+
+
+def attention_sources(vname, dtype, x, t):
+    model = tiny_model(vname, dtype=dtype, channels=3, lookback=12, heads=4,
+                       attn_dropout=0.5)
+    rng = np.random.default_rng(14)
+    model.bank.theta.values[...] = rng.normal(size=model.bank.theta.shape)
+    xt, seg, _ = model._inputs(x, t, None)
+    return model, xt, *model._qk_sources(xt, seg)
+
+
+ATTENTION_VARIANTS = ["default", "self_attention", "global_only"]
+
+
+class TestBatchedAttention:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("vname", ATTENTION_VARIANTS)
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_matches_per_head_reference(self, vname, dtype, mode):
+        x = np.random.default_rng(17).normal(size=(5, 3, 12))
+        model, xt, q_src, k_src = attention_sources(
+            vname, dtype, x, np.array([0, 3, 5, 2, 9]))
+        drop_a, drop_b = np.random.default_rng(7), np.random.default_rng(7)
+        got = model._attention(None, q_src, k_src, xt, mode, drop_a).values
+        want = per_head_attention(model, q_src.values, k_src.values, xt.values,
+                                  mode, drop_b)
+        assert got.dtype == want.dtype == model.config.np_dtype
+        tol = 1e-12 if dtype == "float64" else 1e-5
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+        assert drop_a.bit_generator.state == drop_b.bit_generator.state
+
+    @pytest.mark.parametrize("vname", ATTENTION_VARIANTS)
+    def test_weights_are_the_per_head_slices_of_one_stack(self, vname):
+        x = np.random.default_rng(18).normal(size=(3, 12))
+        model, _, q_src, k_src = attention_sources(vname, "float64", x, 5)
+        got = model.attention_weights(x, 5)
+        want = per_head_weights(model, q_src.values, k_src.values)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g.shape == (3, 3)
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+    def test_tape_length_does_not_grow_with_heads(self):
+        rng = np.random.default_rng(16)
+        x, y = rng.normal(size=(3, 2, 8)), rng.normal(size=(3, 2, 2))
+        lengths = []
+        for heads in (1, 4):
+            model = tiny_model(heads=heads, attn_dropout=0.5)
+            tape = Tape()
+            pred = model.forward(x, np.array([0, 1, 2]), tape, "train",
+                                 np.random.default_rng(0))
+            mse_loss(tape, pred, y)
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
 
 
 class TestAttentionScaling:

@@ -18,10 +18,12 @@ from tqnet.tensor import (
     gradient_check,
     linear,
     matmul,
+    merge_heads,
     mse_loss,
     row_affine,
     scale,
     softmax_rows,
+    split_heads,
 )
 
 
@@ -98,6 +100,19 @@ class TestStructure:
         tape.backward(loss)
         assert x.grad is None
         assert w.grad is not None
+
+    def test_head_blocks_move_to_a_leading_axis_and_back(self):
+        x = DiffTensor(np.arange(2 * 3 * 8.0).reshape(2, 3, 8))
+        heads = split_heads(None, x, 4)
+        assert heads.shape == (4, 2, 3, 2)
+        for h in range(4):
+            np.testing.assert_array_equal(heads.values[h],
+                                          x.values[..., 2 * h : 2 * h + 2])
+        np.testing.assert_array_equal(merge_heads(None, heads).values, x.values)
+        with pytest.raises(ShapeError, match="3 heads"):
+            split_heads(None, x, 3)
+        with pytest.raises(ShapeError, match="heads axis"):
+            merge_heads(None, DiffTensor(np.zeros((3, 4))))
 
     def test_eval_path_records_nothing(self):
         p = param(np.ones((2, 2)))
@@ -177,6 +192,7 @@ class TestGradientCheck:
         "matmul_t", "softmax", "gelu", "gather", "concat",
         "row_affine", "mse_rows", "scale_add",
         "batched_matmul_t", "batched_gather", "batched_row_affine",
+        "split_heads", "merge_heads",
     ])
     def test_each_op_against_central_differences(self, case):
         rng = np.random.default_rng(hash(case) % 2**32)
@@ -216,6 +232,13 @@ class TestGradientCheck:
                 seg = gelu(tape, gather_cols(tape, p, [[0, 1], [5, 4]]))
                 return row_affine(tape, seg, [[2.0, 0.5, -1.0], [1.0, 1.5, 0.5]],
                                   np.zeros((2, 3)))
+            if case == "split_heads":  # (3, 6) -> (2, 3, 3), scores per head
+                q = split_heads(tape, p, 2)
+                return matmul(tape, q, q, transpose_b=True)
+            if case == "merge_heads":  # a stack split into 3 heads and back
+                xs = DiffTensor(np.stack([r.values, -2.0 * r.values]))
+                z = matmul(tape, xs, p, transpose_b=True)  # (2, 3, 3)
+                return merge_heads(tape, gelu(tape, split_heads(tape, z, 3)))
 
         def closure():
             tape = Tape()

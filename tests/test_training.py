@@ -26,7 +26,6 @@ from tqnet.training import (
     TrainPlan,
     evaluate,
     fit,
-    loss_and_metrics,
     run_experiment,
 )
 
@@ -183,6 +182,14 @@ class TestEarlyStopper:
         assert not stopper.update(1.0, 3)
         assert stopper.should_stop
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0),
+        ("adam_eps", -1.0), ("adam_eps", float("nan")), ("adam_eps", float("inf")),
+    ])
+    def test_step_sizes_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainPlan(**{field: value})
+
     def test_patience_validation(self):
         with pytest.raises(ConfigError):
             TrainPlan(patience=0)
@@ -196,10 +203,13 @@ class TestLosses:
         pred = DiffTensor(rng.normal(size=(3, 5)), requires_grad=True)
         target = rng.normal(size=(3, 5))
         tape = Tape()
-        loss, mse, mae = loss_and_metrics(tape, pred, target, target_rows=(1,))
+        loss = mse_loss(tape, pred, target, rows=(1,))
         d = pred.values[1] - target[1]
-        assert mse == pytest.approx(np.mean(d * d))
-        assert mae == pytest.approx(np.mean(np.abs(d)))
+        assert loss.item() == pytest.approx(np.mean(d * d))
+        tape.backward(loss)
+        expected = np.zeros((3, 5))
+        expected[1] = 2.0 * d / d.size
+        np.testing.assert_allclose(pred.grad, expected)
 
     def test_evaluate_is_uniform_over_windows(self):
         model = TQNet(MICRO)
@@ -303,6 +313,26 @@ class TestFit:
         fit(TQNet(MICRO), train_w, val_w, plan)
         assert len(tapes) == -(-len(train_w) // plan.batch_size)
         assert len(train_w) % plan.batch_size  # the last batch is a part one
+
+    def test_each_window_runs_with_its_own_start(self, monkeypatch):
+        splits = split_and_scale(micro_table(), SplitSpec(0.6, 0.2, 0.2), 16)
+        train_w = make_windows(splits.train, 16, 8)
+        val_w = make_windows(splits.val, 16, 8)
+        # a start names one span of the scaled series, whichever part holds it
+        by_start = {w.t: w for w in train_w + val_w}
+        model = TQNet(MICRO)
+        forward, seen = model.forward, []
+
+        def checked(x, t, *args, **kwargs):
+            for xi, ti in zip(x, t):
+                np.testing.assert_array_equal(by_start[int(ti)].x, xi)
+            seen.append(len(t))
+            return forward(x, t, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", checked)
+        fit(model, train_w, val_w, TrainPlan(batch_size=16, max_epochs=1, patience=1))
+        assert len(val_w) > training.EVAL_BATCH  # evaluate runs several chunks
+        assert sum(seen) == len(train_w) + len(val_w)
 
     def test_empty_windows_rejected(self):
         with pytest.raises(ConfigError):
