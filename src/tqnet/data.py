@@ -15,6 +15,7 @@ phase depends on them, so they must agree across splits.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -69,41 +70,63 @@ class SeriesTable:
 
 
 def load_csv(path):
-    """Read a header + timestamp-column CSV into a :class:`SeriesTable`.
+    """Read a header + timestamp-column UTF-8 CSV into a :class:`SeriesTable`.
 
     Column 1 is a timestamp label (kept verbatim), the rest must be numeric.
     Ragged rows, blank cells, and non-numeric or non-finite cells raise
-    :class:`DataError` naming the offending row and column.
+    :class:`DataError` naming the offending row and column; bytes that are
+    not UTF-8 and oversized fields raise it naming the row.
     """
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if len(header) < 2:
-            raise DataError(f"{path}: need a timestamp column plus >=1 channel")
-        names = tuple(h.strip() for h in header[1:])
-        timestamps = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected "
-                    f"{len(header)}"
-                )
-            timestamps.append(row[0])
-            rows.append([
-                _parse_cell(path, lineno, names[c], cell)
-                for c, cell in enumerate(row[1:])
-            ])
-        if not rows:
-            raise DataError(f"{path}: no data rows")
+    records = _csv_records(path)
+    try:
+        header = next(records)[1]
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    if len(header) < 2:
+        raise DataError(f"{path}: need a timestamp column plus >=1 channel")
+    names = tuple(h.strip() for h in header[1:])
+    timestamps = []
+    rows = []
+    for lineno, row in records:
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {lineno} has {len(row)} fields, expected "
+                f"{len(header)}"
+            )
+        timestamps.append(row[0])
+        rows.append([
+            _parse_cell(path, lineno, names[c], cell)
+            for c, cell in enumerate(row[1:])
+        ])
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     return SeriesTable(
         names=names, timestamps=tuple(timestamps), data=np.array(rows, dtype=np.float64)
     )
+
+
+def _csv_records(path):
+    """Yield ``(row, fields)`` for each non-blank CSV record of the UTF-8
+    file ``path``, where ``row`` is the file line the record ends on.  Bytes
+    that are not UTF-8, and records the csv module refuses (such as a field
+    over its size limit), raise :class:`DataError` naming the file and the
+    row."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"{path}: row {row}: not UTF-8 text (byte {raw[exc.start]:#04x})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for fields in reader:
+            if fields:
+                yield reader.line_num, fields
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
 def _parse_cell(path, lineno, column, cell):
@@ -142,24 +165,21 @@ def write_matrix_csv(path, names, matrix, float_fmt="%.10g"):
 
 
 def read_matrix_csv(path):
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = tuple(next(reader))
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected "
-                    f"{len(names)}"
-                )
-            rows.append([
-                _parse_cell(path, lineno, names[c], cell) for c, cell in enumerate(row)
-            ])
+    records = _csv_records(path)
+    try:
+        names = tuple(next(records)[1])
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    rows = []
+    for lineno, row in records:
+        if len(row) != len(names):
+            raise DataError(
+                f"{path}: row {lineno} has {len(row)} fields, expected "
+                f"{len(names)}"
+            )
+        rows.append([
+            _parse_cell(path, lineno, names[c], cell) for c, cell in enumerate(row)
+        ])
     matrix = np.array(rows, dtype=np.float64)
     if matrix.shape != (len(names), len(names)):
         raise DataError(

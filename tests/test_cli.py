@@ -2,10 +2,15 @@
 files, and the exit-code contract (0 ok, 1 runtime, 2 config/usage)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tqnet
 from tqnet.checkpoint import load_checkpoint, save_checkpoint
 from tqnet.cli import main, resolve_config
 from tqnet.errors import ConfigError
@@ -169,6 +174,20 @@ class TestExitCodes:
         assert rc == 1
         assert "non-numeric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        b"date,a\n1," + b"9" * 200_000 + b"\n",  # over csv's field limit
+        b"date,a\n1,\xff\n",  # not UTF-8
+    ], ids=["field-limit", "not-utf8"])
+    @pytest.mark.parametrize("command", ["acf", "corr"])
+    def test_unreadable_csv_exits_1_naming_the_file(
+            self, command, body, synth_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        argv = (["acf", "--data", str(bad)] if command == "acf" else
+                ["corr", "--data", str(synth_csv), "--truth", str(bad)])
+        assert main(argv) == 1
+        assert f"{bad}: row 2: " in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_1(self, synth_csv, capsys):
         rc = main(["evaluate", "--checkpoint", "no-such.ckpt",
                    "--data", str(synth_csv)])
@@ -257,3 +276,39 @@ class TestSweepAndAblate:
         lines = (out / "covariate_study.csv").read_text().splitlines()
         assert lines[0] == "covariates,mse,mae"
         assert len(lines) == 3
+
+
+# Runs in a fresh interpreter in which importing scipy fails, so a scipy
+# import anywhere on these paths, at import time or lazily, exits non-zero.
+NO_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"scipy is refused: {name}")
+
+sys.meta_path.insert(0, RefuseScipy())
+from tqnet.cli import main
+
+work = sys.argv[1]
+rc = main(["gradcheck", "--hidden", "4", "--lookback", "8", "--horizon", "2",
+           "--period", "4"])
+rc = rc or main(["synth", "--out", work + "/s.csv", "--channels", "3",
+                 "--timesteps", "120", "--period", "6", "--latents", "2"])
+rc = rc or main(["train", "--data", work + "/s.csv", "--out-dir", work + "/run",
+                 "--lookback", "8", "--horizon", "4", "--period", "6",
+                 "--hidden", "8", "--heads", "2", "--max-epochs", "1",
+                 "--patience", "1"])
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+sys.exit(rc)
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    src = str(Path(tqnet.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "run" / "results.jsonl").exists()

@@ -3,6 +3,7 @@ counts, train-only scaling, ACF period ranking, and the synthetic generator's
 closed-form correlation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,27 @@ class TestCSV:
             p.write_text("a,b\n" + body)
             with pytest.raises(DataError, match=rf"{p}: row [23]"):
                 read_matrix_csv(p)
+
+    @pytest.mark.parametrize("body,row", [
+        (b"date,a\n1,1.0\n2," + b"9" * 200_000 + b"\n", 3),  # over csv's field limit
+        (b"date,a\n1,1.0\n2,\xff\n", 3),  # not UTF-8
+        (b"date,a\n1,1\x002\n", 2),  # a NUL byte
+    ], ids=["field-limit", "not-utf8", "nul"])
+    def test_unreadable_csv_names_file_and_row(self, tmp_path, body, row):
+        p = tmp_path / "u.csv"
+        p.write_bytes(body)
+        with pytest.raises(DataError, match=rf"{re.escape(str(p))}: row {row}\b"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("body,row", [
+        (b"a\n" + b"9" * 200_000 + b"\n", 2),
+        (b"a,b\n1.0,0.5\n0.5,\xff\n", 3),
+    ], ids=["field-limit", "not-utf8"])
+    def test_unreadable_matrix_csv_names_file_and_row(self, tmp_path, body, row):
+        p = tmp_path / "u.csv"
+        p.write_bytes(body)
+        with pytest.raises(DataError, match=rf"{re.escape(str(p))}: row {row}\b"):
+            read_matrix_csv(p)
 
     def test_matrix_csv_round_trip(self, tmp_path):
         m = np.array([[1.0, 0.25], [0.25, 1.0]])

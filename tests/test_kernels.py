@@ -41,6 +41,55 @@ def test_gelu_with_a_cached_erf_is_bitwise_the_plain_expression(dtype):
     np.testing.assert_array_equal(kernels.gelu(x, erf), kernels.gelu(x))
 
 
+def _ulps(got, ref):
+    """|got - ref| in units of the spacing at ``ref`` in ``got``'s dtype."""
+    ref = ref.astype(got.dtype)
+    return np.abs(got.astype(np.float64) - ref) / np.spacing(np.abs(ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_within_3_ulp_of_math_erf(dtype):
+    tiny = np.logspace(-30, 0, 3001)
+    x = np.concatenate([np.linspace(-7.0, 7.0, 140001), tiny, -tiny]).astype(dtype)
+    got = kernels.erf(x)
+    assert got.dtype == dtype
+    # math.erf rounded to the dtype: the correctly rounded value, give or take 1 ulp
+    ref = np.array([math.erf(v) for v in x.tolist()])
+    assert _ulps(got, ref).max() <= 3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_special_values_and_the_branch_point(dtype):
+    big = np.finfo(dtype).max
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        y = kernels.erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, big, -big],
+                                 dtype=dtype))
+    np.testing.assert_array_equal(y, [0.0, -0.0, 1.0, -1.0, np.nan, 1.0, -1.0])
+    assert np.signbit(y[1]) and not np.signbit(y[0])
+    # |x| = 1 exactly takes the |x| <= 1 rational; its neighbours straddle both
+    one = np.array(1.0, dtype=dtype)
+    x = np.array([np.nextafter(one, 0), one, np.nextafter(one, 2)], dtype=dtype)
+    x = np.concatenate([x, -x])
+    ref = np.array([math.erf(v) for v in x.tolist()])
+    assert _ulps(kernels.erf(x), ref).max() <= 3
+    assert kernels.erf(np.empty((0, 3), dtype)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_erf_of_a_strided_view_equals_its_contiguous_copy(dtype):
+    x = (RNG.normal(size=(2, 3, 4, 5)) * 2).astype(dtype)  # about 60% have |x| > 1
+    view = x.transpose(2, 0, 3, 1)
+    got = kernels.erf(view)
+    assert got.shape == view.shape and got.dtype == dtype
+    np.testing.assert_array_equal(got, kernels.erf(np.ascontiguousarray(view)))
+
+
+def test_erf_float64_within_1_ulp_of_scipy():
+    special = pytest.importorskip("scipy.special")
+    x = np.linspace(-7.0, 7.0, 140001)
+    assert _ulps(kernels.erf(x), special.erf(x)).max() <= 1
+
+
 def test_softmax_rows_frozen_and_stable():
     y = kernels.softmax_rows(np.array([[math.log(2.0), 0.0]]))
     np.testing.assert_allclose(y, [[2 / 3, 1 / 3]], atol=1e-12)
