@@ -35,7 +35,9 @@ from .data import (
     compute_acf,
     generate_synthetic,
     load_csv,
+    make_windows,
     read_matrix_csv,
+    split_and_scale,
     write_csv,
     write_matrix_csv,
 )
@@ -43,9 +45,11 @@ from .errors import ConfigError, DataError
 from .model import ModelConfig, TQNet, VariantSpec
 from .tensor import Tape, gradient_check, mse_loss
 from .training import (
+    MetricsReport,
     TrainPlan,
     append_results,
     config_hash,
+    evaluate,
     run_experiment,
 )
 
@@ -366,9 +370,6 @@ def cmd_evaluate(args):
             f"checkpoint expects {mc.channels} channels, data has "
             f"{table.channels}"
         )
-    from .data import make_windows, split_and_scale
-    from .training import MetricsReport, evaluate
-
     splits = split_and_scale(table, cfg.split_spec(), lookback=mc.lookback)
     test_w = make_windows(splits.test, mc.lookback, mc.horizon)
     mse, mae = evaluate(model, test_w)

@@ -3,8 +3,8 @@ standardization, sliding windows, periodicity detection, and a synthetic
 generator with a known ground-truth channel correlation.
 
 Layout conventions: a :class:`SeriesTable` stores the file layout (rows =
-timesteps, columns = channels).  Split parts flip to channels x time so a
-training window ``x`` is a cheap column slice.  Splits are chronological;
+timesteps, columns = channels).  Split parts flip to channels x time so all
+windows are slices of one strided view.  Splits are chronological;
 validation/test parts optionally include ``lookback`` context rows from the
 preceding part so their first prediction target starts exactly at the split
 boundary (the usual long-horizon benchmark convention).  Window start indices
@@ -304,13 +304,20 @@ def split_and_scale(table, spec, lookback=0):
     )
 
 
-@dataclass(frozen=True)
-class WindowSample:
-    """One supervised sample: x (C x L), y (C x H), absolute start t."""
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Samples x (n, C, L), y (n, C, H), absolute starts t (n,).  An int
+    index gives one window, a slice or an index array a stack of them."""
 
     x: np.ndarray
     y: np.ndarray
-    t: int
+    t: np.ndarray
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, i):
+        return Windows(self.x[i], self.y[i], self.t[i])
 
 
 def make_windows(part, lookback, horizon):
@@ -322,16 +329,14 @@ def make_windows(part, lookback, horizon):
             f"{part.name} part has {total} steps, too short for "
             f"lookback {lookback} + horizon {horizon}"
         )
-    out = []
-    for s in range(n):
-        out.append(
-            WindowSample(
-                x=part.series[:, s : s + lookback],
-                y=part.series[:, s + lookback : s + lookback + horizon],
-                t=part.t0 + s,
-            )
-        )
-    return out
+    view = np.lib.stride_tricks.sliding_window_view(
+        part.series, lookback + horizon, axis=1
+    ).transpose(1, 0, 2)  # (n, C, L + H)
+    return Windows(
+        x=view[:, :, :lookback],
+        y=view[:, :, lookback:],
+        t=part.t0 + np.arange(n, dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ attention, additive channel identifiers, plain MLP).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,23 @@ from .tensor import (
 )
 
 
+def _check_field_types(obj):
+    """Raise :class:`ConfigError` naming the first field of the dataclass
+    ``obj`` whose value lacks its annotated type: a ``bool`` field takes a
+    bool, an ``int`` field an int, a ``float`` field an int or a float, and
+    a bool is no number.  Otherwise a header's truthy ``"false"`` would build
+    a different model."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        ok = {
+            "bool": isinstance(v, bool),
+            "int": isinstance(v, int) and not isinstance(v, bool),
+            "float": isinstance(v, (int, float)) and not isinstance(v, bool),
+        }.get(f.type, True)
+        if not ok:
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     channels: int
@@ -67,9 +84,10 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        _check_field_types(self)
         for name in ("channels", "lookback", "horizon", "period", "hidden", "heads"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.lookback % self.heads != 0:
             raise ConfigError(
@@ -77,7 +95,7 @@ class ModelConfig:
             )
         for name in ("attn_dropout", "out_dropout"):
             v = getattr(self, name)
-            if not 0.0 <= float(v) < 1.0:
+            if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {v!r}")
         if not (math.isfinite(self.norm_eps) and self.norm_eps > 0):
             raise ConfigError(
@@ -119,6 +137,7 @@ class VariantSpec:
     )
 
     def __post_init__(self):
+        _check_field_types(self)
         for field_name in ("query_source", "key_source"):
             v = getattr(self, field_name)
             if v not in ("bank", "window"):

@@ -1,8 +1,8 @@
 """Optimization loop: Adam, patience-based early stopping, evaluation, and
 the JSONL results log.
 
-Each minibatch is stacked into one (B, channels, lookback) array and run
-through one forward pass on one tape; the batch-mean L2 loss's ``backward``
+Each minibatch is one index array into the training windows, run through
+one forward pass on one tape; the batch-mean L2 loss's ``backward``
 leaves the minibatch gradient in the parameters for one fused Adam step.
 Validation runs after every epoch; when the patience budget of consecutive
 non-improving epochs is spent, training stops and the best-validation
@@ -134,29 +134,17 @@ def _rows(a, target_rows):
     return a if target_rows is None else a[..., list(target_rows), :]
 
 
-def _stack(windows):
-    """The windows' ``x`` and ``y``, each stacked on a leading batch axis."""
-    return np.stack([w.x for w in windows]), np.stack([w.y for w in windows])
-
-
-def _starts(windows):
-    """The windows' start indices, one int array for the whole list."""
-    return np.array([w.t for w in windows], dtype=np.int64)
-
-
 def evaluate(model, windows, target_rows=None):
     """Mean per-window MSE/MAE in eval mode, uniform over windows."""
     if not windows:
         raise ConfigError("evaluate needs at least one window")
-    starts = _starts(windows)
     mse_sum = 0.0
     mae_sum = 0.0
     for start in range(0, len(windows), EVAL_BATCH):
         chunk = windows[start : start + EVAL_BATCH]
-        x, y = _stack(chunk)
-        pred = model.predict(x, starts[start : start + EVAL_BATCH])
+        pred = model.predict(chunk.x, chunk.t)
         mse, mae = kernels.mse_mae(_rows(pred, target_rows),
-                                   _rows(y.astype(pred.dtype), target_rows))
+                                   _rows(chunk.y.astype(pred.dtype), target_rows))
         # windows are equal in size: a chunk's mean is that of its windows' means
         mse_sum += mse * len(chunk)
         mae_sum += mae * len(chunk)
@@ -177,7 +165,7 @@ class FitResult:
 def fit(model, train_windows, val_windows, plan, log=None):
     """Train in place; returns the fit trace.  Deterministic per plan seed."""
     if not train_windows or not val_windows:
-        raise ConfigError("fit needs non-empty train and val window lists")
+        raise ConfigError("fit needs non-empty train and val windows")
     t_start = time.perf_counter()
     shuffle_rng = np.random.default_rng([plan.seed, 0])
     dropout_rng = np.random.default_rng([plan.seed, 1])
@@ -187,16 +175,14 @@ def fit(model, train_windows, val_windows, plan, log=None):
     result = FitResult(best_epoch=0, epochs_run=0, best_val_mse=float("inf"))
 
     n = len(train_windows)
-    starts = _starts(train_windows)
     for epoch in range(1, plan.max_epochs + 1):
         order = shuffle_rng.permutation(n) if plan.shuffle else np.arange(n)
         epoch_mse = 0.0
         for b_start in range(0, n, plan.batch_size):
-            batch = order[b_start : b_start + plan.batch_size]
-            x, y = _stack([train_windows[i] for i in batch])
+            b = train_windows[order[b_start : b_start + plan.batch_size]]
             tape = Tape()
-            pred = model.forward(x, starts[batch], tape, mode="train", rng=dropout_rng)
-            loss = mse_loss(tape, pred, y, rows=plan.target_rows)
+            pred = model.forward(b.x, b.t, tape, mode="train", rng=dropout_rng)
+            loss = mse_loss(tape, pred, b.y, rows=plan.target_rows)
             mse = loss.item()
             if not np.isfinite(mse):
                 raise NumericError(
@@ -205,7 +191,7 @@ def fit(model, train_windows, val_windows, plan, log=None):
                 )
             tape.backward(loss)
             opt.step()
-            epoch_mse += mse * len(batch)
+            epoch_mse += mse * len(b)
         epoch_mse /= n
 
         val_mse, _ = evaluate(model, val_windows, plan.target_rows)

@@ -148,6 +148,21 @@ def test_unsupported_version(tmp_path, model):
     # shapes from this config would need terabytes; nothing may be allocated
     pytest.param(lambda h: h["config"].update(hidden=1_000_000), "config",
                  id="oversized-config"),
+    # wrongly typed fields would load as a different model, not fail
+    pytest.param(lambda h: h["config"].update(use_instance_norm="false"),
+                 "use_instance_norm", id="bool-field-str"),
+    pytest.param(lambda h: h["config"].update(scale_by_head_dim=1),
+                 "scale_by_head_dim", id="bool-field-int"),
+    pytest.param(lambda h: h["config"].update(heads=True), "heads",
+                 id="int-field-bool"),
+    pytest.param(lambda h: h["config"].update(attn_dropout="0.5"),
+                 "attn_dropout", id="float-field-str"),
+    pytest.param(lambda h: h["config"].update(norm_eps=True), "norm_eps",
+                 id="float-field-bool"),
+    pytest.param(lambda h: h["variant"].update(attention="false"), "attention",
+                 id="variant-bool-field-str"),
+    pytest.param(lambda h: h["variant"].update(bank=1), "bank",
+                 id="variant-bool-field-int"),
 ])
 def test_malformed_header_is_checkpoint_error(tmp_path, model, capsys, mutate, key):
     p = tmp_path / "m.ckpt"

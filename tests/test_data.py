@@ -1,6 +1,6 @@
 """Data pipeline: CSV parsing errors with coordinates, frozen split/window
-counts, train-only scaling, ACF period ranking, and the synthetic generator's
-closed-form correlation."""
+counts, window views and indexing, train-only scaling, ACF period ranking,
+and the synthetic generator's closed-form correlation."""
 
 import math
 import re
@@ -162,10 +162,49 @@ class TestSplits:
     def test_windows_are_views_not_copies(self):
         table = toy_table(300, 2)
         splits = split_and_scale(table, SplitSpec(0.6, 0.2, 0.2), lookback=16)
-        w = make_windows(splits.train, 16, 8)[5]
-        assert np.shares_memory(w.x, splits.train.series)
-        assert np.shares_memory(w.y, splits.train.series)
-        assert w.x.shape == (2, 16) and w.y.shape == (2, 8)
+        ws = make_windows(splits.train, 16, 8)
+        # the whole set, one window and a run of them
+        for w in (ws, ws[5], ws[3:9]):
+            assert np.shares_memory(w.x, splits.train.series)
+            assert np.shares_memory(w.y, splits.train.series)
+            assert w.x.shape[-2:] == (2, 16) and w.y.shape[-2:] == (2, 8)
+
+    @pytest.mark.parametrize("index", [
+        0, 5, -1, slice(3, 9), slice(None, None, 7), np.array([7, 0, 7, 2]),
+    ], ids=["first", "int", "negative", "slice", "strided", "gather"])
+    def test_window_access_matches_reference_slices(self, index):
+        L, H = 16, 8
+        splits = split_and_scale(toy_table(300, 3), SplitSpec(0.6, 0.2, 0.2), L)
+        part = splits.val  # t0 > 0: starts are absolute, not part-relative
+        ws = make_windows(part, L, H)
+        w = ws[index]
+        s = np.arange(len(ws))[index]
+        if np.ndim(s) == 0:
+            np.testing.assert_array_equal(w.x, part.series[:, s : s + L])
+            np.testing.assert_array_equal(w.y, part.series[:, s + L : s + L + H])
+        else:
+            assert len(w) == len(s)
+            for i, si in enumerate(s):
+                np.testing.assert_array_equal(w.x[i], part.series[:, si : si + L])
+                np.testing.assert_array_equal(
+                    w.y[i], part.series[:, si + L : si + L + H])
+        np.testing.assert_array_equal(w.t, part.t0 + s)
+        assert np.shape(w.t) == np.shape(s)
+
+    def test_window_index_out_of_range_raises(self):
+        splits = split_and_scale(toy_table(300, 2), SplitSpec(0.6, 0.2, 0.2), 16)
+        ws = make_windows(splits.train, 16, 8)
+        for i in (len(ws), -len(ws) - 1):
+            with pytest.raises(IndexError):
+                ws[i]
+
+    def test_iteration_yields_every_window_in_order(self):
+        splits = split_and_scale(toy_table(300, 2), SplitSpec(0.6, 0.2, 0.2), 16)
+        ws = make_windows(splits.test, 16, 8)
+        items = list(ws)
+        assert len(items) == len(ws)
+        assert [int(w.t) for w in items] == list(splits.test.t0 + np.arange(len(ws)))
+        assert all(w.x.shape == (2, 16) and w.y.shape == (2, 8) for w in items)
 
     def test_scaler_fitted_on_train_rows_only(self):
         table = toy_table(500, 3)

@@ -2,6 +2,8 @@
 via gradient_check; structural behaviour (accumulation, freezing, dropout
 semantics, error paths) is checked directly."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,8 @@ class TestGradientCheck:
         "split_heads", "merge_heads",
     ])
     def test_each_op_against_central_differences(self, case):
-        rng = np.random.default_rng(hash(case) % 2**32)
+        # a fixed seed per case: ``hash`` of a str is salted per process
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
         p = param(rng.normal(size=(3, 6)), "p")
         y = rng.normal(size=(2, 3, 12))
         r = DiffTensor(rng.normal(size=(3, 6)))

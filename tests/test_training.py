@@ -319,7 +319,7 @@ class TestFit:
         train_w = make_windows(splits.train, 16, 8)
         val_w = make_windows(splits.val, 16, 8)
         # a start names one span of the scaled series, whichever part holds it
-        by_start = {w.t: w for w in train_w + val_w}
+        by_start = {w.t: w for w in [*train_w, *val_w]}
         model = TQNet(MICRO)
         forward, seen = model.forward, []
 
