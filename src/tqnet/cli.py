@@ -2,7 +2,9 @@
 
 Configuration precedence: built-in defaults < JSON config file (``--config``)
 < explicit command-line flags.  The config file is a flat object whose keys
-mirror the flag names; unknown keys are rejected rather than ignored.
+mirror the flag names; unknown keys are rejected rather than ignored.  The
+annotations of ``RunConfig`` (and of ``SynthSpec`` for ``synth``) type both
+the flags and the file's values, through :mod:`tqnet.errors`.
 
 Exit codes: 0 success, 1 runtime failure (numeric problems, bad checkpoint,
 missing files), 2 configuration or usage errors.
@@ -41,7 +43,7 @@ from .data import (
     write_csv,
     write_matrix_csv,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types, field_type
 from .model import ModelConfig, TQNet, VariantSpec
 from .tensor import Tape, gradient_check, mse_loss
 from .training import (
@@ -88,6 +90,9 @@ class RunConfig:
     border_context: bool = True
     max_rows: int | None = None
 
+    def __post_init__(self):
+        check_field_types(self)
+
     def model_config(self, channels):
         return self._build(ModelConfig, channels=channels)
 
@@ -115,12 +120,9 @@ _RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 _SPLIT_FIELDS = {"train": "train_frac", "val": "val_frac", "test": "test_frac"}
 
 
-_OPTIONAL_INT = {"max_rows"}
-_OPTIONAL_STR = {"data", "dataset", "out_dir"}
-
-
 def resolve_config(config_path=None, overrides=None):
-    """defaults < file < overrides, with unknown-key and type checking."""
+    """defaults < file < overrides; unknown keys are rejected, and
+    ``RunConfig`` checks the types."""
     values = asdict(RunConfig())
     if config_path is not None:
         try:
@@ -136,59 +138,28 @@ def resolve_config(config_path=None, overrides=None):
             if key not in _RUN_KEYS:
                 raise ConfigError(f"{config_path}: unknown config key {key!r}")
         values.update(loaded)
-    for key, val in (overrides or {}).items():
+    overrides = overrides or {}
+    for key in overrides:
         if key not in _RUN_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        if val is not None:
-            values[key] = val
-    return RunConfig(**{k: _coerce(k, v) for k, v in values.items()})
-
-
-def _coerce(key, val):
-    default = getattr(RunConfig, key, None)
-    if val is None:
-        if key in _OPTIONAL_INT or key in _OPTIONAL_STR or default is None:
-            return None
-        raise ConfigError(f"config key {key!r} must not be null")
-    if key in _OPTIONAL_STR or isinstance(default, str):
-        if not isinstance(val, str):
-            raise ConfigError(f"config key {key!r} must be a string, got {val!r}")
-        return val
-    if isinstance(default, bool):
-        if not isinstance(val, bool):
-            raise ConfigError(f"config key {key!r} must be true/false, got {val!r}")
-        return val
-    if key in _OPTIONAL_INT or isinstance(default, int):
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"config key {key!r} must be an integer, got {val!r}")
-        return val
-    if isinstance(default, float):
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, got {val!r}")
-        return float(val)
-    return val
+    values.update(overrides)
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(p, keys):
-    type_map = {int: int, float: float, str: str}
-    for f in fields(RunConfig):
-        if f.name not in keys:
-            continue
+def _add_config_flags(p, cls):
+    """One flag per field of the dataclass ``cls``, typed by its annotation.
+    An absent flag reads None."""
+    for f in fields(cls):
+        typ, _ = field_type(f)
         flag = "--" + f.name.replace("_", "-")
-        if f.default is True or f.default is False:
-            p.add_argument(flag, dest=f.name, default=None,
-                           action=argparse.BooleanOptionalAction)
-        elif f.name in _OPTIONAL_INT:
-            p.add_argument(flag, dest=f.name, default=None, type=int)
-        elif f.name in _OPTIONAL_STR:
-            p.add_argument(flag, dest=f.name, default=None, type=str)
+        if typ is bool:
+            p.add_argument(flag, action=argparse.BooleanOptionalAction)
         else:
-            p.add_argument(flag, dest=f.name, default=None,
-                           type=type_map[type(f.default)])
+            p.add_argument(flag, type=typ)
 
 
 def _positive_float(text):
@@ -211,10 +182,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def runish(name, help_text, keys=_RUN_KEYS):
+    def runish(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file")
-        _add_config_flags(p, keys)
+        _add_config_flags(p, RunConfig)
         return p
 
     runish("train", "train one model and score it on the test part")
@@ -256,14 +227,7 @@ def build_parser():
     p = sub.add_parser("synth", help="generate synthetic data with known "
                        "channel correlation")
     p.add_argument("--out", required=True)
-    for name, typ, dflt in (
-        ("channels", int, 8), ("timesteps", int, 2400), ("period", int, 24),
-        ("latents", int, 3), ("noise-sigma", float, 0.1),
-        ("spike-rate", float, 0.0), ("spike-scale", float, 5.0),
-        ("missing-rate", float, 0.0), ("mixing-scale", float, 1.0),
-        ("seed", int, 0),
-    ):
-        p.add_argument(f"--{name}", type=typ, default=dflt)
+    _add_config_flags(p, SynthSpec)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the "
                        "full model's gradients on a batch of three windows")
@@ -285,12 +249,14 @@ def build_parser():
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _overrides_from_args(args):
-    return {k: getattr(args, k) for k in _RUN_KEYS if hasattr(args, k)}
+def _flag_values(args, cls):
+    """The fields of the dataclass ``cls`` that were given as flags."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name) is not None}
 
 
 def _prepare_run(args, need_data=True):
-    cfg = resolve_config(args.config, _overrides_from_args(args))
+    cfg = resolve_config(args.config, _flag_values(args, RunConfig))
     if need_data and cfg.data is None:
         raise ConfigError("no input data: pass --data or set it in the config")
     table = load_csv(cfg.data) if need_data else None
@@ -405,7 +371,7 @@ def _int_list(text, flag):
 
 def cmd_ablate(args):
     if args.covariates is not None:
-        cfg = resolve_config(args.config, _overrides_from_args(args))
+        cfg = resolve_config(args.config, _flag_values(args, RunConfig))
         sizes = _int_list(args.covariates, "--covariates")
         config, plan, split = _run_parts(cfg, 1)
         out = _out_dir(cfg, "covariates")
@@ -509,14 +475,7 @@ def cmd_corr(args):
 
 
 def cmd_synth(args):
-    spec = SynthSpec(
-        channels=args.channels, timesteps=args.timesteps, period=args.period,
-        latents=args.latents, noise_sigma=args.noise_sigma,
-        spike_rate=args.spike_rate, spike_scale=args.spike_scale,
-        missing_rate=args.missing_rate, mixing_scale=args.mixing_scale,
-        seed=args.seed,
-    )
-    table, truth = generate_synthetic(spec)
+    table, truth = generate_synthetic(SynthSpec(**_flag_values(args, SynthSpec)))
     write_csv(table, args.out)
     truth_path = str(args.out) + ".truth.csv"
     write_matrix_csv(truth_path, table.names, truth)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,6 @@ class SeriesTable:
             names=tuple(self.names[i] for i in idx),
             timestamps=self.timestamps,
             data=self.data[:, idx].copy(),
-        )
-
-    def head(self, n):
-        if n >= self.timesteps:
-            return self
-        return SeriesTable(
-            names=self.names,
-            timestamps=self.timestamps[:n],
-            data=self.data[:n].copy(),
         )
 
 
@@ -204,6 +195,7 @@ class SplitSpec:
     max_rows: int | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.train, self.val, self.test) < 0 or not math.isclose(
             self.train + self.val + self.test, 1.0, abs_tol=1e-9
         ):
@@ -264,10 +256,6 @@ class DataSplits:
     test: SplitPart
     scaler: Scaler
     boundaries: tuple  # (n_train, n_val, n_test)
-
-    @property
-    def parts(self):
-        return {"train": self.train, "val": self.val, "test": self.test}
 
 
 def split_and_scale(table, spec, lookback=0):
@@ -429,6 +417,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.period < 2:
             raise ConfigError(f"period must be >= 2, got {self.period}")
         if self.channels < 1 or self.latents < 1:

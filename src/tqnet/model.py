@@ -26,12 +26,12 @@ attention, additive channel identifiers, plain MLP).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_field_types
 from .tensor import (
     DiffTensor,
     add,
@@ -48,23 +48,6 @@ from .tensor import (
     softmax_rows,
     split_heads,
 )
-
-
-def _check_field_types(obj):
-    """Raise :class:`ConfigError` naming the first field of the dataclass
-    ``obj`` whose value lacks its annotated type: a ``bool`` field takes a
-    bool, an ``int`` field an int, a ``float`` field an int or a float, and
-    a bool is no number.  Otherwise a header's truthy ``"false"`` would build
-    a different model."""
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        ok = {
-            "bool": isinstance(v, bool),
-            "int": isinstance(v, int) and not isinstance(v, bool),
-            "float": isinstance(v, (int, float)) and not isinstance(v, bool),
-        }.get(f.type, True)
-        if not ok:
-            raise ConfigError(f"{f.name} must be of type {f.type}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +67,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        _check_field_types(self)
+        check_field_types(self)
         for name in ("channels", "lookback", "horizon", "period", "hidden", "heads"):
             v = getattr(self, name)
             if v < 1:
@@ -137,7 +120,7 @@ class VariantSpec:
     )
 
     def __post_init__(self):
-        _check_field_types(self)
+        check_field_types(self)
         for field_name in ("query_source", "key_source"):
             v = getattr(self, field_name)
             if v not in ("bank", "window"):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .data import make_windows, split_and_scale
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_field_types
 from .model import TQNet
 from .tensor import Tape, mse_loss
 
@@ -43,6 +43,7 @@ class TrainPlan:
     target_rows: tuple | None = None  # restrict loss/metrics to these channels
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("lr", "adam_eps"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -265,7 +266,6 @@ class ExperimentResult:
     mse: float
     mae: float
     report: MetricsReport
-    splits: object = None
 
 
 def run_experiment(table, config, plan, split, variant=None, dataset="series",
@@ -295,9 +295,7 @@ def run_experiment(table, config, plan, split, variant=None, dataset="series",
         wall_time_s=wall,
         config_hash=config_hash(asdict(config), asdict(plan), asdict(split)),
     )
-    return ExperimentResult(
-        model=model, fit=fit_res, mse=mse, mae=mae, report=report, splits=splits
-    )
+    return ExperimentResult(model=model, fit=fit_res, mse=mse, mae=mae, report=report)
 
 
 def append_results(path, reports):

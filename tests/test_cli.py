@@ -12,9 +12,11 @@ import pytest
 
 import tqnet
 from tqnet.checkpoint import load_checkpoint, save_checkpoint
-from tqnet.cli import main, resolve_config
+from tqnet.cli import RunConfig, main, resolve_config
+from tqnet.data import SplitSpec, SynthSpec, generate_synthetic, write_csv
 from tqnet.errors import ConfigError
-from tqnet.model import ModelConfig, TQNet
+from tqnet.model import ModelConfig, TQNet, VariantSpec
+from tqnet.training import TrainPlan
 
 MICRO_ARGS = [
     "--lookback", "16", "--horizon", "8", "--period", "8", "--hidden", "12",
@@ -65,6 +67,57 @@ class TestResolveConfig:
     def test_int_accepted_for_float(self):
         cfg = resolve_config(None, {"lr": 1})
         assert cfg.lr == 1.0 and isinstance(cfg.lr, float)
+
+    def test_run_config_defaults_match_the_dataclasses(self, tmp_path):
+        cfg = RunConfig()
+        assert cfg.train_plan() == TrainPlan()
+        assert cfg.split_spec() == SplitSpec()
+        assert cfg.model_config(7) == ModelConfig(7, 96, 96, 24)
+        ref = tmp_path / "ref.csv"
+        write_csv(generate_synthetic(SynthSpec())[0], ref)
+        assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 0
+        assert (tmp_path / "x.csv").read_bytes() == ref.read_bytes()
+
+
+def _model_config(**kw):
+    return ModelConfig(channels=2, lookback=8, horizon=2, period=4, heads=2, **kw)
+
+
+class TestFieldTypes:
+    """Every config dataclass holds its fields to their annotations."""
+
+    @pytest.mark.parametrize("build,field,value", [
+        (TrainPlan, "batch_size", True),
+        (TrainPlan, "shuffle", "false"),
+        (TrainPlan, "target_rows", [0]),
+        pytest.param(TrainPlan, "lr", 10**400, id="TrainPlan-lr-beyond-float"),
+        (SplitSpec, "border_context", "false"),
+        (SplitSpec, "max_rows", 2.5),
+        (SynthSpec, "channels", 3.5),
+        (RunConfig, "data", 5),
+        (VariantSpec, "query_source", 1),
+        # None only where the annotation says ``X | None``
+        (TrainPlan, "lr", None),
+        (SplitSpec, "border_context", None),
+        (SynthSpec, "seed", None),
+        (RunConfig, "variant", None),
+        (_model_config, "dtype", None),
+    ])
+    def test_wrong_type_names_the_field(self, build, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be of type"):
+            build(**{field: value})
+
+    def test_none_where_optional(self):
+        assert TrainPlan(target_rows=None).target_rows is None
+        assert SplitSpec(max_rows=None).max_rows is None
+        assert RunConfig(data=None, dataset=None, out_dir=None,
+                         max_rows=None) == RunConfig()
+
+    def test_int_is_stored_as_float(self):
+        assert type(TrainPlan(lr=1).lr) is float
+        assert type(_model_config(attn_dropout=0).attn_dropout) is float
+        assert type(SynthSpec(noise_sigma=0).noise_sigma) is float
+        assert type(RunConfig(val_frac=0).val_frac) is float
 
 
 class TestSynthAndACF:

@@ -1,14 +1,19 @@
-"""Property test of the CLI's exit-code contract: any argv for the fast
-subcommands ends in exit 0, 1 or 2, never in an uncaught exception.
+"""Property tests of the CLI's exit-code contract: any argv for the fast
+subcommands ends in exit 0, 1 or 2, never in an uncaught exception, and any
+JSON object as a ``--config`` file ends in exit 1 or 2 before training.
 
 Sizes are drawn from small ranges, so no example allocates a large array or
 runs a long gradient check.
 """
 
+import json
+from dataclasses import fields
+from unittest import mock
+
 import pytest
 
 from tqnet.checkpoint import save_checkpoint
-from tqnet.cli import main
+from tqnet.cli import RunConfig, main
 from tqnet.model import ModelConfig, TQNet
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -100,3 +105,26 @@ def test_any_argv_exits_0_1_or_2(files, argv):
     except SystemExit as exc:  # argparse's usage errors
         rc = exc.code
     assert rc in (0, 1, 2), argv
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None,
+                     suppress_health_check=[hypothesis.HealthCheck.too_slow])
+@hypothesis.given(config=st.dictionaries(
+    st.sampled_from([f.name for f in fields(RunConfig)]), JSON, max_size=6))
+def test_any_config_object_exits_1_or_2(files, config):
+    path = files["out"].with_name("config.json")
+    path.write_text(json.dumps(config))
+    with mock.patch("tqnet.cli.run_experiment",
+                    side_effect=AssertionError("trained")):
+        rc = main(["train", "--data", str(files["missing"]),
+                   "--config", str(path)])
+    assert rc in (1, 2), config
