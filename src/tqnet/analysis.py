@@ -34,10 +34,10 @@ def run_variant_matrix(table, config, plan, split, variants=None, seeds=None,
     if not variants or not seeds:
         raise ConfigError("run_variant_matrix needs at least one variant "
                           f"and one seed, got {variants} and {seeds}")
+    specs = [VariantSpec.named(vname) for vname in variants]
     rows = []
     reports = []
-    for vname in variants:
-        spec = VariantSpec.named(vname)
+    for vname, spec in zip(variants, specs):
         per_seed = []
         for seed in seeds:
             cfg_s, plan_s = reseeded(config, plan, seed)
@@ -67,15 +67,14 @@ def run_period_sweep(table, config, plan, split, periods, include_disabled=False
     """
     if not periods:
         raise ConfigError("period sweep needs at least one period")
+    configs = [replace(config, period=int(w)) for w in periods]
     rows = []
     reports = []
-    for w in periods:
-        res = run_experiment(
-            table, replace(config, period=int(w)), plan, split, dataset=dataset
-        )
+    for cfg in configs:
+        res = run_experiment(table, cfg, plan, split, dataset=dataset)
         rows.append(
             {
-                "period": int(w),
+                "period": cfg.period,
                 "mse": res.mse,
                 "mae": res.mae,
                 "best_epoch": res.fit.best_epoch,
@@ -185,6 +184,16 @@ def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
     )
 
 
+def covariate_sizes(subset_sizes, covariates):
+    """The distinct subset sizes in ascending order, each in [0, covariates]."""
+    sizes = sorted(set(int(n) for n in subset_sizes))
+    if not sizes or sizes[0] < 0 or sizes[-1] > covariates:
+        raise ConfigError(
+            f"subset sizes must lie in [0, {covariates}], got {subset_sizes}"
+        )
+    return sizes
+
+
 def run_covariate_study(config, plan, split, subset_sizes, covariates=8,
                         timesteps=2400, data_seed=7, dataset="covariates"):
     """Train with the first n covariate channels for each n in subset_sizes.
@@ -192,11 +201,7 @@ def run_covariate_study(config, plan, split, subset_sizes, covariates=8,
     Loss and metrics are restricted to the target channel in every run, so
     n = 0 is exactly the plain single-channel experiment.
     """
-    sizes = sorted(set(int(n) for n in subset_sizes))
-    if not sizes or sizes[0] < 0 or sizes[-1] > covariates:
-        raise ConfigError(
-            f"subset sizes must lie in [0, {covariates}], got {subset_sizes}"
-        )
+    sizes = covariate_sizes(subset_sizes, covariates)
     full = make_covariate_table(
         covariates, timesteps, config.horizon, seed=data_seed
     )

@@ -10,6 +10,10 @@ Layout (all integers little-endian uint32):
               row-major
     4 bytes   CRC-32 of header+payload
 
+Format version 2 stores each attention projection (``attn.wq``, ``attn.wk``,
+``attn.wv``) as one (lookback x lookback) weight; version 1 files, which
+stored them per head, are refused like any other version.
+
 Values are stored as float32 regardless of the model's working dtype, so a
 float64 model round-trips with float32 precision.  Loading validates magic,
 version, the header schema, manifest-vs-model shape agreement, payload
@@ -31,7 +35,7 @@ from .errors import CheckpointError
 from .model import ModelConfig, TQNet, VariantSpec, parameter_shapes
 
 MAGIC = b"TQNETCK1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(path, model):

@@ -17,13 +17,14 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
     bank_correlation,
+    covariate_sizes,
     run_covariate_study,
     run_period_sweep,
     run_variant_matrix,
@@ -372,7 +373,8 @@ def _int_list(text, flag):
 def cmd_ablate(args):
     if args.covariates is not None:
         cfg = resolve_config(args.config, _flag_values(args, RunConfig))
-        sizes = _int_list(args.covariates, "--covariates")
+        sizes = covariate_sizes(_int_list(args.covariates, "--covariates"),
+                                args.n_covariates)
         config, plan, split = _run_parts(cfg, 1)
         out = _out_dir(cfg, "covariates")
         _echo_config(cfg, out / "config.json")
@@ -390,6 +392,8 @@ def cmd_ablate(args):
 
     cfg, table, dataset = _prepare_run(args)
     variants = _name_list(args.variants, "--variants")
+    for name in variants:
+        VariantSpec.named(name)  # an unknown name fails before any artifact
     seeds = [cfg.seed] if args.seeds is None else _int_list(args.seeds, "--seeds")
     config, plan, split = _run_parts(cfg, table.channels)
     out = _out_dir(cfg, dataset)
@@ -409,6 +413,8 @@ def cmd_sweep_w(args):
     cfg, table, dataset = _prepare_run(args)
     periods = _int_list(args.periods, "--periods")
     config, plan, split = _run_parts(cfg, table.channels)
+    for w in periods:
+        replace(config, period=w)  # a bad period fails before any artifact
     out = _out_dir(cfg, dataset)
     _echo_config(cfg, out / "config.json")
     rows, reports = run_period_sweep(

@@ -13,14 +13,15 @@ window.
 
 Attention mixes *channels* (rows): queries come from the bank segment, keys
 and values from the observed window, so a channel attends to the raw channels
-most useful for predicting it.  All heads run in one pass: Q, K and V are
-each one GEMM against the column-concatenation of the per-head weights
-(``attn.h{h}.wq`` and so on, stored per head), ``split_heads`` moves the
-head blocks to a leading axis, and one scale, softmax and dropout act on a
-single (heads, B, channels, channels) score stack before ``merge_heads``
-lays the head outputs side by side again for ``attn.wo``.  ``VariantSpec``
-rewires the block for component studies (raw self-attention, bank-only
-attention, additive channel identifiers, plain MLP).
+most useful for predicting it.  All heads run in one pass: ``attn.wq``,
+``attn.wk`` and ``attn.wv`` are each one (lookback x lookback) weight with
+head ``h`` in columns ``h*head_dim:(h+1)*head_dim``, so Q, K and V are one
+GEMM each.  ``split_heads`` moves the head blocks to a leading axis, and one
+scale, softmax and dropout act on a single (heads, B, channels, channels)
+score stack before ``merge_heads`` lays the head outputs side by side again
+for ``attn.wo``.  ``VariantSpec`` rewires the block for component studies
+(raw self-attention, bank-only attention, additive channel identifiers,
+plain MLP).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .tensor import (
     DiffTensor,
     add,
     check_finite,
-    concat_cols,
     dropout,
     gather_cols,
     gelu,
@@ -193,9 +193,9 @@ def instance_denorm(y, mu, var, eps):
     return y * np.sqrt(var + eps)[..., None] + mu[..., None]
 
 
-def _uniform_init(rng, rows, cols, dtype):
-    bound = 1.0 / math.sqrt(rows)
-    return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
+def _uniform_init(rng, shape, dtype):
+    bound = 1.0 / math.sqrt(shape[-2])
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 def parameter_shapes(config, variant):
@@ -204,10 +204,7 @@ def parameter_shapes(config, variant):
     C, L, H, d = config.channels, config.lookback, config.horizon, config.hidden
     shapes = [("bank.theta", (C, config.period))] if variant.bank else []
     if variant.attention:
-        for h in range(config.heads):
-            shapes += [(f"attn.h{h}.{w}", (L, config.head_dim))
-                       for w in ("wq", "wk", "wv")]
-        shapes.append(("attn.wo", (L, L)))
+        shapes += [(f"attn.{w}", (L, L)) for w in ("wq", "wk", "wv", "wo")]
     return shapes + [
         ("proj_in.w", (L, d)), ("proj_in.b", (1, d)),
         ("mlp.w1", (d, d)), ("mlp.b1", (1, d)),
@@ -219,10 +216,10 @@ def parameter_shapes(config, variant):
 class TQNet:
     """The forecaster.  See the module docstring for the block layout."""
 
-    def __init__(self, config, variant=None, init_rng=None):
+    def __init__(self, config, variant=None):
         self.config = config
         self.variant = variant if variant is not None else VariantSpec()
-        rng = init_rng if init_rng is not None else np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         dt = config.np_dtype
 
         self.bank = None
@@ -233,8 +230,16 @@ class TQNet:
                 self.params[name] = self.bank.theta
                 continue
             # the weights (".w*") draw in this order; biases start at zero
-            weight = name.rpartition(".")[2].startswith("w")
-            values = _uniform_init(rng, *shape, dt) if weight else np.zeros(shape, dt)
+            if name == "attn.wq":  # head-then-q/k/v draws keep seeded runs bit-identical
+                per_head = (config.heads, 3, config.lookback, config.head_dim)
+                qkv = iter(merge_heads(None, DiffTensor(
+                    _uniform_init(rng, per_head, dt))).values)
+            if name in ("attn.wq", "attn.wk", "attn.wv"):
+                values = next(qkv)
+            elif name.rpartition(".")[2].startswith("w"):
+                values = _uniform_init(rng, shape, dt)
+            else:
+                values = np.zeros(shape, dt)
             self.params[name] = DiffTensor(values, requires_grad=True, name=name)
 
     # -- parameter bookkeeping ------------------------------------------------
@@ -324,13 +329,10 @@ class TQNet:
         return pick[self.variant.query_source], pick[self.variant.key_source]
 
     def _heads(self, tape, src, w):
-        """``src`` times every head's ``attn.h*.{w}`` as one GEMM against
-        their column-concatenation, stacked as (heads, ..., channels,
+        """``src`` times ``attn.{w}``, stacked as (heads, ..., channels,
         head_dim)."""
-        cfg = self.config
-        stacked = concat_cols(tape, [self.params[f"attn.h{h}.{w}"]
-                                     for h in range(cfg.heads)])
-        return split_heads(tape, matmul(tape, src, stacked), cfg.heads)
+        product = matmul(tape, src, self.params[f"attn.{w}"])
+        return split_heads(tape, product, self.config.heads)
 
     def _weights(self, tape, q_src, k_src):
         """Softmax of every head's scaled channel-by-channel scores, one

@@ -277,33 +277,6 @@ def dropout(tape, x, p, mode, rng=None):
     return out
 
 
-def concat_cols(tape, parts):
-    if not parts:
-        raise ShapeError("concat_cols needs at least one part")
-    if any(p.shape[:-1] != parts[0].shape[:-1] for p in parts):
-        shapes = [p.shape for p in parts]
-        raise ShapeError(f"concat_cols: shapes differ before the last axis, {shapes}")
-    out = DiffTensor(
-        np.concatenate([p.values for p in parts], axis=-1),
-        requires_grad=any(p.requires_grad for p in parts),
-    )
-    if tape is not None and out.requires_grad:
-        widths = [p.cols for p in parts]
-
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            off = 0
-            for p, w in zip(parts, widths):
-                if p.requires_grad:
-                    p.accumulate(g[..., off : off + w])
-                off += w
-
-        tape.record(backward)
-    return out
-
-
 def _merge(v):
     """``(heads, ..., d)`` -> ``(..., heads * d)``, head ``h`` in columns
     ``h*d : (h+1)*d``."""

@@ -56,6 +56,12 @@ class TrainPlan:
             )
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("adam betas must be in [0, 1)")
+        rows = self.target_rows
+        if rows is not None and not (rows and all(
+                isinstance(r, int) and not isinstance(r, bool) and r >= 0
+                for r in rows)):
+            raise ConfigError("target_rows must be a non-empty tuple of "
+                              f"non-negative ints, got {rows!r}")
 
 
 class Adam:

@@ -120,16 +120,18 @@ def test_shape_mismatch_names_parameter(tmp_path, model):
         load_checkpoint(p)
 
 
-def test_unsupported_version(tmp_path, model):
-    p = tmp_path / "m.ckpt"
-    save_checkpoint(p, model)
-
-    def bump(header):
-        header["format_version"] = FORMAT_VERSION + 1
-
-    _rewrite_header(p, bump)
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(p)
+def test_unsupported_version(tmp_path, model, capsys):
+    # the previous version stored per-head attention weights: refused, not read
+    for version in (FORMAT_VERSION - 1, FORMAT_VERSION + 1):
+        p = tmp_path / f"v{version}.ckpt"
+        save_checkpoint(p, model)
+        _rewrite_header(p, lambda h: h.update(format_version=version))
+        message = f"version {version} not supported \\(expected {FORMAT_VERSION}\\)"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(p)
+        assert main(["corr", "--checkpoint", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert f"version {version}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mutate,key", [

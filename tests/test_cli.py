@@ -284,6 +284,19 @@ class TestExitCodes:
         assert "lr must be finite" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command,message", [
+        (["ablate", "--variants", "nope"], "unknown variant 'nope'"),
+        (["ablate", "--covariates", "99"], "subset sizes must lie in [0, 8]"),
+        (["sweep-w", "--periods", "0,8"], "period must be a positive integer"),
+    ], ids=["unknown-variant", "covariates-out-of-range", "zero-period"])
+    def test_a_bad_study_list_exits_2_before_any_artifact(
+            self, command, message, synth_csv, tmp_path, capsys):
+        rc = main([*command, "--data", str(synth_csv),
+                   "--out-dir", str(tmp_path / "run"), *MICRO_ARGS])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("flag", ["--variants", "--seeds"])
     def test_ablate_rejects_an_empty_list(self, flag, synth_csv, tmp_path, capsys):
         rc = main(["ablate", "--data", str(synth_csv), flag, ",",

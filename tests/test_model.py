@@ -14,6 +14,7 @@ from tqnet.model import (
     VariantSpec,
     instance_denorm,
     instance_norm,
+    parameter_shapes,
 )
 from tqnet.tensor import Tape, gradient_check, mse_loss
 
@@ -269,15 +270,21 @@ class TestVariants:
         assert res.passed, res.summary()
 
 
+def head_block(model, w, h):
+    """Head ``h``'s (lookback x head_dim) column block of ``attn.{w}``."""
+    d = model.config.head_dim
+    return model.params[f"attn.{w}"].values[:, h * d : (h + 1) * d]
+
+
 def per_head_weights(model, q_src, k_src):
     """Each head's softmax weights from its own narrow Q and K projections:
     the reference for the one-stack attention."""
-    cfg, p = model.config, model.params
+    cfg = model.config
     denom = cfg.head_dim if cfg.scale_by_head_dim else cfg.lookback
     weights = []
     for h in range(cfg.heads):
-        q = q_src @ p[f"attn.h{h}.wq"].values
-        k = k_src @ p[f"attn.h{h}.wk"].values
+        q = q_src @ head_block(model, "wq", h)
+        k = k_src @ head_block(model, "wk", h)
         scores = (q @ np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(denom))
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights.append(e / e.sum(axis=-1, keepdims=True))
@@ -286,14 +293,14 @@ def per_head_weights(model, q_src, k_src):
 
 def per_head_attention(model, q_src, k_src, v_src, mode, rng):
     """The attention block head by head, with one dropout mask per head."""
-    cfg, p = model.config, model.params
+    cfg = model.config
     heads = []
     for h, w in enumerate(per_head_weights(model, q_src, k_src)):
         if mode == "train":
             keep = (rng.random(w.shape) >= cfg.attn_dropout).astype(w.dtype)
             w = w * (keep / w.dtype.type(1.0 - cfg.attn_dropout))
-        heads.append(w @ (v_src @ p[f"attn.h{h}.wv"].values))
-    return np.concatenate(heads, axis=-1) @ p["attn.wo"].values + v_src
+        heads.append(w @ (v_src @ head_block(model, "wv", h)))
+    return np.concatenate(heads, axis=-1) @ model.params["attn.wo"].values + v_src
 
 
 def attention_sources(vname, dtype, x, t):
@@ -335,6 +342,22 @@ class TestBatchedAttention:
         for g, w in zip(got, want):
             assert g.shape == (3, 3)
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_head_blocks_draw_head_by_head_from_the_seed(self, heads):
+        model = tiny_model(heads=heads, dtype="float32")
+        cfg = model.config
+        L, d = cfg.lookback, cfg.head_dim
+        rng, bound = np.random.default_rng(cfg.seed), 1.0 / math.sqrt(L)
+        for h in range(heads):
+            for w in ("wq", "wk", "wv"):
+                want = rng.uniform(-bound, bound, size=(L, d)).astype(np.float32)
+                np.testing.assert_array_equal(head_block(model, w, h), want)
+        wo = rng.uniform(-bound, bound, size=(L, L)).astype(np.float32)
+        np.testing.assert_array_equal(model.params["attn.wo"].values, wo)
+        attn = [(n, s) for n, s in parameter_shapes(cfg, model.variant)
+                if n.startswith("attn.")]
+        assert attn == [(f"attn.{w}", (L, L)) for w in ("wq", "wk", "wv", "wo")]
 
     def test_tape_length_does_not_grow_with_heads(self):
         rng = np.random.default_rng(16)

@@ -13,7 +13,6 @@ from tqnet.tensor import (
     DiffTensor,
     Tape,
     add,
-    concat_cols,
     dropout,
     gather_cols,
     gelu,
@@ -191,7 +190,7 @@ class TestGradientCheck:
         assert res.passed, res.summary()
 
     @pytest.mark.parametrize("case", [
-        "matmul_t", "softmax", "gelu", "gather", "concat",
+        "matmul_t", "softmax", "gelu", "gather",
         "row_affine", "mse_rows", "scale_add",
         "batched_matmul_t", "batched_gather", "batched_row_affine",
         "split_heads", "merge_heads",
@@ -214,8 +213,6 @@ class TestGradientCheck:
             if case == "gather":
                 idx = (3 + np.arange(6)) % 4  # reuses columns 3,0,1,2,3,0
                 return gather_cols(tape, p, idx)
-            if case == "concat":
-                return concat_cols(tape, [gelu(tape, p), scale(tape, p, -1.0)])
             if case == "row_affine":
                 return row_affine(tape, p, [2.0, 0.5, -1.0], [1.0, 0.0, 3.0])
             if case == "mse_rows":

@@ -190,6 +190,12 @@ class TestEarlyStopper:
         with pytest.raises(ConfigError, match=field):
             TrainPlan(**{field: value})
 
+    @pytest.mark.parametrize("rows", [(), ("a",), (True,), (1.5,), (-1,)],
+                             ids=["empty", "str", "bool", "float", "negative"])
+    def test_target_rows_must_be_non_negative_ints(self, rows):
+        with pytest.raises(ConfigError, match="^target_rows must be a non-empty"):
+            TrainPlan(target_rows=rows)
+
     def test_patience_validation(self):
         with pytest.raises(ConfigError):
             TrainPlan(patience=0)
