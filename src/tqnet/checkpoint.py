@@ -14,6 +14,9 @@ Format version 2 stores each attention projection (``attn.wq``, ``attn.wk``,
 ``attn.wv``) as one (lookback x lookback) weight; version 1 files, which
 stored them per head, are refused like any other version.
 
+A save writes a temporary file next to the target and renames it over the
+target, so a save that fails partway leaves the previous checkpoint intact.
+
 Values are stored as float32 regardless of the model's working dtype, so a
 float64 model round-trips with float32 precision.  Loading validates magic,
 version, the header schema, manifest-vs-model shape agreement, payload
@@ -24,7 +27,9 @@ against the stored config before any parameter array is allocated.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict, fields
@@ -56,11 +61,18 @@ def save_checkpoint(path, model):
         np.ascontiguousarray(p.values, dtype="<f4").tobytes() for _, p in names_params
     )
     body = header + payload
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -7,7 +7,7 @@ annotations of ``RunConfig`` (and of ``SynthSpec`` for ``synth``) type both
 the flags and the file's values, through :mod:`tqnet.errors`.
 
 Exit codes: 0 success, 1 runtime failure (numeric problems, bad checkpoint,
-missing files), 2 configuration or usage errors.
+missing files, out of memory), 2 configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -543,6 +543,10 @@ def main(argv=None):
         return 2
     except (DataError, OSError, ArithmeticError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc or 'an allocation failed'}); "
+              "a smaller model or batch needs less", file=sys.stderr)
         return 1
 
 

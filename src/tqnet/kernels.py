@@ -120,11 +120,21 @@ def softmax_rows_grad(y, g):
 
 
 def row_norm_stats(x, eps):
-    mu = x.mean(axis=-1)
-    var = x.var(axis=-1)  # population variance, matches the biased estimator
-    inv = 1.0 / np.sqrt(var + eps)
-    xn = (x - mu[..., None]) * inv[..., None]
-    return xn.astype(x.dtype, copy=False), mu, var
+    """Row mean, population variance and the standardized rows.
+
+    The arithmetic of ``x.mean(axis=-1)`` and ``x.var(axis=-1)``, bit for
+    bit (a sum, then a division by the count as an ``intp``), with the mean
+    computed once and one deviation ``x - mean`` serving the variance and
+    the output.
+    """
+    n = np.intp(x.shape[-1])
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    np.true_divide(mu, n, out=mu, casting="unsafe")
+    dev = x - mu
+    var = np.add.reduce(np.square(dev), axis=-1, keepdims=True)
+    np.true_divide(var, n, out=var, casting="unsafe")
+    dev *= 1.0 / np.sqrt(var + eps)
+    return dev.astype(x.dtype, copy=False), mu[..., 0], var[..., 0]
 
 
 def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):

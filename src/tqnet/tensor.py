@@ -9,6 +9,17 @@ minibatch.  A 2-D weight is shared by every matrix of the batch, and its
 gradient is the sum over the batch.  Gradients accumulate additively, so a
 parameter used in several places ends up with the sum of all contributions.
 
+Gradients are written once.  A backward closure hands each input either a
+fresh array or a view of its own output's gradient, which nothing reads
+after the closure has run, so the input may keep it: a tensor's first
+gradient becomes its ``grad`` without a copy when it has the tensor's shape
+and dtype, and later ones are added into it in place.  ``add``, the one op
+that hands one array to two inputs, gives its second input a copy.  A
+tensor with a ``grad_home`` (an optimizer sets one on each parameter) takes
+its first gradient in that array instead: ``linear`` computes its weight
+gradient straight into it, ``gather_cols`` scatters into it zeroed, and
+every other op's gradient is copied in.
+
 Ops take the tape as their first argument; passing ``tape=None`` runs the
 same math without recording anything (cheap inference path).
 """
@@ -26,9 +37,15 @@ from .errors import ConfigError, NumericError, ShapeError, TapeError
 
 class DiffTensor:
     """An array of rank >= 2 (``rows`` and ``cols`` are its last two axes)
-    plus an optional, lazily allocated gradient buffer."""
+    plus an optional, lazily allocated gradient buffer.
 
-    __slots__ = ("values", "grad", "requires_grad", "name")
+    ``grad_home``, when set, is an array of the tensor's shape and dtype
+    that the first gradient is written into, so ``grad`` becomes a view of
+    memory its owner keeps (``Adam`` sets each parameter's slice of its
+    packed gradient).
+    """
+
+    __slots__ = ("values", "grad", "requires_grad", "name", "grad_home")
 
     def __init__(self, values, requires_grad=False, name=None):
         values = np.asarray(values)
@@ -40,6 +57,7 @@ class DiffTensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
+        self.grad_home = None
 
     @property
     def rows(self):
@@ -57,13 +75,24 @@ class DiffTensor:
     def dtype(self):
         return self.values.dtype
 
+    def new_grad(self):
+        """An unfilled array for the first gradient: ``grad_home`` when set,
+        else a new one like ``values``."""
+        if self.grad_home is None:
+            return np.empty_like(self.values)
+        return self.grad_home
+
     def accumulate(self, g):
-        if self.grad is None:
-            # a copy, not ``g`` itself: callers pass views and shared arrays
-            self.grad = np.empty_like(self.values)
-            np.copyto(self.grad, g)
-        else:
+        """Add ``g`` to the gradient; the tensor may keep ``g`` itself (see
+        the module docstring for who owns what)."""
+        if self.grad is not None:
             self.grad += g
+        elif (self.grad_home is None and g.shape == self.values.shape
+              and g.dtype == self.values.dtype):
+            self.grad = g
+        else:  # broadcast or cast, or write into the home
+            self.grad = self.new_grad()
+            np.copyto(self.grad, g)
 
     def zero_grad(self):
         self.grad = None
@@ -115,9 +144,10 @@ def _mm(x, w):
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
 
 
-def _weight_grad(x, g):
+def _weight_grad(x, g, out=None):
     """Gradient of a 2-D ``w`` in ``x @ w``, summed over the leading axes."""
-    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return np.matmul(x.reshape(-1, x.shape[-1]).T, g.reshape(-1, g.shape[-1]),
+                     out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +208,10 @@ def linear(tape, x, w, bias=None):
             if x.requires_grad:
                 x.accumulate(_mm(g, wv.T))
             if w.requires_grad:
-                w.accumulate(_weight_grad(xv, g))
+                if w.grad is None:  # the GEMM writes the first one in place
+                    w.grad = _weight_grad(xv, g, out=w.new_grad())
+                else:
+                    w.grad += _weight_grad(xv, g)
             if bias is not None and bias.requires_grad:
                 bias.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True))
 
@@ -198,8 +231,8 @@ def add(tape, a, b):
                 return
             if a.requires_grad:
                 a.accumulate(g)
-            if b.requires_grad:
-                b.accumulate(g)
+            if b.requires_grad:  # its own array: ``a`` may keep ``g``
+                b.accumulate(g.copy() if a.requires_grad else g)
 
         tape.record(backward)
     return out
@@ -345,7 +378,8 @@ def gather_cols(tape, x, idx):
             if g is None:
                 return
             if x.grad is None:
-                x.grad = np.zeros_like(x.values)
+                x.grad = x.new_grad()
+                x.grad.fill(0)
             kernels.scatter_add_cols(x.grad, idx, np.moveaxis(g, -2, 0))
 
         tape.record(backward)

@@ -4,6 +4,8 @@ the JSONL results log.
 Each minibatch is one index array into the training windows, run through
 one forward pass on one tape; the batch-mean L2 loss's ``backward``
 leaves the minibatch gradient in the parameters for one fused Adam step.
+Each parameter's gradient is written straight into its slice of Adam's
+packed gradient buffer, so the step copies no gradient.
 Validation runs after every epoch; when the patience budget of consecutive
 non-improving epochs is spent, training stops and the best-validation
 parameter snapshot is restored.
@@ -73,6 +75,10 @@ class Adam:
     values are unchanged; code that writes parameters must write in place
     (``p.values[...] = ...``), as ``TQNet.restore`` and ``load_checkpoint``
     do, because a rebound ``p.values`` would no longer be trained.
+
+    Gradients are packed the same way: each parameter's ``grad_home`` is its
+    slice of the flat ``g``, so a backward pass writes the gradients where
+    the step reads them.
     """
 
     def __init__(self, params, plan):
@@ -94,17 +100,23 @@ class Adam:
             view = self.values[offset : offset + size].reshape(p.shape)
             view[...] = p.values
             p.values = view
-            self._grads.append(self.g[offset : offset + size].reshape(p.shape))
+            p.grad_home = self.g[offset : offset + size].reshape(p.shape)
+            self._grads.append(p.grad_home)
             offset += size
         self.t = 0
 
     def step(self):
-        """Apply one update from accumulated grads, then clear them."""
+        """Apply one update from accumulated grads, then clear them.
+
+        A gradient a backward pass left is already in ``g``; one assigned to
+        ``p.grad`` by hand is copied in, and a parameter without one gets
+        zeros.
+        """
         self.t += 1
         for p, g in zip(self.params, self._grads):
             if p.grad is None:
                 g.fill(0)
-            else:
+            elif p.grad is not g:
                 g[...] = p.grad
             p.zero_grad()
         plan = self.plan
@@ -214,6 +226,8 @@ def fit(model, train_windows, val_windows, plan, log=None):
             break
 
     model.restore(best_state)
+    for p in opt.params:  # the trained model keeps no hold on Adam's gradients
+        p.grad_home = None
     result.best_epoch = stopper.best_epoch
     result.best_val_mse = stopper.best
     result.wall_time_s = time.perf_counter() - t_start

@@ -40,6 +40,49 @@ def test_round_trip_is_bit_exact(tmp_path, model):
     np.testing.assert_array_equal(model.predict(x, 4), loaded.predict(x, 4))
 
 
+def _failing_crc(*args):
+    raise OSError("no space left on device")
+
+
+def test_a_failed_save_leaves_the_previous_checkpoint_whole(tmp_path, model,
+                                                            monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    before = path.read_bytes()
+    model.params["proj_out.w"].values[...] += 1.0
+    # the checksum is the last thing written: the save fails partway
+    monkeypatch.setattr("tqnet.checkpoint.zlib.crc32", _failing_crc)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, model)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+    save_checkpoint(path, model)  # a save that succeeds replaces it
+    assert path.read_bytes() != before
+    assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_train_exits_1_when_its_checkpoint_save_fails(tmp_path, monkeypatch,
+                                                      capsys):
+    data, out = tmp_path / "s.csv", tmp_path / "run"
+    assert main(["synth", "--out", str(data), "--channels", "3",
+                 "--timesteps", "200", "--period", "8", "--latents", "1"]) == 0
+    argv = ["train", "--data", str(data), "--out-dir", str(out),
+            "--lookback", "8", "--horizon", "4", "--period", "8",
+            "--hidden", "6", "--heads", "2", "--max-epochs", "1",
+            "--patience", "1"]
+    assert main(argv) == 0
+    before = (out / "model.ckpt").read_bytes()
+    capsys.readouterr()
+    monkeypatch.setattr("tqnet.checkpoint.zlib.crc32", _failing_crc)
+    assert main([*argv, "--seed", "5"]) == 1
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert "no space left" in err and "Traceback" not in err
+    assert (out / "model.ckpt").read_bytes() == before
+    assert not [f for f in out.iterdir() if f.name.endswith(".tmp")]
+
+
 def test_variant_survives_round_trip(tmp_path):
     cfg = ModelConfig(channels=2, lookback=4, horizon=2, period=3, hidden=4,
                       heads=2, attn_dropout=0.0)

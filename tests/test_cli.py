@@ -253,6 +253,25 @@ class TestExitCodes:
         assert "PASS" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("command", [
+        ["train"], ["ablate", "--variants", "default"],
+        ["sweep-w", "--periods", "8"], ["gradcheck"],
+    ])
+    def test_an_allocation_failure_exits_1_without_a_traceback(
+            self, command, synth_csv, tmp_path, monkeypatch, capsys):
+        def refuse(self, *args, **kwargs):
+            # what numpy raises for a request the host cannot back
+            raise MemoryError("Unable to allocate 3.35 TiB for an array")
+
+        monkeypatch.setattr(TQNet, "__init__", refuse)
+        argv = command if command == ["gradcheck"] else [
+            *command, "--data", str(synth_csv),
+            "--out-dir", str(tmp_path / "run"), *MICRO_ARGS]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory (Unable to allocate 3.35 TiB")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "nan"),
                                             ("--tol", "-1"), ("--tol", "inf")])
     def test_gradcheck_rejects_a_non_positive_step_or_tolerance(

@@ -134,6 +134,22 @@ def test_row_norm_round_trip_with_eps():
     np.testing.assert_allclose(back, x, atol=1e-9)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(32, 8, 12), (32, 7, 96), (3, 5, 1), (5, 13),
+                                   (4, 2, 321, 321)])
+def test_row_norm_stats_bitwise_equal_to_mean_and_var(dtype, shape):
+    rng = np.random.default_rng(7)
+    x = (rng.normal(size=shape) * 3.0 + rng.normal(size=shape[:-1] + (1,))).astype(dtype)
+    eps = 1e-5
+    # the expression the kernel replaces, which computes the mean twice
+    mu = x.mean(axis=-1)
+    var = x.var(axis=-1)
+    xn = ((x - mu[..., None]) * (1.0 / np.sqrt(var + eps))[..., None]).astype(dtype)
+    for got, want in zip(kernels.row_norm_stats(x, eps), (xn, mu, var)):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_adam_first_step_is_signed_lr():
     p = np.zeros(4)
     g = np.array([0.3, -0.2, 1.7, -0.001])

@@ -130,6 +130,61 @@ class TestStructure:
         t.accumulate(np.ones((2, 3), dtype=np.float32))
         np.testing.assert_array_equal(t.grad, np.full((2, 3), 2.0))
 
+    def test_first_accumulate_keeps_an_array_of_the_tensor_shape_and_dtype(self):
+        t = DiffTensor(np.zeros((2, 3)))
+        g = np.ones((2, 3))
+        t.accumulate(g)
+        assert t.grad is g
+        row = np.ones((1, 3))  # same dtype, another shape: broadcast into a copy
+        t = DiffTensor(np.zeros((2, 3)))
+        t.accumulate(row)
+        assert t.grad.shape == (2, 3) and not np.shares_memory(t.grad, row)
+        home = np.full((2, 3), np.nan)
+        t = DiffTensor(np.zeros((2, 3)))
+        t.grad_home = home
+        t.accumulate(g)
+        assert t.grad is home and (home == 1.0).all() and (g == 1.0).all()
+
+    def test_add_of_a_tensor_to_itself_doubles_the_gradient(self):
+        x = param([[1.0, -2.0, 0.5]])
+        tape = Tape()
+        out = add(tape, x, x)
+        g = np.array([[0.25, 3.0, -1.0]])
+        out.grad = g.copy()
+        tape.backward(out)  # seeds out.grad + 1
+        np.testing.assert_array_equal(x.grad, 2 * (g + 1))
+
+    def test_a_residual_input_with_a_second_gradient_leaves_its_sibling_alone(self):
+        rng = np.random.default_rng(8)
+        a, b = param(rng.normal(size=(3, 4))), param(rng.normal(size=(3, 4)))
+        target = rng.normal(size=(3, 4))
+        tape = Tape()
+        u = scale(tape, a, 3.0)  # recorded first: ``a``'s second gradient comes last
+        s = add(tape, a, b)
+        loss = mse_loss(tape, add(tape, s, u), target)
+        tape.backward(loss)
+        ds = 2.0 * (a.values + b.values + 3.0 * a.values - target) / target.size
+        np.testing.assert_allclose(b.grad, ds, rtol=1e-12)
+        np.testing.assert_allclose(a.grad, 4.0 * ds, rtol=1e-12)
+
+    def test_a_weight_used_twice_sums_both_gradients_into_its_home(self):
+        rng = np.random.default_rng(9)
+        xs = [DiffTensor(rng.normal(size=(2, 3, 4))) for _ in range(2)]
+        init, target = rng.normal(size=(4, 5)), rng.normal(size=(2, 3, 5))
+        grads = []
+        for home in (None, np.full((4, 5), np.nan)):
+            w = param(init)
+            w.grad_home = home
+            tape = Tape()
+            y = add(tape, linear(tape, xs[0], w), linear(tape, xs[1], w))
+            tape.backward(mse_loss(tape, y, target))
+            assert home is None or w.grad is home
+            grads.append(w.grad)
+        dy = 2.0 * (xs[0].values @ init + xs[1].values @ init - target) / target.size
+        expected = sum(np.einsum("bij,bik->jk", x.values, dy) for x in xs)
+        np.testing.assert_allclose(grads[0], expected, rtol=1e-12)
+        np.testing.assert_array_equal(grads[1], grads[0])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_backward_is_bitwise_upstream_times_gelu_grad(self, dtype):
         rng = np.random.default_rng(3)

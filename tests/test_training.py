@@ -1,6 +1,7 @@
 """Optimization behaviour: Adam stepping, the early-stopping contract,
 masked losses, evaluation, determinism, and the results-line schema."""
 
+import gc
 import json
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from tqnet.data import (
     split_and_scale,
 )
 from tqnet.errors import ConfigError, NumericError
-from tqnet.model import ModelConfig, TQNet
+from tqnet.model import ModelConfig, TQNet, VariantSpec
 from tqnet.tensor import DiffTensor, Tape, mse_loss
 from tqnet.training import (
     Adam,
@@ -161,6 +162,66 @@ class TestPackedAdam:
             Adam([a, b], TrainPlan())
 
 
+def _train_backward(model):
+    """One train-mode backward with both dropouts and a row mask with a
+    repeat, on fixed inputs; returns the prediction and the loss."""
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(5, 4, 16))
+    y = rng.normal(size=(5, 4, 8))
+    tape = Tape()
+    pred = model.forward(x, np.array([0, 3, 5, 8, 13]), tape, mode="train",
+                         rng=np.random.default_rng(4))
+    loss = mse_loss(tape, pred, y, rows=(0, 3, 3))
+    tape.backward(loss)
+    return pred, loss
+
+
+class TestGradientOwnership:
+    """Backward writes each gradient once: a parameter's lands in its slice
+    of ``Adam.g``, and no two live tensors share gradient memory."""
+
+    @pytest.mark.parametrize("variant", VariantSpec.NAMED)
+    def test_a_train_step_writes_gradients_into_adam_g(self, variant):
+        cfg = replace(MICRO, attn_dropout=0.3, out_dropout=0.2)
+        plain = TQNet(cfg, VariantSpec.named(variant))
+        _train_backward(plain)
+        want = {name: p.grad for name, p in plain.named_parameters()}
+
+        gc.collect()
+        before = {id(o) for o in gc.get_objects() if isinstance(o, DiffTensor)}
+        model = TQNet(cfg, VariantSpec.named(variant))
+        opt = Adam(model.parameters(), MICRO_PLAN)
+        opt.g.fill(np.nan)  # what a slice no gradient reached must not keep
+        init = model.snapshot()
+        pred, loss = _train_backward(model)
+        gc.collect()
+        live = [o for o in gc.get_objects() if isinstance(o, DiffTensor)
+                and id(o) not in before and o.grad is not None]
+        assert any(o is pred for o in live) and any(o is loss for o in live)
+        for i, a in enumerate(live):
+            for b in live[i + 1:]:
+                assert not np.shares_memory(a.grad, b.grad), (a, b)
+
+        offset = 0
+        base = opt.g.__array_interface__["data"][0]
+        for name, p in model.named_parameters():
+            if want[name] is None:
+                assert p.grad is None, name
+            else:  # its own slice of ``g``, holding the plain tape's bits
+                assert p.grad.shape == p.shape and np.shares_memory(p.grad, opt.g)
+                start = p.grad.__array_interface__["data"][0] - base
+                assert start == offset * opt.g.itemsize, name
+                np.testing.assert_array_equal(p.grad, want[name])
+            offset += p.values.size
+        opt.step()
+        assert np.isfinite(opt.g).all() and np.isfinite(opt.values).all()
+        for name, p in model.named_parameters():
+            assert p.grad is None
+            if want[name] is None:  # zero-filled: Adam leaves it where it was
+                np.testing.assert_array_equal(p.values, init[name])
+        assert any(want[n] is None for n in want) == (variant == "self_attention")
+
+
 class TestEarlyStopper:
     def test_frozen_sequence_stops_after_epoch_8(self):
         losses = [5.0, 4.0, 3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 99.0, 99.0]
@@ -250,6 +311,9 @@ class TestFit:
         assert min(curve) < curve[0] or len(curve) == 1
         assert fitted.fit.best_val_mse == min(curve)
         assert np.isfinite(fitted.mse) and np.isfinite(fitted.mae)
+
+    def test_the_trained_model_releases_adams_gradient_buffer(self, fitted):
+        assert all(p.grad_home is None for p in fitted.model.parameters())
 
     def test_best_epoch_consistent(self, fitted):
         assert fitted.fit.val_curve[fitted.fit.best_epoch - 1] == (
