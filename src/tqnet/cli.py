@@ -6,6 +6,12 @@ mirror the flag names; unknown keys are rejected rather than ignored.  The
 annotations of ``RunConfig`` (and of ``SynthSpec`` for ``synth``) type both
 the flags and the file's values, through :mod:`tqnet.errors`.
 
+``RunConfig`` declares only the run keys ``data``, ``dataset``, ``out_dir``
+and ``variant``; its other fields are those of ``ModelConfig``, ``TrainPlan``
+and ``SplitSpec`` with their annotations and defaults, less
+``NOT_RUN_FIELDS``: ``channels``, ``beta1``, ``beta2``, ``adam_eps`` and
+``target_rows``.
+
 Exit codes: 0 success, 1 runtime failure (numeric problems, bad checkpoint,
 missing files, out of memory), 2 configuration or usage errors.
 """
@@ -17,7 +23,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,39 +63,43 @@ from .training import (
 )
 
 
+# SplitSpec field -> RunConfig field; the ratios carry a suffix as flags.
+_SPLIT_FIELDS = {"train": "train_frac", "val": "val_frac", "test": "test_frac"}
+
+# Library fields a run does not set: the channel count comes from the data;
+# the Adam constants and the loss rows keep TrainPlan's defaults.
+NOT_RUN_FIELDS = {"channels", "beta1", "beta2", "adam_eps", "target_rows"}
+
+# The window shape, which ModelConfig leaves required.
+_WINDOW_DEFAULTS = {"lookback": 96, "horizon": 96, "period": 24}
+
+
+def run_fields(*sources):
+    """``make_dataclass`` specs of the fields of the dataclasses ``sources``
+    outside ``NOT_RUN_FIELDS``, under their ``_SPLIT_FIELDS`` names, with
+    their annotation strings and defaults.  Two sources that give one name
+    two annotations or two defaults raise ``TypeError``."""
+    specs = {}
+    for cls in sources:
+        for f in fields(cls):
+            name = _SPLIT_FIELDS.get(f.name, f.name)
+            spec = (f.type, _WINDOW_DEFAULTS.get(name, f.default))
+            if specs.setdefault(name, spec) != spec:
+                raise TypeError(f"{name}: {cls.__name__} declares {spec}, "
+                                f"an earlier source {specs[name]}")
+    return [(name, typ, field(default=default))
+            for name, (typ, default) in specs.items()
+            if name not in NOT_RUN_FIELDS]
+
+
 @dataclass(frozen=True)
-class RunConfig:
-    """Flat bag of every tunable a data-driven run needs."""
+class _RunKeys:
+    """The run settings no library config holds; the base of RunConfig."""
 
     data: str | None = None
     dataset: str | None = None
     out_dir: str | None = None
     variant: str = "default"
-    # model
-    lookback: int = 96
-    horizon: int = 96
-    period: int = 24
-    hidden: int = 512
-    heads: int = 4
-    attn_dropout: float = 0.5
-    out_dropout: float = 0.0
-    use_instance_norm: bool = True
-    norm_eps: float = 1e-5
-    scale_by_head_dim: bool = False
-    dtype: str = "float32"
-    # optimization
-    lr: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 30
-    patience: int = 5
-    shuffle: bool = True
-    seed: int = 2024
-    # splitting
-    train_frac: float = 0.7
-    val_frac: float = 0.1
-    test_frac: float = 0.2
-    border_context: bool = True
-    max_rows: int | None = None
 
     def __post_init__(self):
         check_field_types(self)
@@ -101,30 +111,30 @@ class RunConfig:
         return self._build(TrainPlan)
 
     def split_spec(self):
-        return self._build(SplitSpec, _SPLIT_FIELDS)
+        return self._build(SplitSpec)
 
-    def _build(self, cls, renames=None, **given):
-        """``cls`` from the fields it shares with this config (looked up
-        under ``renames`` where the names differ) plus ``given``; fields this
-        config lacks keep ``cls``'s defaults."""
-        renames = renames or {}
+    def _build(self, cls, **given):
+        """``cls`` from this config's values of its fields plus ``given``;
+        the ``NOT_RUN_FIELDS`` that ``given`` lacks keep ``cls``'s defaults."""
         for f in fields(cls):
-            src = renames.get(f.name, f.name)
-            if src in _RUN_KEYS:
-                given.setdefault(f.name, getattr(self, src))
+            if f.name not in NOT_RUN_FIELDS:
+                given[f.name] = getattr(self, _SPLIT_FIELDS.get(f.name, f.name))
         return cls(**given)
 
 
+# Flat bag of every tunable a data-driven run needs: the run keys, then the
+# fields of ModelConfig, TrainPlan and SplitSpec (one seed serves the first two).
+RunConfig = make_dataclass(
+    "RunConfig", run_fields(_RunKeys, ModelConfig, TrainPlan, SplitSpec),
+    bases=(_RunKeys,), frozen=True, namespace={"__module__": __name__})
+
 _RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 
-# SplitSpec field -> RunConfig field; the ratios carry a suffix as flags.
-_SPLIT_FIELDS = {"train": "train_frac", "val": "val_frac", "test": "test_frac"}
 
-
-def resolve_config(config_path=None, overrides=None):
-    """defaults < file < overrides; unknown keys are rejected, and
-    ``RunConfig`` checks the types."""
-    values = asdict(RunConfig())
+def resolve_config(config_path=None, overrides=None, base=None):
+    """defaults < ``base`` < file < overrides; unknown keys are rejected,
+    and ``RunConfig`` checks the types."""
+    values = dict(base or {})
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -256,13 +266,11 @@ def _flag_values(args, cls):
             if getattr(args, f.name) is not None}
 
 
-def _prepare_run(args, need_data=True):
-    cfg = resolve_config(args.config, _flag_values(args, RunConfig))
-    if need_data and cfg.data is None:
+def _prepare_run(args, base=None):
+    cfg = resolve_config(args.config, _flag_values(args, RunConfig), base)
+    if cfg.data is None:
         raise ConfigError("no input data: pass --data or set it in the config")
-    table = load_csv(cfg.data) if need_data else None
-    dataset = cfg.dataset or (Path(cfg.data).stem if cfg.data else "series")
-    return cfg, table, dataset
+    return cfg, load_csv(cfg.data), cfg.dataset or Path(cfg.data).stem
 
 
 def _out_dir(cfg, dataset):
@@ -329,8 +337,18 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    cfg, table, dataset = _prepare_run(args)
     model = load_checkpoint(args.checkpoint)
+    # the checkpoint's model settings replace the defaults, and a stated one
+    # must equal them; the dropouts and the seed only shaped training
+    stored = {key: value for key, value in asdict(model.config).items()
+              if key in _RUN_KEYS
+              and key not in ("attn_dropout", "out_dropout", "seed")}
+    stored["variant"] = model.variant.name
+    cfg, table, dataset = _prepare_run(args, stored)
+    for key, value in stored.items():
+        if getattr(cfg, key) != value:
+            raise ConfigError(f"{key} is {getattr(cfg, key)!r}, but the "
+                              f"checkpoint {args.checkpoint} has {value!r}")
     mc = model.config
     if table.channels != mc.channels:
         raise DataError(

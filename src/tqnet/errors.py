@@ -9,7 +9,9 @@ Every config dataclass (``ModelConfig``, ``VariantSpec``, ``TrainPlan``,
 ``SplitSpec``, ``SynthSpec``, ``RunConfig``) calls :func:`check_field_types`
 first in its ``__post_init__``, and the CLI types its flags by
 :func:`field_type`, so a field's annotation is the only statement of what it
-accepts.
+accepts.  ``RunConfig`` restates no field: ``tqnet.cli`` builds it from those
+of ``ModelConfig``, ``TrainPlan`` and ``SplitSpec`` less ``channels``,
+``beta1``, ``beta2``, ``adam_eps`` and ``target_rows``, plus four run keys.
 """
 
 from dataclasses import fields

@@ -172,8 +172,15 @@ def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):
 
 
 def scatter_add_cols(grad, idx, g):
-    # grad[:, idx[j]] += g[:, j], repeats accumulating; g is shaped like grad[:, idx]
-    np.add.at(grad, (slice(None), idx), g)
+    # grad[:, idx[j]] += g[:, j], repeats accumulating; g is shaped like
+    # grad[:, idx].  One 1-D add.at over the flat positions c * cols + idx
+    # makes the additions of the 2-D form in its order, several times faster.
+    rows, cols = grad.shape
+    flat = np.arange(0, rows * cols, cols)[:, None] + np.reshape(idx, (1, -1))
+    target = grad.reshape(-1)  # a view of a C-contiguous grad, else a copy
+    np.add.at(target, flat.reshape(-1), np.reshape(g, -1))
+    if not grad.flags.c_contiguous:
+        grad[...] = target.reshape(grad.shape)
 
 
 def mse_mae(a, b):

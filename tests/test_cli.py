@@ -1,10 +1,13 @@
 """End-to-end CLI behaviour: every subcommand, config precedence, artifact
 files, and the exit-code contract (0 ok, 1 runtime, 2 config/usage)."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +15,21 @@ import pytest
 
 import tqnet
 from tqnet.checkpoint import load_checkpoint, save_checkpoint
-from tqnet.cli import RunConfig, main, resolve_config
+from tqnet.cli import (
+    _SPLIT_FIELDS,
+    NOT_RUN_FIELDS,
+    RunConfig,
+    build_parser,
+    main,
+    run_fields,
+    resolve_config,
+)
 from tqnet.data import SplitSpec, SynthSpec, generate_synthetic, write_csv
 from tqnet.errors import ConfigError
 from tqnet.model import ModelConfig, TQNet, VariantSpec
-from tqnet.training import TrainPlan
+from tqnet.training import TrainPlan, config_hash
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MICRO_ARGS = [
     "--lookback", "16", "--horizon", "8", "--period", "8", "--hidden", "12",
@@ -77,6 +90,29 @@ class TestResolveConfig:
         write_csv(generate_synthetic(SynthSpec())[0], ref)
         assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 0
         assert (tmp_path / "x.csv").read_bytes() == ref.read_bytes()
+
+
+class TestRunConfigDerivation:
+    def test_fields_are_the_run_keys_and_the_library_configs(self):
+        names = {"data", "dataset", "out_dir", "variant"}
+        for cls in (ModelConfig, TrainPlan, SplitSpec):
+            names |= {_SPLIT_FIELDS.get(f.name, f.name) for f in fields(cls)}
+        assert {f.name for f in fields(RunConfig)} == names - NOT_RUN_FIELDS
+
+    @pytest.mark.parametrize("other,message", [
+        ("x: int = 2", "x: B declares ('int', 2), an earlier source ('int', 1)"),
+        ("x: float = 1", "x: B declares ('float', 1), an earlier source ('int', 1)"),
+    ], ids=["default", "annotation"])
+    def test_sources_that_disagree_raise(self, other, message):
+        space = {}
+        exec("from __future__ import annotations\n"
+             "from dataclasses import dataclass\n"
+             "@dataclass\nclass A:\n    x: int = 1\n"
+             f"@dataclass\nclass B:\n    {other}\n", space)
+        with pytest.raises(TypeError, match=re.escape(message)):
+            run_fields(space["A"], space["B"])
+        (name, typ, spec), = run_fields(space["A"], space["A"])
+        assert (name, typ, spec.default) == ("x", "int", 1)
 
 
 def _model_config(**kw):
@@ -193,6 +229,44 @@ class TestTrainEvaluate:
         assert eval_rec["mse"] == train_rec["mse"]
         assert eval_rec["mae"] == train_rec["mae"]
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--lookback", "200"], "lookback is 200, but {} has 16"),
+        (["--no-use-instance-norm"], "use_instance_norm is False, but {} has True"),
+        (["--dtype", "float64"], "dtype is 'float64', but {} has 'float32'"),
+        (["--variant", "pure_mlp"], "variant is 'pure_mlp', but {} has 'default'"),
+        ({"norm_eps": 0.5}, "norm_eps is 0.5, but {} has 1e-05"),
+    ], ids=["lookback", "norm", "dtype", "variant", "config-key"])
+    def test_evaluate_refuses_a_model_setting_the_checkpoint_lacks(
+            self, flags, message, run_dir, synth_csv, tmp_path, capsys):
+        if isinstance(flags, dict):
+            (tmp_path / "c.json").write_text(json.dumps(flags))
+            flags = ["--config", str(tmp_path / "c.json")]
+        ckpt = run_dir / "model.ckpt"
+        rc = main(["evaluate", "--checkpoint", str(ckpt),
+                   "--data", str(synth_csv), *MICRO_ARGS, *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(f'the checkpoint {ckpt}')}\n"
+
+    def test_evaluate_accepts_training_settings_that_differ(
+            self, run_dir, synth_csv, tmp_path, capsys):
+        # two model settings of the checkpoint stated again, the others left
+        # to it; dropouts, seed and optimizer keys only shaped the training
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({
+            "lookback": 16, "variant": "default",
+            "attn_dropout": 0.3, "out_dropout": 0.2, "seed": 5, "lr": 0.5,
+            "batch_size": 3, "max_epochs": 9, "patience": 1,
+            "train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2,
+        }))
+        rc = main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+                   "--data", str(synth_csv), "--config", str(cfg_file)])
+        assert rc == 0
+        eval_rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        train_rec = json.loads(
+            (run_dir / "results.jsonl").read_text().splitlines()[0])
+        assert eval_rec["mse"] == train_rec["mse"]
+
     def test_checkpoint_loads_as_model(self, run_dir):
         model = load_checkpoint(run_dir / "model.ckpt")
         assert model.config.lookback == 16
@@ -206,6 +280,75 @@ class TestTrainEvaluate:
                    "--data", str(synth_csv), *MICRO_ARGS])
         assert rc == 1
         assert "channels" in capsys.readouterr().err
+
+
+def _options(name):
+    """The option strings of subcommand ``name``."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {o for a in sub.choices[name]._actions for o in a.option_strings}
+
+
+# every RunConfig field and its annotation string
+RUN_FIELD_TYPES = {
+    "data": "str | None", "dataset": "str | None", "out_dir": "str | None",
+    "variant": "str", "lookback": "int", "horizon": "int", "period": "int",
+    "hidden": "int", "heads": "int", "attn_dropout": "float",
+    "out_dropout": "float", "use_instance_norm": "bool", "norm_eps": "float",
+    "scale_by_head_dim": "bool", "dtype": "str", "lr": "float",
+    "batch_size": "int", "max_epochs": "int", "patience": "int",
+    "shuffle": "bool", "seed": "int", "train_frac": "float",
+    "val_frac": "float", "test_frac": "float", "border_context": "bool",
+    "max_rows": "int | None",
+}
+RUN_OPTIONS = {"-h", "--help", "--config"} | {
+    f"--{prefix}{name.replace('_', '-')}"
+    for name, typ in RUN_FIELD_TYPES.items()
+    for prefix in (("", "no-") if typ == "bool" else ("",))
+}
+
+
+class TestCliSurface:
+    """The flags, the echoed config and the config hashes a run produces;
+    saved configs, scripts and run directory names depend on them."""
+
+    @pytest.mark.parametrize("command,extra", [
+        ("train", set()),
+        ("evaluate", {"--checkpoint"}),
+        ("ablate", {"--variants", "--seeds", "--covariates", "--n-covariates",
+                    "--timesteps"}),
+        ("sweep-w", {"--periods", "--include-disabled"}),
+    ])
+    def test_run_commands_take_one_flag_per_run_setting(self, command, extra):
+        assert _options(command) == RUN_OPTIONS | extra
+
+    @pytest.mark.parametrize("command,options", [
+        ("acf", {"--data", "--max-lag", "--out"}),
+        ("corr", {"--data", "--checkpoint", "--truth", "--out"}),
+        ("synth", {"--out", "--channels", "--timesteps", "--period",
+                   "--latents", "--noise-sigma", "--missing-rate",
+                   "--spike-rate", "--spike-scale", "--mixing-scale",
+                   "--seed"}),
+        ("gradcheck", {"--channels", "--lookback", "--horizon", "--period",
+                       "--hidden", "--heads", "--variant", "--eps", "--tol",
+                       "--seed"}),
+    ])
+    def test_other_commands_keep_their_flags(self, command, options):
+        assert _options(command) == {"-h", "--help"} | options
+
+    def test_run_config_fields_and_defaults(self):
+        assert {f.name: f.type for f in fields(RunConfig)} == RUN_FIELD_TYPES
+        assert config_hash(asdict(RunConfig())) == "129695609154"
+
+    def test_train_echoes_every_run_setting(self, run_dir):
+        echo = json.loads((run_dir / "config.json").read_text())
+        assert set(echo) == set(RUN_FIELD_TYPES) | {"config_hash"}
+
+    @pytest.mark.parametrize("name,digest", [("etth1", "d429c250600d"),
+                                             ("etth2", "078c40347707")])
+    def test_preset_config_hashes(self, name, digest):
+        cfg = resolve_config(CONFIGS / f"{name}.json")
+        assert config_hash(asdict(cfg)) == digest
 
 
 class TestExitCodes:

@@ -177,6 +177,25 @@ def test_scatter_add_cols_accumulates_repeats():
     np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("idx_shape", [(40,), (5, 12)], ids=["1-D", "2-D"])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_scatter_add_cols_adds_in_index_order_bitwise(dtype, idx_shape, layout):
+    rng = np.random.default_rng(7)
+    rows, cols = 3, 6  # far fewer columns than indices: many repeats
+    base = rng.normal(size=(rows, cols)).astype(dtype)
+    idx = rng.integers(0, cols, size=idx_shape)
+    g = rng.normal(scale=1e3, size=(rows, *idx_shape)).astype(dtype)
+    expected = base.copy()
+    for c in range(rows):
+        for j, w in zip(np.ndindex(idx_shape), idx.reshape(-1)):
+            expected[c, w] += g[(c, *j)]
+    grad = base.copy() if layout == "contiguous" else base.T.copy().T
+    kernels.scatter_add_cols(grad, idx, g)
+    assert grad.dtype == dtype
+    np.testing.assert_array_equal(grad, expected)
+
+
 def test_mse_mae_frozen_example():
     mse, mae = kernels.mse_mae(np.array([[0.0, 0.0]]), np.array([[1.0, 2.0]]))
     assert mse == pytest.approx(2.5)
