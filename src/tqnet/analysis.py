@@ -67,33 +67,16 @@ def run_period_sweep(table, config, plan, split, periods, include_disabled=False
     """
     if not periods:
         raise ConfigError("period sweep needs at least one period")
-    configs = [replace(config, period=int(w)) for w in periods]
+    runs = [(w, replace(config, period=w), None) for w in map(int, periods)]
+    if include_disabled:
+        runs.append(("off", config, VariantSpec.named("self_attention")))
     rows = []
     reports = []
-    for cfg in configs:
-        res = run_experiment(table, cfg, plan, split, dataset=dataset)
-        rows.append(
-            {
-                "period": cfg.period,
-                "mse": res.mse,
-                "mae": res.mae,
-                "best_epoch": res.fit.best_epoch,
-            }
-        )
-        reports.append(res.report)
-    if include_disabled:
-        res = run_experiment(
-            table, config, plan, split,
-            variant=VariantSpec.named("self_attention"), dataset=dataset,
-        )
-        rows.append(
-            {
-                "period": "off",
-                "mse": res.mse,
-                "mae": res.mae,
-                "best_epoch": res.fit.best_epoch,
-            }
-        )
+    for label, cfg, variant in runs:
+        res = run_experiment(table, cfg, plan, split, variant=variant,
+                             dataset=dataset)
+        rows.append({"period": label, "mse": res.mse, "mae": res.mae,
+                     "best_epoch": res.fit.best_epoch})
         reports.append(res.report)
     return rows, reports
 
@@ -138,8 +121,22 @@ def upper_triangle_pearson(a, b):
 # covariate dependency
 # ---------------------------------------------------------------------------
 
+SMOOTH = 12  # moving-average width of the covariates; a horizon must cover it
+
+
+def check_covariate_table(covariates, horizon, smooth=SMOOTH):
+    """Refuse the settings ``make_covariate_table`` cannot build from."""
+    if covariates < 1:
+        raise ConfigError("need at least one covariate channel")
+    if smooth < 1 or horizon < smooth:
+        raise ConfigError(
+            f"horizon ({horizon}) must be >= smoothing width ({smooth}) so the "
+            "target's own past cannot explain the full horizon"
+        )
+
+
 def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
-                         smooth=12):
+                         smooth=SMOOTH):
     """Series whose channel 0 is a delayed mixture of the other channels.
 
     Covariates are moving-average-smoothed noise (autocorrelation vanishes
@@ -153,13 +150,7 @@ def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
     is reachable by the attention block while staying invisible to any
     single-channel extrapolation.
     """
-    if covariates < 1:
-        raise ConfigError("need at least one covariate channel")
-    if smooth < 1 or horizon < smooth:
-        raise ConfigError(
-            f"horizon ({horizon}) must be >= smoothing width ({smooth}) so the "
-            "target's own past cannot explain the full horizon"
-        )
+    check_covariate_table(covariates, horizon, smooth)
     rng = np.random.default_rng(seed)
     total = timesteps + horizon
     kernel = np.ones(smooth) / smooth

@@ -10,7 +10,10 @@ the flags and the file's values, through :mod:`tqnet.errors`.
 and ``variant``; its other fields are those of ``ModelConfig``, ``TrainPlan``
 and ``SplitSpec`` with their annotations and defaults, less
 ``NOT_RUN_FIELDS``: ``channels``, ``beta1``, ``beta2``, ``adam_eps`` and
-``target_rows``.
+``target_rows``.  The defaults of ``ablate --n-covariates``/``--timesteps``
+and ``gradcheck --seed``/``--variant`` are read from ``run_covariate_study``,
+``ModelConfig`` and ``RunConfig``.  A study (``ablate``, ``sweep-w``) picks
+the variants it trains, so it refuses a ``variant`` other than the default.
 
 Exit codes: 0 success, 1 runtime failure (numeric problems, bad checkpoint,
 missing files, out of memory), 2 configuration or usage errors.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -30,6 +34,7 @@ import numpy as np
 
 from .analysis import (
     bank_correlation,
+    check_covariate_table,
     covariate_sizes,
     run_covariate_study,
     run_period_sweep,
@@ -212,8 +217,9 @@ def build_parser():
     p.add_argument("--covariates", default=None,
                    help="comma-separated covariate subset sizes; switches to "
                    "the covariate-dependency study on generated data")
-    p.add_argument("--n-covariates", type=int, default=8)
-    p.add_argument("--timesteps", type=int, default=2400)
+    study = inspect.signature(run_covariate_study).parameters
+    p.add_argument("--n-covariates", type=int, default=study["covariates"].default)
+    p.add_argument("--timesteps", type=int, default=study["timesteps"].default)
 
     p = runish("sweep-w", "retrain across candidate period lengths")
     p.add_argument("--periods", required=True,
@@ -248,10 +254,10 @@ def build_parser():
     p.add_argument("--period", type=int, default=4)
     p.add_argument("--hidden", type=int, default=4)
     p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--variant", default="default")
+    p.add_argument("--variant", default=RunConfig.variant)
     p.add_argument("--eps", type=_positive_float, default=1e-5)
     p.add_argument("--tol", type=_positive_float, default=1e-4)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
 
     return parser
 
@@ -273,33 +279,35 @@ def _prepare_run(args, base=None):
     return cfg, load_csv(cfg.data), cfg.dataset or Path(cfg.data).stem
 
 
-def _out_dir(cfg, dataset):
-    if cfg.out_dir is not None:
-        path = Path(cfg.out_dir)
-    else:
-        tag = config_hash(asdict(cfg))
-        path = Path("runs") / f"{dataset}-{tag}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _open_run(cfg, dataset):
+    """Make the run directory of ``cfg``, runs/<dataset>-<config hash> unless
+    ``out_dir`` names one, and echo ``cfg`` to its config.json."""
+    rec = {**asdict(cfg), "config_hash": config_hash(asdict(cfg))}
+    out = (Path("runs", f"{dataset}-{rec['config_hash']}") if cfg.out_dir is None
+           else Path(cfg.out_dir))
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n")
+    return out
 
 
-def _echo_config(cfg, path):
-    rec = asdict(cfg)
-    rec["config_hash"] = config_hash(asdict(cfg))
-    with open(path, "w") as fh:
-        json.dump(rec, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _close_study(out, table, rows, reports, row_format):
+    """Write a study's CSV ``table`` and results.jsonl; print its rows."""
+    with open(out / table, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, [k for k in rows[0] if k != "runs"],
+                                extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    append_results(out / "results.jsonl", reports)
+    for row in rows:
+        print(row_format.format(**row))
+    print(f"artifacts in {out}")
+    return 0
 
 
-def _write_rows_csv(path, rows):
-    if not rows:
-        return
-    keys = [k for k in rows[0] if k != "runs"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([row[k] for k in keys])
+def _refuse_variant(cfg, command, trains=repr(RunConfig.variant)):
+    """A study picks its variants; another ``variant`` would be echoed, not run."""
+    if cfg.variant != RunConfig.variant:
+        raise ConfigError(f"{command} trains {trains}, not variant {cfg.variant!r}")
 
 
 def _run_parts(cfg, channels):
@@ -312,8 +320,7 @@ def cmd_train(args):
     cfg, table, dataset = _prepare_run(args)
     variant = VariantSpec.named(cfg.variant)
     config, plan, split = _run_parts(cfg, table.channels)
-    out = _out_dir(cfg, dataset)
-    _echo_config(cfg, out / "config.json")
+    out = _open_run(cfg, dataset)
     log_rows = []
 
     def log(epoch, train_mse, val_mse, improved):
@@ -362,12 +369,11 @@ def cmd_evaluate(args):
         dataset=dataset, lookback=mc.lookback, horizon=mc.horizon,
         period=mc.period, variant=model.variant.name, seed=mc.seed,
         mse=mse, mae=mae, best_epoch=0, wall_time_s=0.0,
-        config_hash=config_hash(asdict(cfg)),
     )
     print(report.results_line())
     if cfg.out_dir:
-        out = _out_dir(cfg, dataset)
-        append_results(out / "results.jsonl", [report])
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        append_results(Path(cfg.out_dir, "results.jsonl"), [report])
     return 0
 
 
@@ -391,61 +397,51 @@ def _int_list(text, flag):
 def cmd_ablate(args):
     if args.covariates is not None:
         cfg = resolve_config(args.config, _flag_values(args, RunConfig))
+        _refuse_variant(cfg, "ablate --covariates")
         sizes = covariate_sizes(_int_list(args.covariates, "--covariates"),
                                 args.n_covariates)
         config, plan, split = _run_parts(cfg, 1)
-        out = _out_dir(cfg, "covariates")
-        _echo_config(cfg, out / "config.json")
+        check_covariate_table(args.n_covariates, cfg.horizon)
+        out = _open_run(cfg, "covariates")
         rows, reports = run_covariate_study(
             config, plan, split, sizes, covariates=args.n_covariates,
             timesteps=args.timesteps,
         )
-        _write_rows_csv(out / "covariate_study.csv", rows)
-        append_results(out / "results.jsonl", reports)
-        for row in rows:
-            print(f"covariates {row['covariates']:3d}  mse {row['mse']:.6f}  "
-                  f"mae {row['mae']:.6f}")
-        print(f"artifacts in {out}")
-        return 0
+        return _close_study(
+            out, "covariate_study.csv", rows, reports,
+            "covariates {covariates:3d}  mse {mse:.6f}  mae {mae:.6f}")
 
     cfg, table, dataset = _prepare_run(args)
+    _refuse_variant(cfg, "ablate", "the variants of --variants")
     variants = _name_list(args.variants, "--variants")
     for name in variants:
         VariantSpec.named(name)  # an unknown name fails before any artifact
     seeds = [cfg.seed] if args.seeds is None else _int_list(args.seeds, "--seeds")
     config, plan, split = _run_parts(cfg, table.channels)
-    out = _out_dir(cfg, dataset)
-    _echo_config(cfg, out / "config.json")
+    out = _open_run(cfg, dataset)
     rows, reports = run_variant_matrix(
         table, config, plan, split, variants=variants, seeds=seeds, dataset=dataset,
     )
-    _write_rows_csv(out / "variants.csv", rows)
-    append_results(out / "results.jsonl", reports)
-    for row in rows:
-        print(f"{row['variant']:>20s}  mse {row['mse']:.6f}  mae {row['mae']:.6f}")
-    print(f"artifacts in {out}")
-    return 0
+    return _close_study(out, "variants.csv", rows, reports,
+                        "{variant:>20s}  mse {mse:.6f}  mae {mae:.6f}")
 
 
 def cmd_sweep_w(args):
     cfg, table, dataset = _prepare_run(args)
+    _refuse_variant(cfg, "sweep-w")
     periods = _int_list(args.periods, "--periods")
     config, plan, split = _run_parts(cfg, table.channels)
     for w in periods:
         replace(config, period=w)  # a bad period fails before any artifact
-    out = _out_dir(cfg, dataset)
-    _echo_config(cfg, out / "config.json")
+    out = _open_run(cfg, dataset)
     rows, reports = run_period_sweep(
         table, config, plan, split, periods,
         include_disabled=args.include_disabled, dataset=dataset,
     )
-    _write_rows_csv(out / "period_sweep.csv", rows)
-    append_results(out / "results.jsonl", reports)
-    for row in rows:
-        print(f"period {row['period']!s:>4}  mse {row['mse']:.6f}  "
-              f"mae {row['mae']:.6f}  best epoch {row['best_epoch']}")
-    print(f"artifacts in {out}")
-    return 0
+    return _close_study(
+        out, "period_sweep.csv", rows, reports,
+        "period {period!s:>4}  mse {mse:.6f}  mae {mae:.6f}  "
+        "best epoch {best_epoch}")
 
 
 def cmd_acf(args):

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -178,14 +178,12 @@ class FitResult:
     best_val_mse: float
     train_curve: list = field(default_factory=list)
     val_curve: list = field(default_factory=list)
-    wall_time_s: float = 0.0
 
 
 def fit(model, train_windows, val_windows, plan, log=None):
     """Train in place; returns the fit trace.  Deterministic per plan seed."""
     if not train_windows or not val_windows:
         raise ConfigError("fit needs non-empty train and val windows")
-    t_start = time.perf_counter()
     shuffle_rng = np.random.default_rng([plan.seed, 0])
     dropout_rng = np.random.default_rng([plan.seed, 1])
     opt = Adam(model.parameters(), plan)
@@ -230,7 +228,6 @@ def fit(model, train_windows, val_windows, plan, log=None):
         p.grad_home = None
     result.best_epoch = stopper.best_epoch
     result.best_val_mse = stopper.best
-    result.wall_time_s = time.perf_counter() - t_start
     return result
 
 
@@ -238,6 +235,7 @@ def fit(model, train_windows, val_windows, plan, log=None):
 # whole-experiment orchestration and the results log
 # ---------------------------------------------------------------------------
 
+# the results.jsonl schema: one key per MetricsReport field, in field order
 RESULT_KEYS = (
     "dataset", "L", "H", "W", "variant", "seed",
     "mse", "mae", "best_epoch", "wall_time_s",
@@ -256,22 +254,11 @@ class MetricsReport:
     mae: float
     best_epoch: int
     wall_time_s: float
-    config_hash: str
 
     def results_line(self):
-        rec = {
-            "dataset": self.dataset,
-            "L": self.lookback,
-            "H": self.horizon,
-            "W": self.period,
-            "variant": self.variant,
-            "seed": self.seed,
-            "mse": self.mse,
-            "mae": self.mae,
-            "best_epoch": self.best_epoch,
-            "wall_time_s": round(self.wall_time_s, 3),
-        }
-        return json.dumps(rec, sort_keys=False)
+        rec = dict(zip(RESULT_KEYS, astuple(self), strict=True))
+        rec["wall_time_s"] = round(rec["wall_time_s"], 3)
+        return json.dumps(rec)
 
 
 def config_hash(*dicts):
@@ -313,7 +300,6 @@ def run_experiment(table, config, plan, split, variant=None, dataset="series",
         mae=mae,
         best_epoch=fit_res.best_epoch,
         wall_time_s=wall,
-        config_hash=config_hash(asdict(config), asdict(plan), asdict(split)),
     )
     return ExperimentResult(model=model, fit=fit_res, mse=mse, mae=mae, report=report)
 

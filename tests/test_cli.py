@@ -2,9 +2,11 @@
 files, and the exit-code contract (0 ok, 1 runtime, 2 config/usage)."""
 
 import argparse
+import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -14,9 +16,11 @@ import numpy as np
 import pytest
 
 import tqnet
+from tqnet.analysis import run_covariate_study
 from tqnet.checkpoint import load_checkpoint, save_checkpoint
 from tqnet.cli import (
     _SPLIT_FIELDS,
+    COMMANDS,
     NOT_RUN_FIELDS,
     RunConfig,
     build_parser,
@@ -29,7 +33,8 @@ from tqnet.errors import ConfigError
 from tqnet.model import ModelConfig, TQNet, VariantSpec
 from tqnet.training import TrainPlan, config_hash
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 MICRO_ARGS = [
     "--lookback", "16", "--horizon", "8", "--period", "8", "--hidden", "12",
@@ -282,11 +287,28 @@ class TestTrainEvaluate:
         assert "channels" in capsys.readouterr().err
 
 
-def _options(name):
-    """The option strings of subcommand ``name``."""
+def _actions(name):
+    """The argparse actions of subcommand ``name``."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {o for a in sub.choices[name]._actions for o in a.option_strings}
+    return sub.choices[name]._actions
+
+
+def _options(name):
+    """The option strings of subcommand ``name``."""
+    return {o for a in _actions(name) for o in a.option_strings}
+
+
+def _readme_commands():
+    """Every ``tqnet`` command line in README's ``sh`` blocks, as an argv."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("tqnet ")]
+
+
+README_COMMANDS = _readme_commands()
 
 
 # every RunConfig field and its annotation string
@@ -335,6 +357,23 @@ class TestCliSurface:
     ])
     def test_other_commands_keep_their_flags(self, command, options):
         assert _options(command) == {"-h", "--help"} | options
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        study = inspect.signature(run_covariate_study).parameters
+        ablate = {a.dest: a.default for a in _actions("ablate")}
+        assert ablate["n_covariates"] == study["covariates"].default
+        assert ablate["timesteps"] == study["timesteps"].default
+        gradcheck = {a.dest: a.default for a in _actions("gradcheck")}
+        assert gradcheck["seed"] == ModelConfig.seed
+        assert gradcheck["variant"] == RunConfig.variant
+
+    @pytest.mark.parametrize("argv", README_COMMANDS,
+                             ids=[argv[0] for argv in README_COMMANDS])
+    def test_readme_commands_parse(self, argv):
+        build_parser().parse_args(argv)
+
+    def test_readme_shows_every_command(self):
+        assert {argv[0] for argv in README_COMMANDS} == set(COMMANDS)
 
     def test_run_config_fields_and_defaults(self):
         assert {f.name: f.type for f in fields(RunConfig)} == RUN_FIELD_TYPES
@@ -450,7 +489,19 @@ class TestExitCodes:
         (["ablate", "--variants", "nope"], "unknown variant 'nope'"),
         (["ablate", "--covariates", "99"], "subset sizes must lie in [0, 8]"),
         (["sweep-w", "--periods", "0,8"], "period must be a positive integer"),
-    ], ids=["unknown-variant", "covariates-out-of-range", "zero-period"])
+        (["ablate", "--variant", "pure_mlp"],
+         "ablate trains the variants of --variants, not variant 'pure_mlp'"),
+        (["ablate", "--covariates", "1", "--variant", "pure_mlp"],
+         "ablate --covariates trains 'default', not variant 'pure_mlp'"),
+        (["sweep-w", "--periods", "8", "--variant", "pure_mlp"],
+         "sweep-w trains 'default', not variant 'pure_mlp'"),
+        (["ablate", "--covariates", "0", "--n-covariates", "0"],
+         "need at least one covariate channel"),
+        (["ablate", "--covariates", "1"],
+         "horizon (8) must be >= smoothing width (12)"),
+    ], ids=["unknown-variant", "covariates-out-of-range", "zero-period",
+            "ablate-variant", "covariates-variant", "sweep-variant",
+            "no-covariates", "horizon-below-smoothing"])
     def test_a_bad_study_list_exits_2_before_any_artifact(
             self, command, message, synth_csv, tmp_path, capsys):
         rc = main([*command, "--data", str(synth_csv),
@@ -468,29 +519,59 @@ class TestExitCodes:
         assert not (tmp_path / "ablate").exists()
 
 
+def _cell(text):
+    """A CSV cell as an int, else a float, else the text."""
+    for typ in (int, float):
+        try:
+            return typ(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _check_study(out, printed, table, header, row_format, rows):
+    """A study's run directory and stdout: ``config.json``; the CSV ``table``
+    with ``header`` and ``rows`` rows; one ``results.jsonl`` line per row, in
+    row order; and one ``row_format`` line per row, then ``artifacts in``."""
+    assert (out / "config.json").is_file()
+    lines = (out / table).read_text().splitlines()
+    assert lines[0] == header
+    cells = [dict(zip(header.split(","), map(_cell, line.split(","))))
+             for line in lines[1:]]
+    assert len(cells) == rows
+    results = [json.loads(line)
+               for line in (out / "results.jsonl").read_text().splitlines()]
+    assert [r["mse"] for r in results] == [c["mse"] for c in cells]
+    assert printed.splitlines() == [
+        *(row_format.format(**c) for c in cells), f"artifacts in {out}"]
+    return cells
+
+
 class TestSweepAndAblate:
     def test_sweep_w_writes_table(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "sweep"
         rc = main(["sweep-w", "--data", str(synth_csv), "--periods", "4,8",
                    "--include-disabled", "--out-dir", str(out), *MICRO_ARGS])
         assert rc == 0
-        lines = (out / "period_sweep.csv").read_text().splitlines()
-        assert lines[0] == "period,mse,mae,best_epoch"
-        assert len(lines) == 4  # 2 periods + disabled + header
-        assert lines[-1].startswith("off,")
+        cells = _check_study(
+            out, capsys.readouterr().out, "period_sweep.csv",
+            "period,mse,mae,best_epoch",
+            "period {period!s:>4}  mse {mse:.6f}  mae {mae:.6f}  "
+            "best epoch {best_epoch}", rows=3)  # 2 periods + disabled
+        assert [c["period"] for c in cells] == [4, 8, "off"]
 
-    def test_ablate_variants(self, synth_csv, tmp_path):
+    def test_ablate_variants(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "ablate"
         rc = main(["ablate", "--data", str(synth_csv),
                    "--variants", "default,pure_mlp", "--seeds", "7",
                    "--out-dir", str(out), *MICRO_ARGS])
         assert rc == 0
-        lines = (out / "variants.csv").read_text().splitlines()
-        assert len(lines) == 3
-        results = (out / "results.jsonl").read_text().splitlines()
-        assert len(results) == 2
+        cells = _check_study(
+            out, capsys.readouterr().out, "variants.csv", "variant,mse,mae",
+            "{variant:>20s}  mse {mse:.6f}  mae {mae:.6f}", rows=2)
+        assert [c["variant"] for c in cells] == ["default", "pure_mlp"]
 
-    def test_ablate_covariate_study(self, tmp_path):
+    def test_ablate_covariate_study(self, tmp_path, capsys):
         out = tmp_path / "cov"
         rc = main(["ablate", "--covariates", "0,2", "--n-covariates", "2",
                    "--timesteps", "420", "--out-dir", str(out),
@@ -501,9 +582,11 @@ class TestSweepAndAblate:
                    "--train-frac", "0.6", "--val-frac", "0.2",
                    "--test-frac", "0.2"])
         assert rc == 0
-        lines = (out / "covariate_study.csv").read_text().splitlines()
-        assert lines[0] == "covariates,mse,mae"
-        assert len(lines) == 3
+        cells = _check_study(
+            out, capsys.readouterr().out, "covariate_study.csv",
+            "covariates,mse,mae",
+            "covariates {covariates:3d}  mse {mse:.6f}  mae {mae:.6f}", rows=2)
+        assert [c["covariates"] for c in cells] == [0, 2]
 
 
 # Runs in a fresh interpreter in which importing scipy fails, so a scipy

@@ -414,7 +414,7 @@ class TestResultsLine:
         report = MetricsReport(
             dataset="x", lookback=96, horizon=96, period=24,
             variant="default", seed=2024, mse=0.5, mae=0.4,
-            best_epoch=7, wall_time_s=12.345678, config_hash="abc",
+            best_epoch=7, wall_time_s=12.345678,
         )
         line = report.results_line()
         rec = json.loads(line)
