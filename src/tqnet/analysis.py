@@ -44,7 +44,7 @@ def run_variant_matrix(table, config, plan, split, variants=None, seeds=None,
             res = run_experiment(
                 table, cfg_s, plan_s, split, variant=spec, dataset=dataset
             )
-            per_seed.append((seed, res.mse, res.mae))
+            per_seed.append((seed, res.report.mse, res.report.mae))
             reports.append(res.report)
         rows.append(
             {
@@ -75,7 +75,7 @@ def run_period_sweep(table, config, plan, split, periods, include_disabled=False
     for label, cfg, variant in runs:
         res = run_experiment(table, cfg, plan, split, variant=variant,
                              dataset=dataset)
-        rows.append({"period": label, "mse": res.mse, "mae": res.mae,
+        rows.append({"period": label, "mse": res.report.mse, "mae": res.report.mae,
                      "best_epoch": res.fit.best_epoch})
         reports.append(res.report)
     return rows, reports
@@ -205,6 +205,6 @@ def run_covariate_study(config, plan, split, subset_sizes, covariates=8,
         res = run_experiment(
             sub, cfg, plan_n, split, dataset=f"{dataset}-n{n}"
         )
-        rows.append({"covariates": n, "mse": res.mse, "mae": res.mae})
+        rows.append({"covariates": n, "mse": res.report.mse, "mae": res.report.mae})
         reports.append(res.report)
     return rows, reports

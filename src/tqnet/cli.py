@@ -28,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -195,8 +196,12 @@ def build_parser():
         prog="tqnet",
         description="Multivariate forecaster with a periodic learnable-query "
         "attention block.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no flag prefixes: ``--hid`` is not ``--hidden``
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     def runish(name, help_text):
         p = sub.add_parser(name, help=help_text)

@@ -16,12 +16,12 @@ and values from the observed window, so a channel attends to the raw channels
 most useful for predicting it.  All heads run in one pass: ``attn.wq``,
 ``attn.wk`` and ``attn.wv`` are each one (lookback x lookback) weight with
 head ``h`` in columns ``h*head_dim:(h+1)*head_dim``, so Q, K and V are one
-GEMM each.  ``split_heads`` moves the head blocks to a leading axis, and one
-scale, softmax and dropout act on a single (heads, B, channels, channels)
-score stack before ``merge_heads`` lays the head outputs side by side again
-for ``attn.wo``.  ``VariantSpec`` rewires the block for component studies
-(raw self-attention, bank-only attention, additive channel identifiers,
-plain MLP).
+``linear`` each.  ``split_heads`` moves the head blocks to a leading axis,
+and one scale, softmax and dropout act on a single (heads, B, channels,
+channels) score stack before ``merge_heads`` lays the head outputs side by
+side again for the ``attn.wo`` ``linear``.  ``VariantSpec`` rewires the
+block for component studies (raw self-attention, bank-only attention,
+additive channel identifiers, plain MLP).
 """
 
 from __future__ import annotations
@@ -189,8 +189,10 @@ def instance_norm(x, eps):
     return kernels.row_norm_stats(x, eps)
 
 
-def instance_denorm(y, mu, var, eps):
-    return y * np.sqrt(var + eps)[..., None] + mu[..., None]
+def instance_denorm(tape, y, mu, var, eps):
+    """Inverse of ``instance_norm`` on the tensor ``y``: the forward's
+    output denorm."""
+    return row_affine(tape, y, np.sqrt(var + eps), mu)
 
 
 def _uniform_init(rng, shape, dtype):
@@ -295,8 +297,7 @@ class TQNet:
         y = linear(tape, h2, p["proj_out.w"], p["proj_out.b"])
 
         if stats is not None:
-            mu, var = stats
-            y = row_affine(tape, y, np.sqrt(var + cfg.norm_eps), mu)
+            y = instance_denorm(tape, y, *stats, cfg.norm_eps)
         if mode == "eval":
             check_finite(y, "output projection")
         return y
@@ -331,7 +332,7 @@ class TQNet:
     def _heads(self, tape, src, w):
         """``src`` times ``attn.{w}``, stacked as (heads, ..., channels,
         head_dim)."""
-        product = matmul(tape, src, self.params[f"attn.{w}"])
+        product = linear(tape, src, self.params[f"attn.{w}"])
         return split_heads(tape, product, self.config.heads)
 
     def _weights(self, tape, q_src, k_src):
@@ -350,7 +351,7 @@ class TQNet:
         weights = dropout(tape, self._weights(tape, q_src, k_src),
                           cfg.attn_dropout, mode, rng)
         heads = matmul(tape, weights, self._heads(tape, v_src, "wv"))
-        mixed = matmul(tape, merge_heads(tape, heads), self.params["attn.wo"])
+        mixed = linear(tape, merge_heads(tape, heads), self.params["attn.wo"])
         return add(tape, mixed, v_src)
 
     def attention_weights(self, x, t):

@@ -1,24 +1,32 @@
 """Reverse-mode automatic differentiation on stacks of matrices.
 
 A deliberately small engine: every value is a float array of rank >= 2
-wrapped in :class:`DiffTensor`, every differentiable operation appends one
-backward closure to a :class:`Tape`, and ``Tape.backward`` replays the
-closures in reverse recording order.  Ops act on the last two axes (rows and
-columns); any leading axes are a batch, so one tape records a whole
-minibatch.  A 2-D weight is shared by every matrix of the batch, and its
-gradient is the sum over the batch.  Gradients accumulate additively, so a
-parameter used in several places ends up with the sum of all contributions.
+wrapped in :class:`DiffTensor`, every differentiable operation records one
+node on a :class:`Tape`, and ``Tape.backward`` replays the nodes in reverse
+recording order.  Ops act on the last two axes (rows and columns); any
+leading axes are a batch, so one tape records a whole minibatch.  ``matmul``
+multiplies operands with the same leading axes; ``linear`` shares a 2-D
+weight with every matrix of the batch, and its gradient is the sum over the
+batch.  Gradients accumulate additively, so a parameter used in several
+places ends up with the sum of all contributions.
 
-Gradients are written once.  A backward closure hands each input either a
-fresh array or a view of its own output's gradient, which nothing reads
-after the closure has run, so the input may keep it: a tensor's first
-gradient becomes its ``grad`` without a copy when it has the tensor's shape
-and dtype, and later ones are added into it in place.  ``add``, the one op
-that hands one array to two inputs, gives its second input a copy.  A
-tensor with a ``grad_home`` (an optimizer sets one on each parameter) takes
-its first gradient in that array instead: ``linear`` computes its weight
-gradient straight into it, ``gather_cols`` scatters into it zeroed, and
-every other op's gradient is copied in.
+The tape owns the node protocol, so an op states only its forward and
+backward math: it computes its output values and a ``backward(g)`` that
+hands the gradient ``g`` of its output to its inputs.  ``_node`` makes the
+output, which needs a gradient when any input does, and records the node
+``(backward, out)`` only when there is a tape and the output needs a
+gradient; ``Tape.backward`` calls a node only when ``out`` got a gradient.
+
+Gradients are written once.  A backward hands each input either a fresh
+array or a view of its own output's gradient, which nothing reads after the
+node has run, so the input may keep it: a tensor's first gradient becomes
+its ``grad`` without a copy when it has the tensor's shape and dtype, and
+later ones are added into it in place.  ``add``, the one op that hands one
+array to two inputs, gives its second input a copy.  A tensor with a
+``grad_home`` (an optimizer sets one on each parameter) takes its first
+gradient in that array instead: ``linear`` computes its weight gradient
+straight into it (every weight, the attention projections included),
+``gather_cols`` scatters into it zeroed, and any other gradient is copied in.
 
 Ops take the tape as their first argument; passing ``tape=None`` runs the
 same math without recording anything (cheap inference path).
@@ -108,7 +116,9 @@ class DiffTensor:
 
 
 class Tape:
-    """Ordered log of backward closures; replayed last-recorded-first, once."""
+    """Ordered log of ``(backward, out)`` nodes, replayed last-recorded-first
+    and once; a node runs as ``backward(out.grad)``, and not at all when
+    ``out`` got no gradient."""
 
     __slots__ = ("_nodes",)
 
@@ -118,8 +128,8 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def record(self, fn):
-        self._nodes.append(fn)
+    def record(self, backward, out):
+        self._nodes.append((backward, out))
 
     def backward(self, out):
         """Seed ``out.grad`` with one and propagate to every input.
@@ -132,11 +142,19 @@ class Tape:
                             "or backward already ran on it")
         out.grad = np.ones_like(out.values) if out.grad is None else out.grad + 1
         while self._nodes:
-            self._nodes.pop()()
+            backward, node_out = self._nodes.pop()
+            if node_out.grad is not None:
+                backward(node_out.grad)
 
 
-def _needs(*tensors):
-    return any(t.requires_grad for t in tensors)
+def _node(tape, values, inputs, backward):
+    """An op's output: a tensor of ``values`` that needs a gradient when any
+    of ``inputs`` does, with ``backward`` recorded on the tape when there is
+    one and the output needs a gradient."""
+    out = DiffTensor(values, requires_grad=any(t.requires_grad for t in inputs))
+    if tape is not None and out.requires_grad:
+        tape.record(backward, out)
+    return out
 
 
 def _mm(x, w):
@@ -155,131 +173,99 @@ def _weight_grad(x, g, out=None):
 # ---------------------------------------------------------------------------
 
 def matmul(tape, a, b, transpose_b=False):
-    """``a @ b`` on the last two axes; a 2-D ``b`` is shared by the batch,
-    otherwise ``b`` has the same leading axes as ``a``."""
+    """``a @ b`` on the last two axes, for operands with the same leading
+    axes; a weight shared by a batch goes through ``linear``."""
     bv = np.swapaxes(b.values, -1, -2) if transpose_b else b.values
-    shared = bv.ndim == 2
-    if a.cols != bv.shape[-2] or not (shared or bv.shape[:-2] == a.shape[:-2]):
+    if a.cols != bv.shape[-2] or bv.shape[:-2] != a.shape[:-2]:
         raise ShapeError(
             f"matmul: shapes do not match, {a.shape} @ "
             f"{b.shape}{'^T' if transpose_b else ''}"
         )
-    out = DiffTensor(_mm(a.values, bv) if shared else a.values @ bv,
-                     requires_grad=_needs(a, b))
-    if tape is not None and out.requires_grad:
-        av = a.values
+    av = a.values
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                bt = np.swapaxes(bv, -1, -2)
-                a.accumulate(_mm(g, bt) if shared else g @ bt)
-            if b.requires_grad:
-                gb = _weight_grad(av, g) if shared else np.swapaxes(av, -1, -2) @ g
-                b.accumulate(np.swapaxes(gb, -1, -2) if transpose_b else gb)
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g @ np.swapaxes(bv, -1, -2))
+        if b.requires_grad:
+            gb = np.swapaxes(av, -1, -2) @ g
+            b.accumulate(np.swapaxes(gb, -1, -2) if transpose_b else gb)
 
-        tape.record(backward)
-    return out
+    return _node(tape, av @ bv, (a, b), backward)
 
 
 def linear(tape, x, w, bias=None):
-    """x @ w + bias for a 2-D ``w``, bias broadcast across rows (shape 1 x cols)."""
+    """x @ w + bias for a 2-D ``w`` shared by every matrix of ``x``, bias
+    broadcast across rows (shape 1 x cols)."""
     if x.cols != w.rows:
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    vals = _mm(x.values, w.values)
+    xv, wv = x.values, w.values
+    vals = _mm(xv, wv)
+    inputs = (x, w)
     if bias is not None:
         if bias.shape != (1, w.cols):
             raise ShapeError(
                 f"linear: bias must be (1, {w.cols}), got {bias.shape}"
             )
         vals = vals + bias.values
-    out = DiffTensor(
-        vals, requires_grad=_needs(x, w) or (bias is not None and bias.requires_grad)
-    )
-    if tape is not None and out.requires_grad:
-        xv, wv = x.values, w.values
+        inputs = (x, w, bias)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            if x.requires_grad:
-                x.accumulate(_mm(g, wv.T))
-            if w.requires_grad:
-                if w.grad is None:  # the GEMM writes the first one in place
-                    w.grad = _weight_grad(xv, g, out=w.new_grad())
-                else:
-                    w.grad += _weight_grad(xv, g)
-            if bias is not None and bias.requires_grad:
-                bias.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True))
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(_mm(g, wv.T))
+        if w.requires_grad:
+            if w.grad is None:  # the GEMM writes the first one in place
+                w.grad = _weight_grad(xv, g, out=w.new_grad())
+            else:
+                w.grad += _weight_grad(xv, g)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True))
 
-        tape.record(backward)
-    return out
+    return _node(tape, vals, inputs, backward)
 
 
 def add(tape, a, b):
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes differ, {a.shape} vs {b.shape}")
-    out = DiffTensor(a.values + b.values, requires_grad=_needs(a, b))
-    if tape is not None and out.requires_grad:
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate(g)
-            if b.requires_grad:  # its own array: ``a`` may keep ``g``
-                b.accumulate(g.copy() if a.requires_grad else g)
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g)
+        if b.requires_grad:  # its own array: ``a`` may keep ``g``
+            b.accumulate(g.copy() if a.requires_grad else g)
 
-        tape.record(backward)
-    return out
+    return _node(tape, a.values + b.values, (a, b), backward)
 
 
 def scale(tape, x, c):
     c = float(c)
-    out = DiffTensor(x.values * c, requires_grad=x.requires_grad)
-    if tape is not None and out.requires_grad:
 
-        def backward():
-            if out.grad is not None:
-                x.accumulate(out.grad * c)
+    def backward(g):
+        x.accumulate(g * c)
 
-        tape.record(backward)
-    return out
+    return _node(tape, x.values * c, (x,), backward)
 
 
 def softmax_rows(tape, x):
     """Row-wise softmax, max-shifted for stability; rows sum to one."""
     y = kernels.softmax_rows(x.values)
-    out = DiffTensor(y, requires_grad=x.requires_grad)
-    if tape is not None and out.requires_grad:
 
-        def backward():
-            if out.grad is not None:
-                x.accumulate(kernels.softmax_rows_grad(y, out.grad))
+    def backward(g):
+        x.accumulate(kernels.softmax_rows_grad(y, g))
 
-        tape.record(backward)
-    return out
+    return _node(tape, y, (x,), backward)
 
 
 def gelu(tape, x):
     """Exact (erf-based) gaussian error linear unit; the backward reuses the
     forward's ``erf``."""
     erf = kernels.gelu_erf(x.values)
-    out = DiffTensor(kernels.gelu(x.values, erf), requires_grad=x.requires_grad)
-    if tape is not None and out.requires_grad:
 
-        def backward():
-            if out.grad is not None:
-                grad = kernels.gelu_grad(x.values, erf)
-                grad *= out.grad
-                x.accumulate(grad)
+    def backward(g):
+        grad = kernels.gelu_grad(x.values, erf)
+        grad *= g
+        x.accumulate(grad)
 
-        tape.record(backward)
-    return out
+    return _node(tape, kernels.gelu(x.values, erf), (x,), backward)
 
 
 def dropout(tape, x, p, mode, rng=None):
@@ -299,15 +285,11 @@ def dropout(tape, x, p, mode, rng=None):
     keep = (rng.random(x.shape) >= p).astype(x.dtype) / np.asarray(
         1.0 - p, dtype=x.dtype
     )
-    out = DiffTensor(x.values * keep, requires_grad=x.requires_grad)
-    if tape is not None and out.requires_grad:
 
-        def backward():
-            if out.grad is not None:
-                x.accumulate(out.grad * keep)
+    def backward(g):
+        x.accumulate(g * keep)
 
-        tape.record(backward)
-    return out
+    return _node(tape, x.values * keep, (x,), backward)
 
 
 def _merge(v):
@@ -330,15 +312,11 @@ def split_heads(tape, x, heads):
     if heads < 1 or x.cols % heads:
         raise ShapeError(f"split_heads: {x.cols} columns do not split into "
                          f"{heads} heads")
-    out = DiffTensor(_split(x.values, heads), requires_grad=x.requires_grad)
-    if tape is not None and out.requires_grad:
 
-        def backward():
-            if out.grad is not None:
-                x.accumulate(_merge(out.grad))
+    def backward(g):
+        x.accumulate(_merge(g))
 
-        tape.record(backward)
-    return out
+    return _node(tape, _split(x.values, heads), (x,), backward)
 
 
 def merge_heads(tape, x):
@@ -346,15 +324,11 @@ def merge_heads(tape, x):
     if x.values.ndim < 3:
         raise ShapeError(f"merge_heads needs a leading heads axis, got {x.shape}")
     heads = x.shape[0]
-    out = DiffTensor(_merge(x.values), requires_grad=x.requires_grad)
-    if tape is not None and out.requires_grad:
 
-        def backward():
-            if out.grad is not None:
-                x.accumulate(_split(out.grad, heads))
+    def backward(g):
+        x.accumulate(_split(g, heads))
 
-        tape.record(backward)
-    return out
+    return _node(tape, _merge(x.values), (x,), backward)
 
 
 def gather_cols(tape, x, idx):
@@ -368,22 +342,15 @@ def gather_cols(tape, x, idx):
         raise ShapeError(
             f"gather_cols: index out of range for {x.cols} columns"
         )
+
+    def backward(g):
+        if x.grad is None:
+            x.grad = x.new_grad()
+            x.grad.fill(0)
+        kernels.scatter_add_cols(x.grad, idx, np.moveaxis(g, -2, 0))
+
     # x[:, idx] is (rows, L) or (rows, B, L); the rows axis moves to -2
-    vals = np.moveaxis(x.values[:, idx], 0, -2)
-    out = DiffTensor(vals, requires_grad=x.requires_grad)
-    if tape is not None and out.requires_grad:
-
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            if x.grad is None:
-                x.grad = x.new_grad()
-                x.grad.fill(0)
-            kernels.scatter_add_cols(x.grad, idx, np.moveaxis(g, -2, 0))
-
-        tape.record(backward)
-    return out
+    return _node(tape, np.moveaxis(x.values[:, idx], 0, -2), (x,), backward)
 
 
 def row_affine(tape, x, scale_vec, shift_vec):
@@ -396,18 +363,12 @@ def row_affine(tape, x, scale_vec, shift_vec):
             f"row_affine: need per-row constants of shape {x.shape[:-1]}, got "
             f"{scale_vec.shape} scales / {shift_vec.shape} shifts"
         )
-    out = DiffTensor(
-        x.values * scale_vec[..., None] + shift_vec[..., None],
-        requires_grad=x.requires_grad,
-    )
-    if tape is not None and out.requires_grad:
 
-        def backward():
-            if out.grad is not None:
-                x.accumulate(out.grad * scale_vec[..., None])
+    def backward(g):
+        x.accumulate(g * scale_vec[..., None])
 
-        tape.record(backward)
-    return out
+    return _node(tape, x.values * scale_vec[..., None] + shift_vec[..., None],
+                 (x,), backward)
 
 
 def mse_loss(tape, pred, target, rows=None):
@@ -425,25 +386,16 @@ def mse_loss(tape, pred, target, rows=None):
             raise ShapeError(f"mse_loss: rows {rows.tolist()} out of range "
                              f"for {pred.rows} rows")
         diff = diff[..., rows, :]
-    out = DiffTensor(
-        np.array([[np.mean(diff * diff)]], dtype=pred.dtype),
-        requires_grad=pred.requires_grad,
-    )
-    if tape is not None and out.requires_grad:
-        n = diff.size
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            grad = (2.0 * g[0, 0] / n) * diff
-            if rows is not None:
-                grad, scattered = np.zeros_like(pred.values), grad
-                np.add.at(grad, (..., rows, slice(None)), scattered)
-            pred.accumulate(grad)
+    def backward(g):
+        grad = (2.0 * g[0, 0] / diff.size) * diff
+        if rows is not None:
+            grad, scattered = np.zeros_like(pred.values), grad
+            np.add.at(grad, (..., rows, slice(None)), scattered)
+        pred.accumulate(grad)
 
-        tape.record(backward)
-    return out
+    return _node(tape, np.array([[np.mean(diff * diff)]], dtype=pred.dtype),
+                 (pred,), backward)
 
 
 def check_finite(x, stage):

@@ -270,8 +270,6 @@ def config_hash(*dicts):
 class ExperimentResult:
     model: TQNet
     fit: FitResult
-    mse: float
-    mae: float
     report: MetricsReport
 
 
@@ -301,7 +299,7 @@ def run_experiment(table, config, plan, split, variant=None, dataset="series",
         best_epoch=fit_res.best_epoch,
         wall_time_s=wall,
     )
-    return ExperimentResult(model=model, fit=fit_res, mse=mse, mae=mae, report=report)
+    return ExperimentResult(model=model, fit=fit_res, report=report)
 
 
 def append_results(path, reports):

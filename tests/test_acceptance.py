@@ -87,7 +87,7 @@ def synth_runs():
                 table, cfg, plan, SYNTH_SPLIT,
                 variant=VariantSpec.named(name), dataset="synth",
             )
-            variant_mse[(name, seed)] = res.mse
+            variant_mse[(name, seed)] = res.report.mse
             if seed == SEEDS[0]:
                 models[name] = res.model
     sweep_mse = {SYNTH_CONFIG.period: variant_mse[("default", SEEDS[0])]}
@@ -96,7 +96,7 @@ def synth_runs():
             table, replace(SYNTH_CONFIG, period=w), SYNTH_PLAN, SYNTH_SPLIT,
             dataset="synth",
         )
-        sweep_mse[w] = res.mse
+        sweep_mse[w] = res.report.mse
     return {
         "truth": truth,
         "variant_mse": variant_mse,
@@ -194,11 +194,12 @@ def test_criterion_3_normalization_round_trip():
         x[0, :] = 0.0                      # constant channels: zero variance
         x[1, :] = rng.uniform(-5.0, 5.0)
         xn, mu, var = instance_norm(x, eps)
-        back = instance_denorm(xn, mu, var, eps)
+        back = instance_denorm(None, DiffTensor(xn), mu, var, eps).values
         worst = max(worst, float(np.abs(back - x).max()))
     x32 = rng.normal(size=(4, 16)).astype(np.float32)
     xn, mu, var = instance_norm(x32, eps)
-    worst32 = float(np.abs(instance_denorm(xn, mu, var, eps) - x32).max())
+    back32 = instance_denorm(None, DiffTensor(xn), mu, var, eps).values
+    worst32 = float(np.abs(back32 - x32).max())
     ok = worst <= 1e-5 and worst32 <= 1e-5
     _verdict(3, ok, (
         f"denorm(norm(x)) max deviation {worst:.1e} float64 / "
@@ -245,21 +246,21 @@ def test_criterion_4_benchmark_reproduction():
     res = _run_ett(path, "ETTh1")
     wall = time.perf_counter() - t0
     mse_t, mae_t = ETT_TARGETS["ETTh1"]
-    ok = (abs(res.mse - mse_t) <= 0.025 and abs(res.mae - mae_t) <= 0.025
+    ok = (abs(res.report.mse - mse_t) <= 0.025 and abs(res.report.mae - mae_t) <= 0.025
           and wall <= 1800.0)
     detail = (
-        f"ETTh1/96 mse {res.mse:.3f} (target {mse_t}+-0.025), "
-        f"mae {res.mae:.3f} (target {mae_t}+-0.025), {wall / 60:.1f} min"
+        f"ETTh1/96 mse {res.report.mse:.3f} (target {mse_t}+-0.025), "
+        f"mae {res.report.mae:.3f} (target {mae_t}+-0.025), {wall / 60:.1f} min"
     )
     path2 = _ett_path("ETTh2.csv")
     if path2 is not None:
         res2 = _run_ett(path2, "ETTh2")
         mse_t2, mae_t2 = ETT_TARGETS["ETTh2"]
-        ok = (ok and abs(res2.mse - mse_t2) <= 0.025
-              and abs(res2.mae - mae_t2) <= 0.025)
+        ok = (ok and abs(res2.report.mse - mse_t2) <= 0.025
+              and abs(res2.report.mae - mae_t2) <= 0.025)
         detail += (
-            f"; ETTh2/96 mse {res2.mse:.3f} (target {mse_t2}+-0.025), "
-            f"mae {res2.mae:.3f} (target {mae_t2}+-0.025)"
+            f"; ETTh2/96 mse {res2.report.mse:.3f} (target {mse_t2}+-0.025), "
+            f"mae {res2.report.mae:.3f} (target {mae_t2}+-0.025)"
         )
     _verdict(4, ok, detail)
 

@@ -148,7 +148,7 @@ class TestCovariateConstruction:
         manual = run_experiment(
             table.select_channels([0]), cfg, plan, SPLIT, dataset="manual"
         )
-        assert rows[0]["mse"] == manual.mse  # bitwise: same code path
+        assert rows[0]["mse"] == manual.report.mse  # bitwise: same code path
 
     def test_subset_sizes_validated(self):
         with pytest.raises(ConfigError):

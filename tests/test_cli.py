@@ -423,6 +423,19 @@ class TestExitCodes:
         assert main(argv) == 1
         assert f"{bad}: row 2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,full", [
+        (["train"], "--hid", "--hidden"),
+        (["train"], "--pat", "--patience"),
+        (["synth", "--out", "s.csv"], "--latent", "--latents"),
+    ])
+    def test_flag_abbreviations_exit_2_naming_the_flag(self, command, flag, full,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert getattr(build_parser().parse_args([*command, full, "3"]), full[2:]) == 3
+
     def test_missing_checkpoint_exits_1(self, synth_csv, capsys):
         rc = main(["evaluate", "--checkpoint", "no-such.ckpt",
                    "--data", str(synth_csv)])

@@ -16,7 +16,7 @@ from tqnet.model import (
     instance_norm,
     parameter_shapes,
 )
-from tqnet.tensor import Tape, gradient_check, mse_loss
+from tqnet.tensor import DiffTensor, Tape, gradient_check, mse_loss
 
 TINY = ModelConfig(
     channels=2, lookback=8, horizon=2, period=4, hidden=4, heads=2,
@@ -101,7 +101,7 @@ class TestInstanceNorm:
         x[2, :] = 7.25  # constant channel
         x[4, :] = 0.0
         xn, mu, var = instance_norm(x, 1e-5)
-        back = instance_denorm(xn, mu, var, 1e-5)
+        back = instance_denorm(None, DiffTensor(xn), mu, var, 1e-5).values
         assert np.abs(back - x).max() < 1e-5
 
     def test_constant_channel_normalizes_to_zero(self):

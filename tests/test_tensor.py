@@ -2,12 +2,13 @@
 via gradient_check; structural behaviour (accumulation, freezing, dropout
 semantics, error paths) is checked directly."""
 
+import inspect
 import zlib
 
 import numpy as np
 import pytest
 
-from tqnet import kernels
+from tqnet import kernels, tensor
 from tqnet.errors import ConfigError, ShapeError, TapeError
 from tqnet.tensor import (
     DiffTensor,
@@ -31,6 +32,36 @@ from tqnet.tensor import (
 def param(values, name=None):
     return DiffTensor(np.asarray(values, dtype=np.float64),
                       requires_grad=True, name=name)
+
+
+def run_last_node(tape, g):
+    """Run the most recently recorded node's backward on the gradient ``g``."""
+    backward, _ = tape._nodes.pop()
+    backward(g)
+
+
+# every op: a public function of ``tqnet.tensor`` whose first parameter is the tape
+TAPE_OPS = sorted(
+    name for name, fn in vars(tensor).items()
+    if inspect.isfunction(fn) and fn.__module__ == tensor.__name__
+    and not name.startswith("_")
+    and list(inspect.signature(fn).parameters)[:1] == ["tape"]
+)
+# op -> the finite-difference cases that run it
+FD_CASES = {
+    "matmul": ("matmul_t", "batched_matmul_t"),
+    "linear": ("batched_linear",),
+    "add": ("scale_add",),
+    "scale": ("scale_add",),
+    "softmax_rows": ("softmax",),
+    "gelu": ("gelu",),
+    "dropout": ("dropout",),
+    "split_heads": ("split_heads",),
+    "merge_heads": ("merge_heads",),
+    "gather_cols": ("gather", "batched_gather"),
+    "row_affine": ("row_affine", "batched_row_affine"),
+    "mse_loss": ("mse_rows",),
+}
 
 
 class TestStructure:
@@ -70,12 +101,12 @@ class TestStructure:
             tape.backward(loss)
         np.testing.assert_array_equal(p.grad, first)
 
-    def test_batched_matmul_shares_a_2d_weight(self):
+    def test_batched_linear_shares_a_2d_weight(self):
         rng = np.random.default_rng(3)
         x = DiffTensor(rng.normal(size=(4, 3, 5)))
         w = param(rng.normal(size=(5, 2)))
         tape = Tape()
-        out = matmul(tape, x, w)
+        out = linear(tape, x, w)
         np.testing.assert_allclose(out.values, x.values @ w.values)
         tape.backward(mse_loss(tape, out, np.zeros(out.shape)))
         # d/dw of mean((x w)^2), summed over the batch
@@ -83,9 +114,14 @@ class TestStructure:
         np.testing.assert_allclose(w.grad, expected)
 
     def test_batched_operands_must_share_leading_shape(self):
-        a, b = param(np.zeros((2, 3, 4))), param(np.zeros((3, 3, 4)))
-        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 3, 4\)"):
-            matmul(None, a, b, transpose_b=True)
+        # a batch against a 2-D weight is ``linear``'s job, not ``matmul``'s
+        for a_shape, b_shape, transpose_b, message in [
+            ((2, 3, 4), (3, 3, 4), True, r"\(2, 3, 4\).*\(3, 3, 4\)\^T"),
+            ((2, 3, 4), (4, 5), False, r"\(2, 3, 4\) @ \(4, 5\)"),
+        ]:
+            a, b = param(np.zeros(a_shape)), param(np.zeros(b_shape))
+            with pytest.raises(ShapeError, match=message):
+                matmul(None, a, b, transpose_b=transpose_b)
 
     @pytest.mark.parametrize("rows", [[0, 3], [-1], []])
     def test_mse_loss_rejects_bad_rows(self, rows):
@@ -114,6 +150,18 @@ class TestStructure:
             split_heads(None, x, 3)
         with pytest.raises(ShapeError, match="heads axis"):
             merge_heads(None, DiffTensor(np.zeros((3, 4))))
+
+    def test_a_node_whose_output_got_no_gradient_is_not_called(self):
+        p = param([[1.0, 2.0]])
+        tape = Tape()
+        unused = gather_cols(tape, p, [1, 0])  # recorded, then never used
+        calls = []
+        tape.record(calls.append, unused)
+        loss = mse_loss(tape, scale(tape, p, 2.0), np.zeros((1, 2)))
+        assert len(tape) == 4
+        tape.backward(loss)
+        assert calls == [] and unused.grad is None
+        np.testing.assert_array_equal(p.grad, [[4.0, 8.0]])
 
     def test_eval_path_records_nothing(self):
         p = param(np.ones((2, 2)))
@@ -191,9 +239,8 @@ class TestStructure:
         x = DiffTensor(rng.normal(size=(2, 4, 6)).astype(dtype), requires_grad=True)
         upstream = rng.normal(size=x.shape).astype(dtype)
         tape = Tape()
-        out = gelu(tape, x)
-        out.grad = upstream.copy()
-        tape._nodes.pop()()
+        gelu(tape, x)
+        run_last_node(tape, upstream.copy())
         np.testing.assert_array_equal(x.grad, upstream * kernels.gelu_grad(x.values))
 
 
@@ -244,18 +291,17 @@ class TestGradientCheck:
         res = gradient_check(closure, [w, b], eps=1e-5, tol=1e-7)
         assert res.passed, res.summary()
 
-    @pytest.mark.parametrize("case", [
-        "matmul_t", "softmax", "gelu", "gather",
-        "row_affine", "mse_rows", "scale_add",
-        "batched_matmul_t", "batched_gather", "batched_row_affine",
-        "split_heads", "merge_heads",
-    ])
+    # an op without a case runs as a case of its own name, which fails
+    @pytest.mark.parametrize("case", list(dict.fromkeys(
+        case for op in TAPE_OPS for case in FD_CASES.get(op, (op,)))))
     def test_each_op_against_central_differences(self, case):
         # a fixed seed per case: ``hash`` of a str is salted per process
         rng = np.random.default_rng(zlib.crc32(case.encode()))
         p = param(rng.normal(size=(3, 6)), "p")
         y = rng.normal(size=(2, 3, 12))
         r = DiffTensor(rng.normal(size=(3, 6)))
+        xs = DiffTensor(rng.normal(size=(2, 3, 3)))  # a stack of two matrices
+        bias = param(rng.normal(size=(1, 6)), "bias")
 
         def build(tape):
             if case == "matmul_t":
@@ -274,11 +320,13 @@ class TestGradientCheck:
                 return p
             if case == "scale_add":
                 return add(tape, scale(tape, p, 1.5), p)
+            if case == "dropout":  # the same mask on every call
+                return dropout(tape, p, 0.3, "train", np.random.default_rng(0))
             # two stacked matrices sharing ``p``
+            if case == "batched_linear":
+                return linear(tape, xs, p, bias)
             if case == "batched_matmul_t":
-                xs = DiffTensor(np.stack([r.values, -2.0 * r.values]))
-                q = matmul(tape, xs, p, transpose_b=True)  # shared 2-D weight
-                z = matmul(tape, q, p)
+                z = linear(tape, xs, p)
                 return matmul(tape, z, z, transpose_b=True)  # batch by batch
             if case == "batched_gather":
                 idx = (np.array([[3], [1]]) + np.arange(6)) % 4
@@ -291,9 +339,9 @@ class TestGradientCheck:
                 q = split_heads(tape, p, 2)
                 return matmul(tape, q, q, transpose_b=True)
             if case == "merge_heads":  # a stack split into 3 heads and back
-                xs = DiffTensor(np.stack([r.values, -2.0 * r.values]))
-                z = matmul(tape, xs, p, transpose_b=True)  # (2, 3, 3)
+                z = linear(tape, xs, p)  # (2, 3, 6)
                 return merge_heads(tape, gelu(tape, split_heads(tape, z, 3)))
+            raise AssertionError(f"no finite-difference case for op {case!r}")
 
         def closure():
             tape = Tape()
@@ -303,7 +351,8 @@ class TestGradientCheck:
             rows = [2, 0, 2] if case == "mse_rows" else None
             return mse_loss(tape, out, t, rows=rows), tape
 
-        res = gradient_check(closure, [p], eps=1e-5, tol=1e-6)
+        params = [p, bias] if case == "batched_linear" else [p]
+        res = gradient_check(closure, params, eps=1e-5, tol=1e-6)
         assert res.passed, f"{case}: {res.summary()}"
 
     def test_gather_scatter_adds_into_reused_columns(self):
@@ -312,9 +361,8 @@ class TestGradientCheck:
         idx = np.array([3, 0, 1, 2, 3, 0])
         g_out = np.random.default_rng(1).normal(size=(2, 6))
         tape = Tape()
-        seg = gather_cols(tape, theta, idx)
-        seg.grad = g_out.copy()
-        tape._nodes[-1]()
+        gather_cols(tape, theta, idx)
+        run_last_node(tape, g_out.copy())
         expected = np.zeros((2, 4))
         for j, w in enumerate(idx):
             expected[:, w] += g_out[:, j]
@@ -367,7 +415,7 @@ class TestGradientCheck:
             bad = poison == "loss" or (poison == "numeric" and w.values[0, 0] > 1.0)
             loss = mse_loss(tape, out, np.full(out.shape, np.nan if bad else 0.0))
             if poison == "analytic":  # recorded last, so it runs first
-                tape.record(lambda: w.accumulate(np.full(w.shape, np.nan)))
+                tape.record(lambda g: w.accumulate(np.full(w.shape, np.nan)), loss)
             return loss, tape
 
         res = gradient_check(closure, [w])

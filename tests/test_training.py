@@ -310,7 +310,7 @@ class TestFit:
         curve = fitted.fit.val_curve
         assert min(curve) < curve[0] or len(curve) == 1
         assert fitted.fit.best_val_mse == min(curve)
-        assert np.isfinite(fitted.mse) and np.isfinite(fitted.mae)
+        assert np.isfinite(fitted.report.mse) and np.isfinite(fitted.report.mae)
 
     def test_the_trained_model_releases_adams_gradient_buffer(self, fitted):
         assert all(p.grad_home is None for p in fitted.model.parameters())
@@ -325,8 +325,8 @@ class TestFit:
             micro_table(), MICRO, MICRO_PLAN, SplitSpec(0.6, 0.2, 0.2),
             dataset="micro",
         )
-        assert res2.mse == fitted.mse
-        assert res2.mae == fitted.mae
+        assert res2.report.mse == fitted.report.mse
+        assert res2.report.mae == fitted.report.mae
         assert res2.fit.val_curve == fitted.fit.val_curve
         for (_, a), (_, b) in zip(
             fitted.model.named_parameters(), res2.model.named_parameters()
