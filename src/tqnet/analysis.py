@@ -21,16 +21,27 @@ from .model import VariantSpec
 from .training import reseeded, run_experiment
 
 
+def _once_each(items, what):
+    """``items`` as a list; an item listed twice raises ConfigError naming it."""
+    items = list(items)
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigError(f"{what} {item!r} is listed twice")
+    return items
+
+
 def run_variant_matrix(table, config, plan, split, variants=None, seeds=None,
                        dataset="series"):
     """Train every (variant, seed) pair on identical splits.
 
     Returns (rows, reports): rows are dicts with per-variant mean MSE/MAE
     across seeds plus the per-seed values; reports is the flat list of
-    per-run MetricsReport entries in execution order.
+    per-run MetricsReport entries in execution order.  A variant or seed
+    listed twice is refused: it would run again and weigh twice.
     """
-    variants = list(variants) if variants is not None else list(VariantSpec.NAMED)
-    seeds = list(seeds) if seeds is not None else [plan.seed]
+    variants = _once_each(VariantSpec.NAMED if variants is None else variants,
+                          "variant")
+    seeds = _once_each([plan.seed] if seeds is None else seeds, "seed")
     if not variants or not seeds:
         raise ConfigError("run_variant_matrix needs at least one variant "
                           f"and one seed, got {variants} and {seeds}")
@@ -63,11 +74,12 @@ def run_period_sweep(table, config, plan, split, periods, include_disabled=False
 
     The no-bank baseline (period column "off") is the raw self-attention
     wiring — architecture unchanged, queries taken from the window instead of
-    the bank.
+    the bank.  A period listed twice is refused.
     """
+    periods = _once_each(map(int, periods), "period")
     if not periods:
         raise ConfigError("period sweep needs at least one period")
-    runs = [(w, replace(config, period=w), None) for w in map(int, periods)]
+    runs = [(w, replace(config, period=w), None) for w in periods]
     if include_disabled:
         runs.append(("off", config, VariantSpec.named("self_attention")))
     rows = []
@@ -124,17 +136,6 @@ def upper_triangle_pearson(a, b):
 SMOOTH = 12  # moving-average width of the covariates; a horizon must cover it
 
 
-def check_covariate_table(covariates, horizon, smooth=SMOOTH):
-    """Refuse the settings ``make_covariate_table`` cannot build from."""
-    if covariates < 1:
-        raise ConfigError("need at least one covariate channel")
-    if smooth < 1 or horizon < smooth:
-        raise ConfigError(
-            f"horizon ({horizon}) must be >= smoothing width ({smooth}) so the "
-            "target's own past cannot explain the full horizon"
-        )
-
-
 def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
                          smooth=SMOOTH):
     """Series whose channel 0 is a delayed mixture of the other channels.
@@ -150,7 +151,13 @@ def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
     is reachable by the attention block while staying invisible to any
     single-channel extrapolation.
     """
-    check_covariate_table(covariates, horizon, smooth)
+    if covariates < 1:
+        raise ConfigError("need at least one covariate channel")
+    if smooth < 1 or horizon < smooth:
+        raise ConfigError(
+            f"horizon ({horizon}) must be >= smoothing width ({smooth}) so the "
+            "target's own past cannot explain the full horizon"
+        )
     rng = np.random.default_rng(seed)
     total = timesteps + horizon
     kernel = np.ones(smooth) / smooth
@@ -175,24 +182,19 @@ def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
     )
 
 
-def covariate_sizes(subset_sizes, covariates):
-    """The distinct subset sizes in ascending order, each in [0, covariates]."""
-    sizes = sorted(set(int(n) for n in subset_sizes))
-    if not sizes or sizes[0] < 0 or sizes[-1] > covariates:
-        raise ConfigError(
-            f"subset sizes must lie in [0, {covariates}], got {subset_sizes}"
-        )
-    return sizes
-
-
 def run_covariate_study(config, plan, split, subset_sizes, covariates=8,
                         timesteps=2400, data_seed=7, dataset="covariates"):
-    """Train with the first n covariate channels for each n in subset_sizes.
+    """Train with the first n covariate channels for each n in subset_sizes,
+    in ascending order; each n must lie in [0, covariates] and appear once.
 
     Loss and metrics are restricted to the target channel in every run, so
     n = 0 is exactly the plain single-channel experiment.
     """
-    sizes = covariate_sizes(subset_sizes, covariates)
+    sizes = sorted(_once_each(map(int, subset_sizes), "subset size"))
+    if not sizes or sizes[0] < 0 or sizes[-1] > covariates:
+        raise ConfigError(
+            f"subset sizes must lie in [0, {covariates}], got {subset_sizes}"
+        )
     full = make_covariate_table(
         covariates, timesteps, config.horizon, seed=data_seed
     )

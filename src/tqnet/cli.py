@@ -10,10 +10,12 @@ the flags and the file's values, through :mod:`tqnet.errors`.
 and ``variant``; its other fields are those of ``ModelConfig``, ``TrainPlan``
 and ``SplitSpec`` with their annotations and defaults, less
 ``NOT_RUN_FIELDS``: ``channels``, ``beta1``, ``beta2``, ``adam_eps`` and
-``target_rows``.  The defaults of ``ablate --n-covariates``/``--timesteps``
+``target_rows``.  The defaults of ``covariates --n-covariates``/``--timesteps``
 and ``gradcheck --seed``/``--variant`` are read from ``run_covariate_study``,
-``ModelConfig`` and ``RunConfig``.  A study (``ablate``, ``sweep-w``) picks
-the variants it trains, so it refuses a ``variant`` other than the default.
+``ModelConfig`` and ``RunConfig``.  A study picks the variants it trains, so
+it refuses a ``variant`` other than the default, and ``covariates``, which
+makes its data, refuses ``data``.  ``train`` and the studies make their run
+directory only after the library call returns, so a failed run leaves none.
 
 Exit codes: 0 success, 1 runtime failure (numeric problems, bad checkpoint,
 missing files, out of memory), 2 configuration or usage errors.
@@ -27,16 +29,12 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import (
     bank_correlation,
-    check_covariate_table,
-    covariate_sizes,
     run_covariate_study,
     run_period_sweep,
     run_variant_matrix,
@@ -58,11 +56,11 @@ from .data import (
 )
 from .errors import ConfigError, DataError, check_field_types, field_type
 from .model import ModelConfig, TQNet, VariantSpec
-from .tensor import Tape, gradient_check, mse_loss
 from .training import (
     MetricsReport,
     TrainPlan,
     append_results,
+    check_model_gradients,
     config_hash,
     evaluate,
     run_experiment,
@@ -214,14 +212,15 @@ def build_parser():
     p = runish("evaluate", "score a saved checkpoint on a dataset's test part")
     p.add_argument("--checkpoint", required=True)
 
-    p = runish("ablate", "attention-wiring variant matrix, or covariate study")
+    p = runish("ablate", "attention-wiring variant matrix")
     p.add_argument("--variants", default=",".join(VariantSpec.NAMED),
                    help="comma-separated variant names")
     p.add_argument("--seeds", default=None,
                    help="comma-separated seeds (default: the configured seed)")
-    p.add_argument("--covariates", default=None,
-                   help="comma-separated covariate subset sizes; switches to "
-                   "the covariate-dependency study on generated data")
+
+    p = runish("covariates", "covariate-dependency study on generated data")
+    p.add_argument("--sizes", required=True,
+                   help="comma-separated covariate subset sizes")
     study = inspect.signature(run_covariate_study).parameters
     p.add_argument("--n-covariates", type=int, default=study["covariates"].default)
     p.add_argument("--timesteps", type=int, default=study["timesteps"].default)
@@ -295,8 +294,10 @@ def _open_run(cfg, dataset):
     return out
 
 
-def _close_study(out, table, rows, reports, row_format):
-    """Write a study's CSV ``table`` and results.jsonl; print its rows."""
+def _close_study(cfg, dataset, table, rows, reports, row_format):
+    """Open the run directory of a finished study, write its CSV ``table``
+    and results.jsonl, and print its rows."""
+    out = _open_run(cfg, dataset)
     with open(out / table, "w", newline="") as fh:
         writer = csv.DictWriter(fh, [k for k in rows[0] if k != "runs"],
                                 extrasaction="ignore")
@@ -309,15 +310,16 @@ def _close_study(out, table, rows, reports, row_format):
     return 0
 
 
-def _refuse_variant(cfg, command, trains=repr(RunConfig.variant)):
-    """A study picks its variants; another ``variant`` would be echoed, not run."""
-    if cfg.variant != RunConfig.variant:
-        raise ConfigError(f"{command} trains {trains}, not variant {cfg.variant!r}")
+def _refuse_keys(cfg, command, variant=f"trains {RunConfig.variant!r}", data=None):
+    """A study picks its variants, as ``variant`` says, and ``covariates`` its
+    data, as ``data`` says; a value set for either would be echoed, not used."""
+    for key, how in (("variant", variant), ("data", data)):
+        if how and getattr(cfg, key) != getattr(RunConfig, key):
+            raise ConfigError(f"{command} {how}, not {key} {getattr(cfg, key)!r}")
 
 
 def _run_parts(cfg, channels):
-    """The model config, train plan and split of ``cfg``.  Commands build
-    them before they write any artifact, so a rejected value leaves none."""
+    """The model config, train plan and split of ``cfg``."""
     return cfg.model_config(channels), cfg.train_plan(), cfg.split_spec()
 
 
@@ -325,7 +327,6 @@ def cmd_train(args):
     cfg, table, dataset = _prepare_run(args)
     variant = VariantSpec.named(cfg.variant)
     config, plan, split = _run_parts(cfg, table.channels)
-    out = _open_run(cfg, dataset)
     log_rows = []
 
     def log(epoch, train_mse, val_mse, improved):
@@ -337,6 +338,7 @@ def cmd_train(args):
 
     res = run_experiment(table, config, plan, split, variant=variant,
                          dataset=dataset, log=log)
+    out = _open_run(cfg, dataset)
     with open(out / "train_log.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("epoch", "train_mse", "val_mse", "improved"))
@@ -400,51 +402,42 @@ def _int_list(text, flag):
 
 
 def cmd_ablate(args):
-    if args.covariates is not None:
-        cfg = resolve_config(args.config, _flag_values(args, RunConfig))
-        _refuse_variant(cfg, "ablate --covariates")
-        sizes = covariate_sizes(_int_list(args.covariates, "--covariates"),
-                                args.n_covariates)
-        config, plan, split = _run_parts(cfg, 1)
-        check_covariate_table(args.n_covariates, cfg.horizon)
-        out = _open_run(cfg, "covariates")
-        rows, reports = run_covariate_study(
-            config, plan, split, sizes, covariates=args.n_covariates,
-            timesteps=args.timesteps,
-        )
-        return _close_study(
-            out, "covariate_study.csv", rows, reports,
-            "covariates {covariates:3d}  mse {mse:.6f}  mae {mae:.6f}")
-
     cfg, table, dataset = _prepare_run(args)
-    _refuse_variant(cfg, "ablate", "the variants of --variants")
+    _refuse_keys(cfg, "ablate", variant="trains the variants of --variants")
     variants = _name_list(args.variants, "--variants")
-    for name in variants:
-        VariantSpec.named(name)  # an unknown name fails before any artifact
     seeds = [cfg.seed] if args.seeds is None else _int_list(args.seeds, "--seeds")
     config, plan, split = _run_parts(cfg, table.channels)
-    out = _open_run(cfg, dataset)
     rows, reports = run_variant_matrix(
         table, config, plan, split, variants=variants, seeds=seeds, dataset=dataset,
     )
-    return _close_study(out, "variants.csv", rows, reports,
+    return _close_study(cfg, dataset, "variants.csv", rows, reports,
                         "{variant:>20s}  mse {mse:.6f}  mae {mae:.6f}")
+
+
+def cmd_covariates(args):
+    cfg = resolve_config(args.config, _flag_values(args, RunConfig))
+    _refuse_keys(cfg, "covariates", data="generates its own data")
+    dataset = cfg.dataset or "covariates"
+    config, plan, split = _run_parts(cfg, 1)
+    rows, reports = run_covariate_study(
+        config, plan, split, _int_list(args.sizes, "--sizes"),
+        covariates=args.n_covariates, timesteps=args.timesteps, dataset=dataset,
+    )
+    return _close_study(
+        cfg, dataset, "covariate_study.csv", rows, reports,
+        "covariates {covariates:3d}  mse {mse:.6f}  mae {mae:.6f}")
 
 
 def cmd_sweep_w(args):
     cfg, table, dataset = _prepare_run(args)
-    _refuse_variant(cfg, "sweep-w")
-    periods = _int_list(args.periods, "--periods")
+    _refuse_keys(cfg, "sweep-w")
     config, plan, split = _run_parts(cfg, table.channels)
-    for w in periods:
-        replace(config, period=w)  # a bad period fails before any artifact
-    out = _open_run(cfg, dataset)
     rows, reports = run_period_sweep(
-        table, config, plan, split, periods,
+        table, config, plan, split, _int_list(args.periods, "--periods"),
         include_disabled=args.include_disabled, dataset=dataset,
     )
     return _close_study(
-        out, "period_sweep.csv", rows, reports,
+        cfg, dataset, "period_sweep.csv", rows, reports,
         "period {period!s:>4}  mse {mse:.6f}  mae {mae:.6f}  "
         "best epoch {best_epoch}")
 
@@ -516,26 +509,7 @@ def cmd_gradcheck(args):
         attn_dropout=0.0, out_dropout=0.0, seed=args.seed, dtype="float64",
     )
     model = TQNet(config, variant=VariantSpec.named(args.variant))
-    rng = np.random.default_rng(args.seed + 1)
-    # the training path: windows at distinct phases, a row mask with a repeat
-    t = np.array([3, 0, 6])
-    x = rng.normal(size=(len(t), config.channels, config.lookback))
-    y = rng.normal(size=(len(t), config.channels, config.horizon))
-    rows = (0, config.channels - 1, config.channels - 1)
-    # give the zero-initialized bank a gradient path worth checking
-    if model.bank is not None:
-        model.bank.theta.values[...] = rng.normal(
-            size=model.bank.theta.shape, scale=0.1
-        )
-
-    def closure():
-        tape = Tape()
-        pred = model.forward(x, t, tape=tape, mode="train")
-        return mse_loss(tape, pred, y, rows=rows), tape
-
-    result = gradient_check(
-        closure, model.parameters(), eps=args.eps, tol=args.tol
-    )
+    result = check_model_gradients(model, args.seed + 1, args.eps, args.tol)
     print(result.summary())
     return 0 if result.passed else 1
 
@@ -544,6 +518,7 @@ COMMANDS = {
     "train": cmd_train,
     "evaluate": cmd_evaluate,
     "ablate": cmd_ablate,
+    "covariates": cmd_covariates,
     "sweep-w": cmd_sweep_w,
     "acf": cmd_acf,
     "corr": cmd_corr,

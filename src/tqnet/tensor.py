@@ -417,7 +417,6 @@ class GradCheckResult:
     eps: float
     tol: float
     per_param: dict = field(default_factory=dict)
-    frozen: tuple = ()
 
     @property
     def max_rel_err(self):
@@ -449,10 +448,8 @@ def gradient_check(closure, params, eps=1e-5, tol=1e-4, rel_floor=1e-6):
     differencing noise would drown the signal.
 
     Relative error per element is |analytic - numeric| / max(|analytic|,
-    |numeric|, rel_floor).  Parameters with ``requires_grad=False`` are
-    reported as frozen (gradient identically zero) and not differenced.
-    A non-finite analytic or numeric value is an error of ``inf``, so it
-    fails at any ``tol``.
+    |numeric|, rel_floor).  A non-finite analytic or numeric value is an
+    error of ``inf``, so it fails at any ``tol``.
     """
     for label, value in (("eps", eps), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
@@ -481,13 +478,7 @@ def gradient_check(closure, params, eps=1e-5, tol=1e-4, rel_floor=1e-6):
     tape.backward(loss)
 
     result = GradCheckResult(eps=eps, tol=tol)
-    frozen = []
     for name, p in named:
-        if not p.requires_grad:
-            if p.grad is not None and np.any(p.grad):
-                raise RuntimeError(f"frozen parameter {name} received gradient")
-            frozen.append(name)
-            continue
         analytic = np.zeros_like(p.values) if p.grad is None else p.grad.copy()
         worst = 0.0
         flat = p.values.reshape(-1)
@@ -507,7 +498,6 @@ def gradient_check(closure, params, eps=1e-5, tol=1e-4, rel_floor=1e-6):
                 err = math.inf
             worst = max(worst, err)
         result.per_param[name] = worst
-    result.frozen = tuple(frozen)
     for _, p in named:
         p.zero_grad()
     return result

@@ -25,7 +25,7 @@ from . import kernels
 from .data import make_windows, split_and_scale
 from .errors import ConfigError, NumericError, check_field_types
 from .model import TQNet
-from .tensor import Tape, mse_loss
+from .tensor import Tape, gradient_check, mse_loss
 
 # windows per forward pass in ``evaluate``; bounds its working set
 EVAL_BATCH = 32
@@ -300,6 +300,29 @@ def run_experiment(table, config, plan, split, variant=None, dataset="series",
         wall_time_s=wall,
     )
     return ExperimentResult(model=model, fit=fit_res, report=report)
+
+
+def check_model_gradients(model, data_seed, eps=1e-5, tol=1e-4):
+    """``gradient_check`` of a float64, dropout-free ``model`` on the training
+    path: three windows at phases 3, 0 and 6, loss rows ``(0, C-1, C-1)``.
+    x, y and a bank off its zero init are drawn in that order from
+    ``default_rng(data_seed)``; the bank keeps the drawn values."""
+    c = model.config
+    rng = np.random.default_rng(data_seed)
+    t = np.array([3, 0, 6])
+    x = rng.normal(size=(len(t), c.channels, c.lookback))
+    y = rng.normal(size=(len(t), c.channels, c.horizon))
+    rows = (0, c.channels - 1, c.channels - 1)
+    if model.bank is not None:
+        theta = model.bank.theta
+        theta.values[...] = rng.normal(size=theta.shape, scale=0.1)
+
+    def closure():
+        tape = Tape()
+        pred = model.forward(x, t, tape=tape, mode="train")
+        return mse_loss(tape, pred, y, rows=rows), tape
+
+    return gradient_check(closure, model.parameters(), eps=eps, tol=tol)
 
 
 def append_results(path, reports):

@@ -95,6 +95,16 @@ class TestVariantMatrix:
         with pytest.raises(ConfigError, match="at least one variant"):
             run_variant_matrix(micro_table(), MICRO, PLAN, SPLIT, **kwargs)
 
+    @pytest.mark.parametrize("key,items,message", [
+        ("variants", ["default", "pure_mlp", "default"], "variant 'default'"),
+        ("seeds", [1, 1, 2], "seed 1"),
+    ])
+    def test_an_item_listed_twice_is_rejected(self, key, items, message):
+        # it would train again, and a repeated seed would weigh twice in the mean
+        kwargs = {"variants": ["default"], "seeds": [1], key: items}
+        with pytest.raises(ConfigError, match=f"^{message} is listed twice$"):
+            run_variant_matrix(micro_table(), MICRO, PLAN, SPLIT, **kwargs)
+
 
 class TestPeriodSweep:
     def test_rows_and_disabled_baseline(self):
@@ -109,6 +119,10 @@ class TestPeriodSweep:
     def test_empty_period_list_rejected(self):
         with pytest.raises(ConfigError):
             run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=[])
+
+    def test_a_period_listed_twice_is_rejected(self):
+        with pytest.raises(ConfigError, match="^period 8 is listed twice$"):
+            run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=[8, 4, 8])
 
 
 class TestCovariateConstruction:
@@ -153,4 +167,9 @@ class TestCovariateConstruction:
     def test_subset_sizes_validated(self):
         with pytest.raises(ConfigError):
             run_covariate_study(MICRO, PLAN, SPLIT, subset_sizes=[9],
+                                covariates=4)
+
+    def test_a_size_listed_twice_is_rejected(self):
+        with pytest.raises(ConfigError, match="^subset size 2 is listed twice$"):
+            run_covariate_study(MICRO, PLAN, SPLIT, subset_sizes=[2, 0, 2],
                                 covariates=4)

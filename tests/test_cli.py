@@ -29,7 +29,7 @@ from tqnet.cli import (
     resolve_config,
 )
 from tqnet.data import SplitSpec, SynthSpec, generate_synthetic, write_csv
-from tqnet.errors import ConfigError
+from tqnet.errors import ConfigError, NumericError
 from tqnet.model import ModelConfig, TQNet, VariantSpec
 from tqnet.training import TrainPlan, config_hash
 
@@ -40,6 +40,15 @@ MICRO_ARGS = [
     "--lookback", "16", "--horizon", "8", "--period", "8", "--hidden", "12",
     "--heads", "2", "--attn-dropout", "0.0", "--out-dropout", "0.0",
     "--max-epochs", "2", "--patience", "2", "--lr", "0.003",
+    "--train-frac", "0.6", "--val-frac", "0.2", "--test-frac", "0.2",
+]
+
+# a covariate study's data is generated; its horizon must cover the smoothing
+COVARIATE_ARGS = [
+    "--n-covariates", "2", "--timesteps", "420",
+    "--lookback", "16", "--horizon", "16", "--period", "8", "--hidden", "8",
+    "--heads", "2", "--attn-dropout", "0.0", "--out-dropout", "0.0",
+    "--max-epochs", "2", "--patience", "2",
     "--train-frac", "0.6", "--val-frac", "0.2", "--test-frac", "0.2",
 ]
 
@@ -287,6 +296,11 @@ class TestTrainEvaluate:
         assert "channels" in capsys.readouterr().err
 
 
+def _data_flag(command, csv):
+    """``--data csv`` for a command that reads data; ``covariates`` makes its own."""
+    return [] if command[0] == "covariates" else ["--data", str(csv)]
+
+
 def _actions(name):
     """The argparse actions of subcommand ``name``."""
     sub = next(a for a in build_parser()._actions
@@ -337,9 +351,9 @@ class TestCliSurface:
     @pytest.mark.parametrize("command,extra", [
         ("train", set()),
         ("evaluate", {"--checkpoint"}),
-        ("ablate", {"--variants", "--seeds", "--covariates", "--n-covariates",
-                    "--timesteps"}),
+        ("ablate", {"--variants", "--seeds"}),
         ("sweep-w", {"--periods", "--include-disabled"}),
+        ("covariates", {"--sizes", "--n-covariates", "--timesteps"}),
     ])
     def test_run_commands_take_one_flag_per_run_setting(self, command, extra):
         assert _options(command) == RUN_OPTIONS | extra
@@ -360,9 +374,9 @@ class TestCliSurface:
 
     def test_flag_defaults_are_the_library_defaults(self):
         study = inspect.signature(run_covariate_study).parameters
-        ablate = {a.dest: a.default for a in _actions("ablate")}
-        assert ablate["n_covariates"] == study["covariates"].default
-        assert ablate["timesteps"] == study["timesteps"].default
+        covariates = {a.dest: a.default for a in _actions("covariates")}
+        assert covariates["n_covariates"] == study["covariates"].default
+        assert covariates["timesteps"] == study["timesteps"].default
         gradcheck = {a.dest: a.default for a in _actions("gradcheck")}
         assert gradcheck["seed"] == ModelConfig.seed
         assert gradcheck["variant"] == RunConfig.variant
@@ -486,13 +500,13 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
-        ["train"], ["ablate"], ["ablate", "--covariates", "1"],
+        ["train"], ["ablate"], ["covariates", "--sizes", "1"],
         ["sweep-w", "--periods", "4"],
     ])
     def test_a_nan_learning_rate_exits_2_before_any_artifact(
             self, command, synth_csv, tmp_path, capsys):
         args = [a if a != "0.003" else "nan" for a in MICRO_ARGS]
-        rc = main([*command, "--data", str(synth_csv),
+        rc = main([*command, *_data_flag(command, synth_csv),
                    "--out-dir", str(tmp_path / "run"), *args])
         assert rc == 2
         assert "lr must be finite" in capsys.readouterr().err
@@ -500,27 +514,76 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,message", [
         (["ablate", "--variants", "nope"], "unknown variant 'nope'"),
-        (["ablate", "--covariates", "99"], "subset sizes must lie in [0, 8]"),
+        (["covariates", "--sizes", "99"], "subset sizes must lie in [0, 8]"),
         (["sweep-w", "--periods", "0,8"], "period must be a positive integer"),
         (["ablate", "--variant", "pure_mlp"],
          "ablate trains the variants of --variants, not variant 'pure_mlp'"),
-        (["ablate", "--covariates", "1", "--variant", "pure_mlp"],
-         "ablate --covariates trains 'default', not variant 'pure_mlp'"),
+        (["covariates", "--sizes", "1", "--variant", "pure_mlp"],
+         "covariates trains 'default', not variant 'pure_mlp'"),
         (["sweep-w", "--periods", "8", "--variant", "pure_mlp"],
          "sweep-w trains 'default', not variant 'pure_mlp'"),
-        (["ablate", "--covariates", "0", "--n-covariates", "0"],
+        (["covariates", "--sizes", "0", "--n-covariates", "0"],
          "need at least one covariate channel"),
-        (["ablate", "--covariates", "1"],
+        (["covariates", "--sizes", "1"],
          "horizon (8) must be >= smoothing width (12)"),
+        (["ablate", "--seeds", "1,1,2"], "seed 1 is listed twice"),
+        (["sweep-w", "--periods", "8,8"], "period 8 is listed twice"),
+        (["covariates", "--sizes", "1,1"], "subset size 1 is listed twice"),
+        (["covariates", "--sizes", "1", "--data", "x.csv"],
+         "covariates generates its own data, not data 'x.csv'"),
     ], ids=["unknown-variant", "covariates-out-of-range", "zero-period",
             "ablate-variant", "covariates-variant", "sweep-variant",
-            "no-covariates", "horizon-below-smoothing"])
+            "no-covariates", "horizon-below-smoothing", "ablate-repeated-seed",
+            "sweep-repeated-period", "covariates-repeated-size",
+            "covariates-data"])
     def test_a_bad_study_list_exits_2_before_any_artifact(
             self, command, message, synth_csv, tmp_path, capsys):
-        rc = main([*command, "--data", str(synth_csv),
+        rc = main([*command, *_data_flag(command, synth_csv),
                    "--out-dir", str(tmp_path / "run"), *MICRO_ARGS])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [("data", "x.csv"),
+                                           ("variant", "pure_mlp")])
+    def test_covariates_refuses_a_data_or_variant_config_key(
+            self, key, value, tmp_path, capsys):
+        # it makes its own data and trains the default variant; the key
+        # would be echoed in config.json and never read
+        (tmp_path / "c.json").write_text(json.dumps({key: value}))
+        rc = main(["covariates", "--sizes", "0", "--config", str(tmp_path / "c.json"),
+                   "--out-dir", str(tmp_path / "run"), *COVARIATE_ARGS])
+        assert rc == 2
+        assert f"not {key} {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--covariates", "0,1"],
+        ["covariates", "--sizes", "0", "--seeds", "1"],
+        ["covariates", "--sizes", "0", "--variants", "default"],
+    ], ids=["ablate-covariates", "covariates-seeds", "covariates-variants"])
+    def test_a_flag_of_the_other_study_exits_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["ablate", "--variants", "default"],
+        ["covariates", "--sizes", "0"], ["sweep-w", "--periods", "8"],
+    ], ids=["train", "ablate", "covariates", "sweep-w"])
+    def test_a_run_that_fails_in_training_leaves_no_run_directory(
+            self, command, synth_csv, tmp_path, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise NumericError("non-finite training loss at epoch 5")
+
+        monkeypatch.setattr(tqnet.training, "fit", diverge)
+        args = COVARIATE_ARGS if command[0] == "covariates" else MICRO_ARGS
+        rc = main([*command, *_data_flag(command, synth_csv),
+                   "--out-dir", str(tmp_path / "run"), *args])
+        assert rc == 1
+        assert "epoch 5" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag", ["--variants", "--seeds"])
@@ -586,20 +649,30 @@ class TestSweepAndAblate:
 
     def test_ablate_covariate_study(self, tmp_path, capsys):
         out = tmp_path / "cov"
-        rc = main(["ablate", "--covariates", "0,2", "--n-covariates", "2",
-                   "--timesteps", "420", "--out-dir", str(out),
-                   "--lookback", "16", "--horizon", "16", "--period", "8",
-                   "--hidden", "8", "--heads", "2", "--attn-dropout", "0.0",
-                   "--out-dropout", "0.0", "--max-epochs", "2",
-                   "--patience", "2",
-                   "--train-frac", "0.6", "--val-frac", "0.2",
-                   "--test-frac", "0.2"])
+        rc = main(["covariates", "--sizes", "2,0", "--out-dir", str(out),
+                   *COVARIATE_ARGS])
         assert rc == 0
         cells = _check_study(
             out, capsys.readouterr().out, "covariate_study.csv",
             "covariates,mse,mae",
             "covariates {covariates:3d}  mse {mse:.6f}  mae {mae:.6f}", rows=2)
-        assert [c["covariates"] for c in cells] == [0, 2]
+        assert [c["covariates"] for c in cells] == [0, 2]  # ascending
+        echo = json.loads((out / "config.json").read_text())
+        assert echo["dataset"] is None and echo["data"] is None
+        results = (out / "results.jsonl").read_text().splitlines()
+        assert [json.loads(r)["dataset"] for r in results] == [
+            "covariates-n0", "covariates-n2"]
+
+    def test_covariates_names_its_run_after_the_dataset_key(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = [a if a != "2" else "1" for a in COVARIATE_ARGS]  # one epoch
+        assert main(["covariates", "--sizes", "0", "--dataset", "mix", *args]) == 0
+        out, = Path("runs").iterdir()
+        echo = json.loads((out / "config.json").read_text())
+        assert out.name == f"mix-{echo['config_hash']}"
+        result = json.loads((out / "results.jsonl").read_text())
+        assert result["dataset"] == "mix-n0"
 
 
 # Runs in a fresh interpreter in which importing scipy fails, so a scipy

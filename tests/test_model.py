@@ -17,6 +17,7 @@ from tqnet.model import (
     parameter_shapes,
 )
 from tqnet.tensor import DiffTensor, Tape, gradient_check, mse_loss
+from tqnet.training import check_model_gradients
 
 TINY = ModelConfig(
     channels=2, lookback=8, horizon=2, period=4, hidden=4, heads=2,
@@ -253,20 +254,7 @@ class TestVariants:
 
     @pytest.mark.parametrize("vname", list(VariantSpec.NAMED))
     def test_masked_batch_gradients_per_variant(self, vname):
-        model = tiny_model(vname)
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(3, 2, 8))
-        y = rng.normal(size=(3, 2, 2))
-        t = np.array([3, 0, 6])
-        if model.bank is not None:
-            model.bank.theta.values[...] = rng.normal(size=(2, 4), scale=0.1)
-
-        def closure():
-            tape = Tape()
-            pred = model.forward(x, t, tape, "train")
-            return mse_loss(tape, pred, y, rows=(1, 1)), tape
-
-        res = gradient_check(closure, model.parameters(), tol=1e-4)
+        res = check_model_gradients(tiny_model(vname), data_seed=13)
         assert res.passed, res.summary()
 
 

@@ -368,20 +368,6 @@ class TestGradientCheck:
             expected[:, w] += g_out[:, j]
         np.testing.assert_allclose(theta.grad, expected)
 
-    def test_frozen_parameter_reported_zero(self):
-        frozen = DiffTensor(np.ones((2, 2)), requires_grad=False, name="frozen")
-        w = param(np.eye(2), "w")
-
-        def closure():
-            tape = Tape()
-            out = matmul(tape, frozen, w)
-            return mse_loss(tape, out, np.zeros((2, 2))), tape
-
-        res = gradient_check(closure, [w, frozen], tol=1e-6)
-        assert res.passed
-        assert "frozen" in res.frozen
-        assert frozen.grad is None
-
     def test_nondeterministic_closure_is_rejected(self):
         w = param(np.ones((2, 2)), "w")
         rng = np.random.default_rng(0)
