@@ -6,8 +6,8 @@ Layout (all integers little-endian uint32):
     4 bytes   header length N
     N bytes   UTF-8 JSON header: format_version, config, variant, and the
               ordered parameter manifest [{name, rows, cols}, ...]
-    payload   per manifest entry, rows*cols float32 little-endian values,
-              row-major
+    payload   the model's flat parameter buffer as float32 little-endian:
+              per manifest entry in order, rows*cols values, row-major
     4 bytes   CRC-32 of header+payload
 
 Format version 2 stores each attention projection (``attn.wq``, ``attn.wk``,
@@ -17,8 +17,9 @@ stored them per head, are refused like any other version.
 A save writes a temporary file next to the target and renames it over the
 target, so a save that fails partway leaves the previous checkpoint intact.
 
-Values are stored as float32 regardless of the model's working dtype, so a
-float64 model round-trips with float32 precision.  Loading validates magic,
+The payload is ``TQNet.values`` cast once to ``<f4``, whatever the model's
+working dtype, so a float64 model round-trips with float32 precision; a load
+fills the new model's buffer with one assignment.  Loading validates magic,
 version, the header schema, manifest-vs-model shape agreement, payload
 length, and the checksum, raising :class:`~tqnet.errors.CheckpointError`
 with the offending detail.  The shapes and the payload length are checked
@@ -44,9 +45,9 @@ FORMAT_VERSION = 2
 
 
 def save_checkpoint(path, model):
-    names_params = model.named_parameters()
     manifest = [
-        {"name": name, "rows": p.rows, "cols": p.cols} for name, p in names_params
+        {"name": name, "rows": p.rows, "cols": p.cols}
+        for name, p in model.named_parameters()
     ]
     header = json.dumps(
         {
@@ -57,9 +58,7 @@ def save_checkpoint(path, model):
         },
         sort_keys=True,
     ).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(p.values, dtype="<f4").tobytes() for _, p in names_params
-    )
+    payload = model.values.astype("<f4", copy=False).tobytes()
     body = header + payload
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -139,10 +138,7 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: header key 'config' does not build a model ({exc})"
         ) from None
-    flat, offset = np.frombuffer(body, dtype="<f4", offset=header_len), 0
-    for _, p in model.named_parameters():
-        p.values[...] = flat[offset : offset + p.values.size].reshape(p.shape)
-        offset += p.values.size
+    model.values[...] = np.frombuffer(body, dtype="<f4", offset=header_len)
     return model
 
 

@@ -162,15 +162,12 @@ class VariantSpec:
 
 
 class TemporalQueryBank:
-    """Per-channel learnable vector over one period, read cyclically."""
+    """Per-channel learnable vector over one period, read cyclically:
+    ``theta`` is the (channels x period) parameter tensor."""
 
-    def __init__(self, channels, period, dtype=np.float32):
-        self.period = int(period)
-        self.theta = DiffTensor(
-            np.zeros((channels, period), dtype=dtype),
-            requires_grad=True,
-            name="bank.theta",
-        )
+    def __init__(self, theta):
+        self.theta = theta
+        self.period = theta.cols
 
     def segment_indices(self, t, length):
         """Column indices for a window of ``length`` starting at ``t``; an
@@ -215,34 +212,50 @@ def parameter_shapes(config, variant):
     ]
 
 
+def flat_views(flat, shapes):
+    """Views of consecutive slices of the 1-D ``flat``, one per shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 class TQNet:
-    """The forecaster.  See the module docstring for the block layout."""
+    """The forecaster.  See the module docstring for the block layout.
+
+    The model owns its weights: ``values`` is one flat array of the working
+    dtype, and each parameter's ``values`` is a view of its slice, at
+    consecutive offsets in ``parameter_shapes`` order.  Code that changes
+    the weights writes into that buffer, as ``restore``, ``load_checkpoint``
+    and ``Adam`` do.
+    """
 
     def __init__(self, config, variant=None):
         self.config = config
         self.variant = variant if variant is not None else VariantSpec()
         rng = np.random.default_rng(config.seed)
         dt = config.np_dtype
+        shapes = parameter_shapes(config, self.variant)
+        self.values = np.zeros(sum(math.prod(s) for _, s in shapes), dtype=dt)
 
-        self.bank = None
         self.params = {}  # name -> DiffTensor, in parameter_shapes order
-        for name, shape in parameter_shapes(config, self.variant):
-            if name == "bank.theta":
-                self.bank = TemporalQueryBank(*shape, dtype=dt)
-                self.params[name] = self.bank.theta
-                continue
-            # the weights (".w*") draw in this order; biases start at zero
+        views = flat_views(self.values, [shape for _, shape in shapes])
+        for (name, shape), view in zip(shapes, views):
+            self.params[name] = DiffTensor(view, requires_grad=True, name=name)
+            # the weights (".w*") draw in this order; biases and the bank stay zero
             if name == "attn.wq":  # head-then-q/k/v draws keep seeded runs bit-identical
                 per_head = (config.heads, 3, config.lookback, config.head_dim)
                 qkv = iter(merge_heads(None, DiffTensor(
                     _uniform_init(rng, per_head, dt))).values)
             if name in ("attn.wq", "attn.wk", "attn.wv"):
-                values = next(qkv)
+                view[...] = next(qkv)
             elif name.rpartition(".")[2].startswith("w"):
-                values = _uniform_init(rng, shape, dt)
-            else:
-                values = np.zeros(shape, dt)
-            self.params[name] = DiffTensor(values, requires_grad=True, name=name)
+                view[...] = _uniform_init(rng, shape, dt)
+        self.bank = None
+        if self.variant.bank:
+            self.bank = TemporalQueryBank(self.params["bank.theta"])
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -253,11 +266,10 @@ class TQNet:
         return [p for _, p in self.named_parameters()]
 
     def snapshot(self):
-        return {name: p.values.copy() for name, p in self.named_parameters()}
+        return self.values.copy()
 
     def restore(self, state):
-        for name, p in self.named_parameters():
-            p.values[...] = state[name]
+        self.values[...] = state
 
     # -- forward --------------------------------------------------------------
 

@@ -23,10 +23,12 @@ node has run, so the input may keep it: a tensor's first gradient becomes
 its ``grad`` without a copy when it has the tensor's shape and dtype, and
 later ones are added into it in place.  ``add``, the one op that hands one
 array to two inputs, gives its second input a copy.  A tensor with a
-``grad_home`` (an optimizer sets one on each parameter) takes its first
-gradient in that array instead: ``linear`` computes its weight gradient
-straight into it (every weight, the attention projections included),
-``gather_cols`` scatters into it zeroed, and any other gradient is copied in.
+``grad_home`` takes its first gradient in that array instead: ``Adam``
+points each parameter's at its slice of ``Adam.g``, the flat gradient
+buffer Adam owns (the model owns the weights, ``TQNet.values``).  ``linear``
+computes its weight gradient straight into it (every weight, the attention
+projections included), ``gather_cols`` scatters into it zeroed, and any
+other gradient is copied in.
 
 Ops take the tape as their first argument; passing ``tape=None`` runs the
 same math without recording anything (cheap inference path).
@@ -50,7 +52,7 @@ class DiffTensor:
     ``grad_home``, when set, is an array of the tensor's shape and dtype
     that the first gradient is written into, so ``grad`` becomes a view of
     memory its owner keeps (``Adam`` sets each parameter's slice of its
-    packed gradient).
+    flat gradient buffer ``g``).
     """
 
     __slots__ = ("values", "grad", "requires_grad", "name", "grad_home")

@@ -4,8 +4,9 @@ the JSONL results log.
 Each minibatch is one index array into the training windows, run through
 one forward pass on one tape; the batch-mean L2 loss's ``backward``
 leaves the minibatch gradient in the parameters for one fused Adam step.
-Each parameter's gradient is written straight into its slice of Adam's
-packed gradient buffer, so the step copies no gradient.
+The model owns one flat buffer of weights and Adam one of gradients, laid
+out alike: each parameter's gradient is written straight into its slice of
+Adam's, so the step copies no gradient and updates the weights in place.
 Validation runs after every epoch; when the patience budget of consecutive
 non-improving epochs is spent, training stops and the best-validation
 parameter snapshot is restored.
@@ -24,7 +25,7 @@ import numpy as np
 from . import kernels
 from .data import make_windows, split_and_scale
 from .errors import ConfigError, NumericError, check_field_types
-from .model import TQNet
+from .model import TQNet, flat_views
 from .tensor import Tape, gradient_check, mse_loss
 
 # windows per forward pass in ``evaluate``; bounds its working set
@@ -67,42 +68,26 @@ class TrainPlan:
 
 
 class Adam:
-    """Bias-corrected Adam over the model's parameter list.
+    """Bias-corrected Adam over a model's parameter buffer.
 
-    On construction the parameters are packed: their values are copied into
-    one flat buffer and each ``p.values`` becomes a view of its slice, so a
-    step is one ``kernels.adam_update`` call over the whole model.  The
-    values are unchanged; code that writes parameters must write in place
-    (``p.values[...] = ...``), as ``TQNet.restore`` and ``load_checkpoint``
-    do, because a rebound ``p.values`` would no longer be trained.
-
-    Gradients are packed the same way: each parameter's ``grad_home`` is its
-    slice of the flat ``g``, so a backward pass writes the gradients where
-    the step reads them.
+    The model owns the weights (``TQNet.values``); a step updates that
+    buffer in place with one ``kernels.adam_update`` call over the whole
+    model.  Adam owns the gradient ``g`` and the moments ``m`` and ``v``,
+    each laid out like ``model.values``.  Each parameter's ``grad_home`` is
+    its slice of ``g``, so a backward pass writes the gradients where the
+    step reads them.
     """
 
-    def __init__(self, params, plan):
-        self.params = list(params)
+    def __init__(self, model, plan):
+        self.values = model.values
+        self.params = model.parameters()
         self.plan = plan
-        dtypes = {p.dtype for p in self.params}
-        if len(dtypes) != 1:
-            raise ConfigError(
-                f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}"
-            )
-        sizes = [p.values.size for p in self.params]
-        self.values = np.empty(sum(sizes), dtype=dtypes.pop())
         self.g = np.empty_like(self.values)
         self.m = np.zeros_like(self.values)
         self.v = np.zeros_like(self.values)
-        self._grads = []  # each parameter's slice of ``g``, in its shape
-        offset = 0
-        for p, size in zip(self.params, sizes):
-            view = self.values[offset : offset + size].reshape(p.shape)
-            view[...] = p.values
-            p.values = view
-            p.grad_home = self.g[offset : offset + size].reshape(p.shape)
-            self._grads.append(p.grad_home)
-            offset += size
+        self._grads = flat_views(self.g, [p.shape for p in self.params])
+        for p, g in zip(self.params, self._grads):
+            p.grad_home = g
         self.t = 0
 
     def step(self):
@@ -186,7 +171,7 @@ def fit(model, train_windows, val_windows, plan, log=None):
         raise ConfigError("fit needs non-empty train and val windows")
     shuffle_rng = np.random.default_rng([plan.seed, 0])
     dropout_rng = np.random.default_rng([plan.seed, 1])
-    opt = Adam(model.parameters(), plan)
+    opt = Adam(model, plan)
     stopper = EarlyStopper(plan.patience)
     best_state = model.snapshot()
     result = FitResult(best_epoch=0, epochs_run=0, best_val_mse=float("inf"))

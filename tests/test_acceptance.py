@@ -141,7 +141,7 @@ def test_criterion_1_gradient_fidelity():
 
 def test_criterion_2_query_bank_periodicity():
     period = 24
-    bank = TemporalQueryBank(8, period, dtype=np.float64)
+    bank = TemporalQueryBank(DiffTensor(np.zeros((8, period))))
     rng = np.random.default_rng(11)
     for _ in range(1000):
         t = int(rng.integers(0, 100_000))

@@ -1,6 +1,7 @@
 """Checkpoint format: byte-exact round trips, corruption detection, and
 header schema validation."""
 
+import hashlib
 import json
 import struct
 import zlib
@@ -38,6 +39,22 @@ def test_round_trip_is_bit_exact(tmp_path, model):
         np.testing.assert_array_equal(pa.values, pb.values)
     x = np.random.default_rng(2).normal(size=(3, 8))
     np.testing.assert_array_equal(model.predict(x, 4), loaded.predict(x, 4))
+
+
+@pytest.mark.parametrize("variant,dtype,digest", [
+    ("default", "float32",
+     "b8d844326ea26fe6f302f86992ca8e638f3512d0eff9fcb4ec6c74c5128dc93f"),
+    ("pure_mlp", "float64",
+     "1083d68410b701e60dc813ed6984a45779db0317af0139251ed7758c7a7de3d8"),
+])
+def test_fresh_seeded_model_saves_pinned_bytes(tmp_path, variant, dtype, digest):
+    """The init draw order and the version 2 byte layout, pinned: a change
+    to either changes these digests."""
+    cfg = ModelConfig(channels=3, lookback=8, horizon=4, period=5, hidden=6,
+                      heads=2, seed=11, dtype=dtype)
+    save_checkpoint(tmp_path / "m.ckpt", TQNet(cfg, VariantSpec.named(variant)))
+    got = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
+    assert got == digest
 
 
 def _failing_crc(*args):

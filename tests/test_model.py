@@ -57,16 +57,20 @@ class TestConfig:
             VariantSpec(query_source="bank", bank=False)
 
 
+def bank_of(channels, period):
+    return TemporalQueryBank(DiffTensor(np.zeros((channels, period))))
+
+
 class TestBankIndexing:
     def test_frozen_example(self):
-        bank = TemporalQueryBank(channels=1, period=4)
+        bank = bank_of(1, 4)
         np.testing.assert_array_equal(
             bank.segment_indices(t=3, length=6), [3, 0, 1, 2, 3, 0]
         )
 
     def test_periodicity_over_random_starts(self):
         rng = np.random.default_rng(0)
-        bank = TemporalQueryBank(channels=3, period=24)
+        bank = bank_of(3, 24)
         for _ in range(200):
             t = int(rng.integers(0, 10_000))
             k = int(rng.integers(1, 50))
@@ -76,12 +80,12 @@ class TestBankIndexing:
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
-            TemporalQueryBank(2, 4).segment_indices(-1, 4)
+            bank_of(2, 4).segment_indices(-1, 4)
         with pytest.raises(ValueError):
-            TemporalQueryBank(2, 4).segment_indices(np.array([3, -1]), 4)
+            bank_of(2, 4).segment_indices(np.array([3, -1]), 4)
 
     def test_array_of_starts_gives_one_row_each(self):
-        bank = TemporalQueryBank(channels=1, period=4)
+        bank = bank_of(1, 4)
         starts = np.array([3, 0, 6])
         np.testing.assert_array_equal(
             bank.segment_indices(starts, 6),

@@ -18,7 +18,7 @@ from tqnet.data import (
     split_and_scale,
 )
 from tqnet.errors import ConfigError, NumericError
-from tqnet.model import ModelConfig, TQNet, VariantSpec
+from tqnet.model import ModelConfig, TQNet, VariantSpec, flat_views, parameter_shapes
 from tqnet.tensor import DiffTensor, Tape, mse_loss
 from tqnet.training import (
     Adam,
@@ -34,6 +34,7 @@ MICRO = ModelConfig(
     channels=4, lookback=16, horizon=8, period=8, hidden=16, heads=2,
     attn_dropout=0.0, out_dropout=0.0, seed=2024,
 )
+MICRO64 = replace(MICRO, dtype="float64")
 MICRO_PLAN = TrainPlan(lr=3e-3, batch_size=16, max_epochs=3, patience=3,
                        seed=2024)
 
@@ -47,31 +48,41 @@ def micro_table():
 
 class TestAdam:
     def test_first_step_magnitude(self):
-        p = DiffTensor(np.zeros((1, 3)), requires_grad=True)
-        p.grad = np.array([[0.4, -0.4, 2.0]])
-        plan = TrainPlan(lr=1e-3)
-        Adam([p], plan).step()
+        model = TQNet(MICRO64)
+        init = model.snapshot()
+        grad = np.resize([0.4, -0.4, 2.0], init.shape)
+        opt = Adam(model, TrainPlan(lr=1e-3))
+        params = model.parameters()
+        for p, g in zip(params, flat_views(grad, [p.shape for p in params])):
+            p.grad = g.copy()  # assigned by hand, so the step copies it in
+        opt.step()
         np.testing.assert_allclose(
-            p.values, [[-1e-3, 1e-3, -1e-3]], atol=1e-6
+            model.values, init - 1e-3 * np.sign(grad), atol=1e-6
         )
-        assert p.grad is None  # cleared after the step
+        assert all(p.grad is None for p in model.parameters())  # cleared
 
     def test_converges_on_quadratic(self):
-        p = DiffTensor(np.array([[5.0]]), requires_grad=True)
-        opt = Adam([p], TrainPlan(lr=0.1))
+        model = TQNet(MICRO64)
+        model.values[...] = 5.0
+        opt = Adam(model, TrainPlan(lr=0.1))
         for _ in range(300):
-            p.grad = 2.0 * (p.values - 3.0)
+            for p in model.parameters():
+                p.grad = 2.0 * (p.values - 3.0)
             opt.step()
-        assert abs(p.values[0, 0] - 3.0) < 1e-3
+        assert np.abs(model.values - 3.0).max() < 1e-3
 
     def test_parameter_without_gradient_stays_put(self):
-        used = DiffTensor(np.ones((1, 1)), requires_grad=True)
-        unused = DiffTensor(np.ones((1, 1)), requires_grad=True)
-        opt = Adam([used, unused], TrainPlan(lr=0.01))
-        used.grad = np.array([[1.0]])
+        model = TQNet(MICRO64)
+        before = {name: p.values.copy() for name, p in model.named_parameters()}
+        used = model.params["mlp.w1"]
+        opt = Adam(model, TrainPlan(lr=0.01))
+        used.grad = np.ones_like(used.values)
         opt.step()
-        assert unused.values[0, 0] == 1.0
-        assert used.values[0, 0] != 1.0
+        for name, p in model.named_parameters():
+            if p is used:
+                assert (p.values != before[name]).all()
+            else:
+                np.testing.assert_array_equal(p.values, before[name])
 
 
 def adam_reference(p, g, m, v, lr, beta1, beta2, eps, t):
@@ -87,32 +98,33 @@ def adam_reference(p, g, m, v, lr, beta1, beta2, eps, t):
 
 
 class TestPackedAdam:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_bitwise_equal_to_per_parameter_reference(self, dtype):
         rng = np.random.default_rng(5)
-        shapes = [(3, 4), (1, 4), (2, 3, 5), (7, 1)]
-        init = [rng.normal(size=s).astype(dtype) for s in shapes]
-        params = [DiffTensor(v.copy(), requires_grad=True) for v in init]
-        ref = [v.copy() for v in init]
-        ref_m = [np.zeros_like(v) for v in init]
-        ref_v = [np.zeros_like(v) for v in init]
+        model = TQNet(replace(MICRO, dtype=dtype))
+        named = model.named_parameters()
+        ref = [p.values.copy() for _, p in named]
+        ref_m = [np.zeros_like(v) for v in ref]
+        ref_v = [np.zeros_like(v) for v in ref]
         plan = TrainPlan(lr=3e-3)
-        opt = Adam(params, plan)
+        opt = Adam(model, plan)
         for t in range(1, 6):
-            grads = [rng.normal(size=s).astype(dtype) for s in shapes]
-            grads[2] = None  # this parameter never gets a gradient
+            grads = {name: rng.normal(size=p.shape).astype(dtype)
+                     for name, p in named}
+            grads["attn.wk"] = None  # this parameter never gets a gradient
             if t % 2 == 0:
-                grads[1] = None  # and this one only on odd steps
-            for p, g in zip(params, grads):
-                p.grad = None if g is None else g.copy()
+                grads["proj_in.b"] = None  # and this one only on odd steps
+            for name, p in named:
+                p.grad = None if grads[name] is None else grads[name].copy()
             opt.step()
-            for i, g in enumerate(grads):
+            for i, (name, _) in enumerate(named):
+                g = grads[name]
                 adam_reference(
                     ref[i], np.zeros_like(ref[i]) if g is None else g,
                     ref_m[i], ref_v[i],
                     plan.lr, plan.beta1, plan.beta2, plan.adam_eps, t,
                 )
-        for p, r in zip(params, ref):
+        for (_, p), r in zip(named, ref):
             assert p.values.shape == r.shape and p.dtype == dtype
             np.testing.assert_array_equal(p.values, r)
             assert p.grad is None
@@ -132,17 +144,19 @@ class TestPackedAdam:
 
     def test_in_place_writes_are_what_the_next_step_trains(self, tmp_path):
         model = TQNet(MICRO)
+        # off every seed's init, so only a write can make the targets equal
+        model.values[...] = np.random.default_rng(3).normal(size=model.values.shape)
         save_checkpoint(tmp_path / "m.ckpt", model)
         trained = TQNet(replace(MICRO, seed=7))
         plan = TrainPlan(lr=0.1)
         for source in ("restore", "load_checkpoint"):
             if source == "restore":
-                opt = Adam(trained.parameters(), plan)
+                opt = Adam(trained, plan)
                 trained.restore(model.snapshot())
                 target = trained
             else:
                 target = load_checkpoint(tmp_path / "m.ckpt")
-                opt = Adam(target.parameters(), plan)
+                opt = Adam(target, plan)
             want = {name: p.values.copy() for name, p in model.named_parameters()}
             for name, p in target.named_parameters():
                 np.testing.assert_array_equal(p.values, want[name])
@@ -154,12 +168,6 @@ class TestPackedAdam:
                 adam_reference(want[name], g, m, v, plan.lr, plan.beta1,
                                plan.beta2, plan.adam_eps, 1)
                 np.testing.assert_array_equal(p.values, want[name])
-
-    def test_mixed_dtypes_rejected(self):
-        a = DiffTensor(np.zeros((1, 2), dtype=np.float32), requires_grad=True)
-        b = DiffTensor(np.zeros((1, 2), dtype=np.float64), requires_grad=True)
-        with pytest.raises(ConfigError, match="dtype"):
-            Adam([a, b], TrainPlan())
 
 
 def _train_backward(model):
@@ -190,9 +198,9 @@ class TestGradientOwnership:
         gc.collect()
         before = {id(o) for o in gc.get_objects() if isinstance(o, DiffTensor)}
         model = TQNet(cfg, VariantSpec.named(variant))
-        opt = Adam(model.parameters(), MICRO_PLAN)
+        opt = Adam(model, MICRO_PLAN)
         opt.g.fill(np.nan)  # what a slice no gradient reached must not keep
-        init = model.snapshot()
+        init = {name: p.values.copy() for name, p in model.named_parameters()}
         pred, loss = _train_backward(model)
         gc.collect()
         live = [o for o in gc.get_objects() if isinstance(o, DiffTensor)
@@ -214,12 +222,52 @@ class TestGradientOwnership:
                 np.testing.assert_array_equal(p.grad, want[name])
             offset += p.values.size
         opt.step()
-        assert np.isfinite(opt.g).all() and np.isfinite(opt.values).all()
+        assert np.isfinite(opt.g).all() and np.isfinite(model.values).all()
         for name, p in model.named_parameters():
             assert p.grad is None
             if want[name] is None:  # zero-filled: Adam leaves it where it was
                 np.testing.assert_array_equal(p.values, init[name])
         assert any(want[n] is None for n in want) == (variant == "self_attention")
+
+
+class TestParameterBuffer:
+    """The model owns one flat buffer of weights: each parameter is a view
+    of it, and training does not move them (``restore`` and
+    ``load_checkpoint`` writing through: see ``TestPackedAdam``)."""
+
+    @pytest.mark.parametrize("variant", VariantSpec.NAMED)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_parameters_are_consecutive_views_of_values(self, variant, dtype):
+        cfg, spec = replace(MICRO, dtype=dtype), VariantSpec.named(variant)
+        model = TQNet(cfg, spec)
+        shapes = parameter_shapes(cfg, spec)
+        assert [name for name, _ in model.named_parameters()] == [
+            name for name, _ in shapes]
+        assert model.values.ndim == 1 and model.values.dtype == cfg.np_dtype
+        base = model.values.__array_interface__["data"][0]
+        offset = 0
+        for (name, p), (_, shape) in zip(model.named_parameters(), shapes):
+            assert p.shape == shape and p.values.flags.c_contiguous, name
+            assert np.shares_memory(p.values, model.values), name
+            start = p.values.__array_interface__["data"][0] - base
+            assert start == offset * model.values.itemsize, name
+            offset += p.values.size
+        assert offset == model.values.size
+        if spec.bank:
+            assert model.bank.theta is model.params["bank.theta"]
+
+    def test_adam_and_fit_leave_the_buffer_in_place(self):
+        model = TQNet(MICRO)
+        buffer, init = model.values, model.snapshot()
+        views = [p.values for p in model.parameters()]
+        assert Adam(model, MICRO_PLAN).values is buffer
+        splits = split_and_scale(micro_table(), SplitSpec(0.6, 0.2, 0.2), 16)
+        fit(model, make_windows(splits.train, 16, 8),
+            make_windows(splits.val, 16, 8),
+            replace(MICRO_PLAN, max_epochs=1, patience=1))
+        assert model.values is buffer
+        assert all(p.values is v for p, v in zip(model.parameters(), views))
+        assert not np.array_equal(buffer, init)  # trained where it lives
 
 
 class TestEarlyStopper:
@@ -350,9 +398,10 @@ class TestFit:
                 snaps.append(model.snapshot())
 
         res = fit(model, train_w, val_w, plan, log=log)
-        best = snaps[-1]
-        for name, p in model.named_parameters():
-            np.testing.assert_array_equal(p.values, best[name])
+        params = model.parameters()
+        best = flat_views(snaps[-1], [p.shape for p in params])
+        for p, b in zip(params, best):
+            np.testing.assert_array_equal(p.values, b)
         assert res.best_epoch >= 1
 
     def test_non_finite_loss_raises_with_location(self):
