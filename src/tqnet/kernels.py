@@ -108,9 +108,10 @@ def gelu_grad(x, erf=None):
 
 
 def softmax_rows(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)  # the one buffer it allocates
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_rows_grad(y, g):

@@ -16,10 +16,10 @@ and values from the observed window, so a channel attends to the raw channels
 most useful for predicting it.  All heads run in one pass: ``attn.wq``,
 ``attn.wk`` and ``attn.wv`` are each one (lookback x lookback) weight with
 head ``h`` in columns ``h*head_dim:(h+1)*head_dim``, so Q, K and V are one
-``linear`` each.  ``split_heads`` moves the head blocks to a leading axis,
-and one scale, softmax and dropout act on a single (heads, B, channels,
-channels) score stack before ``merge_heads`` lays the head outputs side by
-side again for the ``attn.wo`` ``linear``.  ``VariantSpec`` rewires the
+``linear`` each.  One ``channel_attention`` node takes the three and gives
+back the head outputs side by side for the ``attn.wo`` ``linear``: inside
+it, every head's scores, softmax and dropout form a single (heads, B,
+channels, channels) stack.  ``VariantSpec`` rewires the
 block for component studies (raw self-attention, bank-only attention,
 additive channel identifiers, plain MLP).
 """
@@ -35,18 +35,16 @@ from . import kernels
 from .errors import ConfigError, ShapeError, check_field_types
 from .tensor import (
     DiffTensor,
+    _merge,
     add,
+    attention_probs,
+    channel_attention,
     check_finite,
     dropout,
     gather_cols,
     gelu,
     linear,
-    matmul,
-    merge_heads,
     row_affine,
-    scale,
-    softmax_rows,
-    split_heads,
 )
 
 
@@ -247,8 +245,7 @@ class TQNet:
             # the weights (".w*") draw in this order; biases and the bank stay zero
             if name == "attn.wq":  # head-then-q/k/v draws keep seeded runs bit-identical
                 per_head = (config.heads, 3, config.lookback, config.head_dim)
-                qkv = iter(merge_heads(None, DiffTensor(
-                    _uniform_init(rng, per_head, dt))).values)
+                qkv = iter(_merge(_uniform_init(rng, per_head, dt)))
             if name in ("attn.wq", "attn.wk", "attn.wv"):
                 view[...] = next(qkv)
             elif name.rpartition(".")[2].startswith("w"):
@@ -341,37 +338,32 @@ class TQNet:
         pick = {"bank": seg, "window": xt}
         return pick[self.variant.query_source], pick[self.variant.key_source]
 
-    def _heads(self, tape, src, w):
-        """``src`` times ``attn.{w}``, stacked as (heads, ..., channels,
-        head_dim)."""
-        product = linear(tape, src, self.params[f"attn.{w}"])
-        return split_heads(tape, product, self.config.heads)
+    def _projections(self, tape, *sources):
+        """Each source times its ``attn`` weight, in ``wq``, ``wk``, ``wv``
+        order."""
+        return [linear(tape, src, self.params[f"attn.{w}"])
+                for src, w in zip(sources, ("wq", "wk", "wv"))]
 
-    def _weights(self, tape, q_src, k_src):
-        """Softmax of every head's scaled channel-by-channel scores, one
-        (heads, ..., channels, channels) stack."""
+    def _score_scale(self):
         cfg = self.config
-        denom = cfg.head_dim if cfg.scale_by_head_dim else cfg.lookback
-        q = self._heads(tape, q_src, "wq")
-        k = self._heads(tape, k_src, "wk")
-        scores = matmul(tape, q, k, transpose_b=True)
-        return softmax_rows(tape, scale(tape, scores, 1.0 / math.sqrt(denom)))
+        return 1.0 / math.sqrt(cfg.head_dim if cfg.scale_by_head_dim else cfg.lookback)
 
     def _attention(self, tape, q_src, k_src, v_src, mode, rng):
         cfg = self.config
-        # heads lead the stack, so the dropout draws come head by head
-        weights = dropout(tape, self._weights(tape, q_src, k_src),
-                          cfg.attn_dropout, mode, rng)
-        heads = matmul(tape, weights, self._heads(tape, v_src, "wv"))
-        mixed = linear(tape, merge_heads(tape, heads), self.params["attn.wo"])
-        return add(tape, mixed, v_src)
+        mixed = channel_attention(tape, *self._projections(tape, q_src, k_src, v_src),
+                                  cfg.heads, self._score_scale(), cfg.attn_dropout,
+                                  mode, rng)
+        return add(tape, linear(tape, mixed, self.params["attn.wo"]), v_src)
 
     def attention_weights(self, x, t):
-        """Eval-mode per-head softmax weights (channels x channels each)."""
+        """Eval-mode softmax weights, one array per head: (channels x
+        channels) for one window, (B, channels, channels) for a stack of B."""
         if not self.variant.attention:
             raise ConfigError("variant has no attention block")
         xt, seg, _ = self._inputs(x, t, None)
-        return list(self._weights(None, *self._qk_sources(xt, seg)).values)
+        q, k = self._projections(None, *self._qk_sources(xt, seg))
+        return list(attention_probs(q.values, k.values, self.config.heads,
+                                    self._score_scale()))
 
     def predict(self, x, t):
         return self.forward(x, t, tape=None, mode="eval").values

@@ -4,11 +4,12 @@ A deliberately small engine: every value is a float array of rank >= 2
 wrapped in :class:`DiffTensor`, every differentiable operation records one
 node on a :class:`Tape`, and ``Tape.backward`` replays the nodes in reverse
 recording order.  Ops act on the last two axes (rows and columns); any
-leading axes are a batch, so one tape records a whole minibatch.  ``matmul``
-multiplies operands with the same leading axes; ``linear`` shares a 2-D
-weight with every matrix of the batch, and its gradient is the sum over the
-batch.  Gradients accumulate additively, so a parameter used in several
-places ends up with the sum of all contributions.
+leading axes are a batch, so one tape records a whole minibatch.  ``linear``
+shares a 2-D weight with every matrix of the batch, and its gradient is the
+sum over the batch; ``channel_attention`` runs the whole multi-head
+attention core (scores, softmax, dropout, weights times values) as one node.
+Gradients accumulate additively, so a parameter used in several places ends
+up with the sum of all contributions.
 
 The tape owns the node protocol, so an op states only its forward and
 backward math: it computes its output values and a ``backward(g)`` that
@@ -174,27 +175,6 @@ def _weight_grad(x, g, out=None):
 # primitive operations
 # ---------------------------------------------------------------------------
 
-def matmul(tape, a, b, transpose_b=False):
-    """``a @ b`` on the last two axes, for operands with the same leading
-    axes; a weight shared by a batch goes through ``linear``."""
-    bv = np.swapaxes(b.values, -1, -2) if transpose_b else b.values
-    if a.cols != bv.shape[-2] or bv.shape[:-2] != a.shape[:-2]:
-        raise ShapeError(
-            f"matmul: shapes do not match, {a.shape} @ "
-            f"{b.shape}{'^T' if transpose_b else ''}"
-        )
-    av = a.values
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g @ np.swapaxes(bv, -1, -2))
-        if b.requires_grad:
-            gb = np.swapaxes(av, -1, -2) @ g
-            b.accumulate(np.swapaxes(gb, -1, -2) if transpose_b else gb)
-
-    return _node(tape, av @ bv, (a, b), backward)
-
-
 def linear(tape, x, w, bias=None):
     """x @ w + bias for a 2-D ``w`` shared by every matrix of ``x``, bias
     broadcast across rows (shape 1 x cols)."""
@@ -238,25 +218,6 @@ def add(tape, a, b):
     return _node(tape, a.values + b.values, (a, b), backward)
 
 
-def scale(tape, x, c):
-    c = float(c)
-
-    def backward(g):
-        x.accumulate(g * c)
-
-    return _node(tape, x.values * c, (x,), backward)
-
-
-def softmax_rows(tape, x):
-    """Row-wise softmax, max-shifted for stability; rows sum to one."""
-    y = kernels.softmax_rows(x.values)
-
-    def backward(g):
-        x.accumulate(kernels.softmax_rows_grad(y, g))
-
-    return _node(tape, y, (x,), backward)
-
-
 def gelu(tape, x):
     """Exact (erf-based) gaussian error linear unit; the backward reuses the
     forward's ``erf``."""
@@ -270,28 +231,46 @@ def gelu(tape, x):
     return _node(tape, kernels.gelu(x.values, erf), (x,), backward)
 
 
-def dropout(tape, x, p, mode, rng=None):
-    """Inverted dropout: train-mode keeps with prob 1-p and rescales by 1/(1-p).
-
-    Eval mode (or p == 0) is the identity and consumes no randomness.
-    """
+def _dropout_mask(a, p, mode, rng):
+    """Inverted dropout's mask for an array like ``a``: the boolean
+    ``rng.random(a.shape) >= p`` and the scale ``1 / (1 - p)`` in ``a``'s
+    dtype.  None in eval mode or at ``p == 0``, which draw nothing."""
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or p == 0.0:
-        return x
+        return None
     if rng is None:
         raise ValueError("train-mode dropout with p > 0 needs an rng")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / np.asarray(
-        1.0 - p, dtype=x.dtype
-    )
+    return rng.random(a.shape) >= p, a.dtype.type(1.0) / a.dtype.type(1.0 - p)
+
+
+def _drop(a, mask, out=None):
+    """``a`` through ``mask``: zero where dropped, ``a / (1 - p)`` where
+    kept; ``a`` itself when there is no mask."""
+    if mask is None:
+        return a
+    keep, inv = mask
+    out = np.multiply(a, keep, out=out)
+    out *= inv
+    return out
+
+
+def dropout(tape, x, p, mode, rng=None):
+    """Inverted dropout: train-mode keeps with prob 1-p and rescales by 1/(1-p).
+
+    Eval mode (or p == 0) is the identity and consumes no randomness.
+    """
+    mask = _dropout_mask(x.values, p, mode, rng)
+    if mask is None:
+        return x
 
     def backward(g):
-        x.accumulate(g * keep)
+        x.accumulate(_drop(g, mask))
 
-    return _node(tape, x.values * keep, (x,), backward)
+    return _node(tape, _drop(x.values, mask), (x,), backward)
 
 
 def _merge(v):
@@ -308,29 +287,45 @@ def _split(v, heads):
     return v.transpose(n - 2, *range(n - 2), n - 1)
 
 
-def split_heads(tape, x, heads):
-    """Cut the last axis into ``heads`` equal column blocks and stack them
-    on a new leading axis: ``(..., heads * d)`` -> ``(heads, ..., d)``."""
-    if heads < 1 or x.cols % heads:
-        raise ShapeError(f"split_heads: {x.cols} columns do not split into "
-                         f"{heads} heads")
+def attention_probs(q, k, heads, c):
+    """Row softmax of each head's scaled scores ``c * q_h @ k_h^T``, stacked
+    as ``(heads, ..., C, C)``; ``q`` and ``k`` are ``(..., C, heads * d)``
+    arrays with head ``h`` in columns ``h*d : (h+1)*d``."""
+    scores = _split(q, heads) @ np.swapaxes(_split(k, heads), -1, -2)
+    scores *= c
+    return kernels.softmax_rows(scores)
+
+
+def channel_attention(tape, q, k, v, heads, c, p, mode, rng=None):
+    """Multi-head attention over the rows (channels) of ``(..., C, L)``
+    projections: head ``h`` mixes the rows of its columns of ``v`` by
+    ``attention_probs`` under inverted dropout (``p``, ``mode`` and ``rng``
+    as in ``dropout``, one draw for the whole stack), and the head outputs
+    sit side by side again.  The node keeps the softmax and a boolean keep
+    mask; the backward rebuilds the dropped weights from them.
+    """
+    if not q.shape == k.shape == v.shape or heads < 1 or q.cols % heads:
+        raise ShapeError(
+            f"channel_attention: q {q.shape}, k {k.shape} and v {v.shape} must "
+            f"share one shape whose columns split into {heads} heads")
+    probs = attention_probs(q.values, k.values, heads, c)
+    mask = _dropout_mask(probs, p, mode, rng)
+    vh = _split(v.values, heads)
 
     def backward(g):
-        x.accumulate(_merge(g))
+        gh = _split(g, heads)
+        if v.requires_grad:
+            v.accumulate(_merge(np.swapaxes(_drop(probs, mask), -1, -2) @ gh))
+        dw = gh @ np.swapaxes(vh, -1, -2)
+        ds = kernels.softmax_rows_grad(probs, _drop(dw, mask, out=dw))
+        ds *= c
+        if q.requires_grad:
+            q.accumulate(_merge(ds @ _split(k.values, heads)))
+        if k.requires_grad:
+            dk = np.swapaxes(_split(q.values, heads), -1, -2) @ ds
+            k.accumulate(_merge(np.swapaxes(dk, -1, -2)))
 
-    return _node(tape, _split(x.values, heads), (x,), backward)
-
-
-def merge_heads(tape, x):
-    """Inverse of ``split_heads``: ``(heads, ..., d)`` -> ``(..., heads * d)``."""
-    if x.values.ndim < 3:
-        raise ShapeError(f"merge_heads needs a leading heads axis, got {x.shape}")
-    heads = x.shape[0]
-
-    def backward(g):
-        x.accumulate(_split(g, heads))
-
-    return _node(tape, _merge(x.values), (x,), backward)
+    return _node(tape, _merge(_drop(probs, mask) @ vh), (q, k, v), backward)
 
 
 def gather_cols(tape, x, idx):

@@ -352,17 +352,19 @@ class TestBatchedAttention:
         assert attn == [(f"attn.{w}", (L, L)) for w in ("wq", "wk", "wv", "wo")]
 
     def test_tape_length_does_not_grow_with_heads(self):
+        # a train forward plus its loss: the attention core is one node
         rng = np.random.default_rng(16)
         x, y = rng.normal(size=(3, 2, 8)), rng.normal(size=(3, 2, 2))
-        lengths = []
-        for heads in (1, 4):
-            model = tiny_model(heads=heads, attn_dropout=0.5)
-            tape = Tape()
-            pred = model.forward(x, np.array([0, 1, 2]), tape, "train",
-                                 np.random.default_rng(0))
-            mse_loss(tape, pred, y)
-            lengths.append(len(tape))
-        assert lengths[0] == lengths[1]
+        for vname, nodes in [*((v, 15) for v in ATTENTION_VARIANTS),
+                             ("channel_identifier", 10), ("pure_mlp", 8)]:
+            for heads in (1, 4):
+                for attn_dropout in (0.5, 0.0):
+                    model = tiny_model(vname, heads=heads, attn_dropout=attn_dropout)
+                    tape = Tape()
+                    pred = model.forward(x, np.array([0, 1, 2]), tape, "train",
+                                         np.random.default_rng(0))
+                    mse_loss(tape, pred, y)
+                    assert len(tape) == nodes, (vname, heads, attn_dropout)
 
 
 class TestAttentionScaling:

@@ -13,25 +13,28 @@ from tqnet.errors import ConfigError, ShapeError, TapeError
 from tqnet.tensor import (
     DiffTensor,
     Tape,
+    _merge,
+    _split,
     add,
+    channel_attention,
     dropout,
     gather_cols,
     gelu,
     gradient_check,
     linear,
-    matmul,
-    merge_heads,
     mse_loss,
     row_affine,
-    scale,
-    softmax_rows,
-    split_heads,
 )
 
 
 def param(values, name=None):
     return DiffTensor(np.asarray(values, dtype=np.float64),
                       requires_grad=True, name=name)
+
+
+def scale(tape, x, c):
+    """``c * x`` for a 2-D ``x``, as a ``row_affine`` node."""
+    return row_affine(tape, x, np.full(x.rows, c), np.zeros(x.rows))
 
 
 def run_last_node(tape, g):
@@ -49,30 +52,26 @@ TAPE_OPS = sorted(
 )
 # op -> the finite-difference cases that run it
 FD_CASES = {
-    "matmul": ("matmul_t", "batched_matmul_t"),
     "linear": ("batched_linear",),
     "add": ("scale_add",),
-    "scale": ("scale_add",),
-    "softmax_rows": ("softmax",),
     "gelu": ("gelu",),
     "dropout": ("dropout",),
-    "split_heads": ("split_heads",),
-    "merge_heads": ("merge_heads",),
+    "channel_attention": ("attention_1_head_train", "attention_3_heads_eval",
+                          "attention_shared_qkv"),
     "gather_cols": ("gather", "batched_gather"),
     "row_affine": ("row_affine", "batched_row_affine"),
     "mse_loss": ("mse_rows",),
 }
 
 
+def test_every_op_has_a_case_and_every_case_an_op():
+    assert set(FD_CASES) == set(TAPE_OPS)
+
+
 class TestStructure:
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeError):
             DiffTensor(np.zeros(3))
-
-    def test_matmul_shape_error_names_both(self):
-        a, b = param(np.zeros((2, 3))), param(np.zeros((4, 5)))
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-            matmul(None, a, b)
 
     def test_backward_on_empty_tape(self):
         with pytest.raises(TapeError):
@@ -114,14 +113,17 @@ class TestStructure:
         np.testing.assert_allclose(w.grad, expected)
 
     def test_batched_operands_must_share_leading_shape(self):
-        # a batch against a 2-D weight is ``linear``'s job, not ``matmul``'s
-        for a_shape, b_shape, transpose_b, message in [
-            ((2, 3, 4), (3, 3, 4), True, r"\(2, 3, 4\).*\(3, 3, 4\)\^T"),
-            ((2, 3, 4), (4, 5), False, r"\(2, 3, 4\) @ \(4, 5\)"),
+        # channel_attention's q, k and v share one shape, split into heads
+        for shapes, heads, message in [
+            (((2, 3, 4), (3, 3, 4), (2, 3, 4)), 2,
+             r"q \(2, 3, 4\), k \(3, 3, 4\) and v \(2, 3, 4\)"),
+            (((2, 3, 4), (2, 3, 4), (3, 4)), 2, r"v \(3, 4\)"),
+            (((3, 6), (3, 6), (3, 6)), 4, r"\(3, 6\).*into 4 heads"),
+            (((3, 6), (3, 6), (3, 6)), 0, r"\(3, 6\).*into 0 heads"),
         ]:
-            a, b = param(np.zeros(a_shape)), param(np.zeros(b_shape))
+            q, k, v = (param(np.zeros(shape)) for shape in shapes)
             with pytest.raises(ShapeError, match=message):
-                matmul(None, a, b, transpose_b=transpose_b)
+                channel_attention(None, q, k, v, heads, 1.0, 0.0, "eval")
 
     @pytest.mark.parametrize("rows", [[0, 3], [-1], []])
     def test_mse_loss_rejects_bad_rows(self, rows):
@@ -133,23 +135,18 @@ class TestStructure:
         x = DiffTensor(np.ones((2, 2)))  # data, requires_grad=False
         w = param(np.eye(2))
         tape = Tape()
-        loss = mse_loss(tape, matmul(tape, x, w), np.zeros((2, 2)))
+        loss = mse_loss(tape, linear(tape, x, w), np.zeros((2, 2)))
         tape.backward(loss)
         assert x.grad is None
         assert w.grad is not None
 
     def test_head_blocks_move_to_a_leading_axis_and_back(self):
-        x = DiffTensor(np.arange(2 * 3 * 8.0).reshape(2, 3, 8))
-        heads = split_heads(None, x, 4)
-        assert heads.shape == (4, 2, 3, 2)
+        x = np.arange(2 * 3 * 8.0).reshape(2, 3, 8)
+        heads = _split(x, 4)
+        assert heads.shape == (4, 2, 3, 2) and np.shares_memory(heads, x)
         for h in range(4):
-            np.testing.assert_array_equal(heads.values[h],
-                                          x.values[..., 2 * h : 2 * h + 2])
-        np.testing.assert_array_equal(merge_heads(None, heads).values, x.values)
-        with pytest.raises(ShapeError, match="3 heads"):
-            split_heads(None, x, 3)
-        with pytest.raises(ShapeError, match="heads axis"):
-            merge_heads(None, DiffTensor(np.zeros((3, 4))))
+            np.testing.assert_array_equal(heads[h], x[..., 2 * h : 2 * h + 2])
+        np.testing.assert_array_equal(_merge(heads), x)
 
     def test_a_node_whose_output_got_no_gradient_is_not_called(self):
         p = param([[1.0, 2.0]])
@@ -165,7 +162,7 @@ class TestStructure:
 
     def test_eval_path_records_nothing(self):
         p = param(np.ones((2, 2)))
-        out = gelu(None, matmul(None, p, p))
+        out = gelu(None, linear(None, p, p))
         assert out.grad is None and out.shape == (2, 2)
 
 
@@ -299,16 +296,10 @@ class TestGradientCheck:
         rng = np.random.default_rng(zlib.crc32(case.encode()))
         p = param(rng.normal(size=(3, 6)), "p")
         y = rng.normal(size=(2, 3, 12))
-        r = DiffTensor(rng.normal(size=(3, 6)))
         xs = DiffTensor(rng.normal(size=(2, 3, 3)))  # a stack of two matrices
         bias = param(rng.normal(size=(1, 6)), "bias")
 
         def build(tape):
-            if case == "matmul_t":
-                q = matmul(tape, p, p, transpose_b=True)  # 3x3
-                return matmul(tape, q, r)
-            if case == "softmax":
-                return softmax_rows(tape, p)
             if case == "gelu":
                 return gelu(tape, p)
             if case == "gather":
@@ -325,9 +316,6 @@ class TestGradientCheck:
             # two stacked matrices sharing ``p``
             if case == "batched_linear":
                 return linear(tape, xs, p, bias)
-            if case == "batched_matmul_t":
-                z = linear(tape, xs, p)
-                return matmul(tape, z, z, transpose_b=True)  # batch by batch
             if case == "batched_gather":
                 idx = (np.array([[3], [1]]) + np.arange(6)) % 4
                 return gather_cols(tape, p, idx)
@@ -335,12 +323,16 @@ class TestGradientCheck:
                 seg = gelu(tape, gather_cols(tape, p, [[0, 1], [5, 4]]))
                 return row_affine(tape, seg, [[2.0, 0.5, -1.0], [1.0, 1.5, 0.5]],
                                   np.zeros((2, 3)))
-            if case == "split_heads":  # (3, 6) -> (2, 3, 3), scores per head
-                q = split_heads(tape, p, 2)
-                return matmul(tape, q, q, transpose_b=True)
-            if case == "merge_heads":  # a stack split into 3 heads and back
-                z = linear(tape, xs, p)  # (2, 3, 6)
-                return merge_heads(tape, gelu(tape, split_heads(tape, z, 3)))
+            if case == "attention_1_head_train":  # the same mask on every call
+                return channel_attention(tape, p, gelu(tape, p), scale(tape, p, -2.0),
+                                         1, 0.7, 0.3, "train", np.random.default_rng(0))
+            if case == "attention_3_heads_eval":  # two stacked (3, 6) matrices
+                z = linear(tape, xs, p)
+                return channel_attention(tape, gelu(tape, z), z, add(tape, z, z),
+                                         3, 1.3, 0.3, "eval")
+            if case == "attention_shared_qkv":  # one node, three gradients to p
+                return channel_attention(tape, p, p, p, 3, 0.9, 0.5, "train",
+                                         np.random.default_rng(1))
             raise AssertionError(f"no finite-difference case for op {case!r}")
 
         def closure():
@@ -375,7 +367,7 @@ class TestGradientCheck:
         def closure():
             tape = Tape()
             x = DiffTensor(rng.normal(size=(2, 2)))
-            return mse_loss(tape, matmul(tape, x, w), np.zeros((2, 2))), tape
+            return mse_loss(tape, linear(tape, x, w), np.zeros((2, 2))), tape
 
         with pytest.raises(RuntimeError, match="deterministic"):
             gradient_check(closure, [w])

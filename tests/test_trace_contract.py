@@ -50,7 +50,7 @@ def test_traced_run_spans_each_backward_and_trains_to_the_same_bits(monkeypatch)
         tracer.uninstall()
     assert tqnet.tensor.Tape.record is record
     spans = {name for name, _ in tracer.agg["spans"]}
-    ops = ("linear", "matmul", "softmax_rows", "dropout", "gather_cols", "mse_loss")
+    ops = ("linear", "dropout", "gather_cols", "mse_loss")
     assert {f"tensor.bwd.{op}" for op in ops} <= spans
     assert tracer.agg["nodes"] > 0
     np.testing.assert_array_equal(traced, untraced)
