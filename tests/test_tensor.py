@@ -73,6 +73,15 @@ class TestStructure:
         with pytest.raises(ShapeError):
             DiffTensor(np.zeros(3))
 
+    def test_matmul_shape_error_names_both(self):
+        # ``linear`` is the tape's one GEMM against a weight; its error
+        # names the input and the weight, 2-D or batched
+        for x_shape in [(2, 3), (4, 2, 3)]:
+            x, w = param(np.zeros(x_shape)), param(np.zeros((4, 5)))
+            pattern = r"\(" + ", ".join(map(str, x_shape)) + r"\).*\(4, 5\)"
+            with pytest.raises(ShapeError, match=pattern):
+                linear(None, x, w)
+
     def test_backward_on_empty_tape(self):
         with pytest.raises(TapeError):
             Tape().backward(param(np.zeros((1, 1))))
