@@ -7,6 +7,9 @@ vs. data vs. a known ground truth), and a covariate-dependency experiment on
 constructed data where the target is a delayed mixture of the covariates —
 so a model that sees the covariates can read the future off the observed
 window, while a target-only model has to extrapolate.
+
+Each study builds its list of runs for one runner, ``_train_runs``.  All runs
+are built, so all checked, before the first trains.
 """
 
 from __future__ import annotations
@@ -21,51 +24,51 @@ from .model import VariantSpec
 from .training import reseeded, run_experiment
 
 
-def _once_each(items, what):
-    """``items`` as a list; an item listed twice raises ConfigError naming it."""
+def _once_each(items, what, ints=False):
+    """``items`` as a list, checked, not coerced: an item listed twice, or
+    with ``ints`` one that is no int (a bool is none), raises ConfigError
+    naming it."""
     items = list(items)
     for i, item in enumerate(items):
+        if ints and (isinstance(item, bool) or not isinstance(item, int)):
+            raise ConfigError(f"{what} {item!r} is not an integer")
         if item in items[:i]:
             raise ConfigError(f"{what} {item!r} is listed twice")
     return items
 
 
+def _train_runs(key, runs, split):
+    """Train ``runs``, ``(label, table, config, plan, variant, dataset)``
+    tuples, in order.  Returns (rows, reports): a row per label, in
+    first-seen order, holds the label under ``key``, the mean MSE/MAE of its
+    runs and their ``(seed, mse, mae)`` under ``"runs"``; reports holds every
+    run's MetricsReport."""
+    per_label, reports = {}, []
+    for label, table, config, plan, variant, dataset in runs:
+        rep = run_experiment(table, config, plan, split, variant=variant,
+                             dataset=dataset).report
+        per_label.setdefault(label, []).append((plan.seed, rep.mse, rep.mae))
+        reports.append(rep)
+    return [{key: label, "mse": float(np.mean([r[1] for r in done])),
+             "mae": float(np.mean([r[2] for r in done])), "runs": done}
+            for label, done in per_label.items()], reports
+
+
 def run_variant_matrix(table, config, plan, split, variants=None, seeds=None,
                        dataset="series"):
-    """Train every (variant, seed) pair on identical splits.
-
-    Returns (rows, reports): rows are dicts with per-variant mean MSE/MAE
-    across seeds plus the per-seed values; reports is the flat list of
-    per-run MetricsReport entries in execution order.  A variant or seed
-    listed twice is refused: it would run again and weigh twice.
+    """Train every (variant, seed) pair on identical splits; a row per
+    variant, as ``_train_runs`` gives it.  A variant or seed listed twice is
+    refused: it would run again and weigh twice.
     """
     variants = _once_each(VariantSpec.NAMED if variants is None else variants,
                           "variant")
-    seeds = _once_each([plan.seed] if seeds is None else seeds, "seed")
+    seeds = _once_each([plan.seed] if seeds is None else seeds, "seed", ints=True)
     if not variants or not seeds:
         raise ConfigError("run_variant_matrix needs at least one variant "
                           f"and one seed, got {variants} and {seeds}")
-    specs = [VariantSpec.named(vname) for vname in variants]
-    rows = []
-    reports = []
-    for vname, spec in zip(variants, specs):
-        per_seed = []
-        for seed in seeds:
-            cfg_s, plan_s = reseeded(config, plan, seed)
-            res = run_experiment(
-                table, cfg_s, plan_s, split, variant=spec, dataset=dataset
-            )
-            per_seed.append((seed, res.report.mse, res.report.mae))
-            reports.append(res.report)
-        rows.append(
-            {
-                "variant": vname,
-                "mse": float(np.mean([m for _, m, _ in per_seed])),
-                "mae": float(np.mean([a for _, _, a in per_seed])),
-                "runs": per_seed,
-            }
-        )
-    return rows, reports
+    return _train_runs("variant", [
+        (name, table, *reseeded(config, plan, seed), VariantSpec.named(name), dataset)
+        for name in variants for seed in seeds], split)
 
 
 def run_period_sweep(table, config, plan, split, periods, include_disabled=False,
@@ -74,22 +77,20 @@ def run_period_sweep(table, config, plan, split, periods, include_disabled=False
 
     The no-bank baseline (period column "off") is the raw self-attention
     wiring — architecture unchanged, queries taken from the window instead of
-    the bank.  A period listed twice is refused.
+    the bank.  A period listed twice, or one that is no int, is refused.
     """
-    periods = _once_each(map(int, periods), "period")
+    periods = _once_each(periods, "period", ints=True)
     if not periods:
         raise ConfigError("period sweep needs at least one period")
-    runs = [(w, replace(config, period=w), None) for w in periods]
+    runs = [(w, table, replace(config, period=w), plan, None, dataset)
+            for w in periods]
     if include_disabled:
-        runs.append(("off", config, VariantSpec.named("self_attention")))
-    rows = []
-    reports = []
-    for label, cfg, variant in runs:
-        res = run_experiment(table, cfg, plan, split, variant=variant,
-                             dataset=dataset)
-        rows.append({"period": label, "mse": res.report.mse, "mae": res.report.mae,
-                     "best_epoch": res.fit.best_epoch})
-        reports.append(res.report)
+        runs.append(("off", table, config, plan,
+                     VariantSpec.named("self_attention"), dataset))
+    rows, reports = _train_runs("period", runs, split)
+    for row, report in zip(rows, reports):  # one run, so one report, per row
+        del row["runs"]
+        row["best_epoch"] = report.best_epoch
     return rows, reports
 
 
@@ -185,12 +186,12 @@ def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
 def run_covariate_study(config, plan, split, subset_sizes, covariates=8,
                         timesteps=2400, data_seed=7, dataset="covariates"):
     """Train with the first n covariate channels for each n in subset_sizes,
-    in ascending order; each n must lie in [0, covariates] and appear once.
+    in ascending order; each n must be an int in [0, covariates], listed once.
 
     Loss and metrics are restricted to the target channel in every run, so
     n = 0 is exactly the plain single-channel experiment.
     """
-    sizes = sorted(_once_each(map(int, subset_sizes), "subset size"))
+    sizes = sorted(_once_each(subset_sizes, "subset size", ints=True))
     if not sizes or sizes[0] < 0 or sizes[-1] > covariates:
         raise ConfigError(
             f"subset sizes must lie in [0, {covariates}], got {subset_sizes}"
@@ -198,15 +199,10 @@ def run_covariate_study(config, plan, split, subset_sizes, covariates=8,
     full = make_covariate_table(
         covariates, timesteps, config.horizon, seed=data_seed
     )
-    rows = []
-    reports = []
-    for n in sizes:
-        sub = full.select_channels(range(n + 1))  # target + first n covariates
-        cfg = replace(config, channels=n + 1)
-        plan_n = replace(plan, target_rows=(0,))
-        res = run_experiment(
-            sub, cfg, plan_n, split, dataset=f"{dataset}-n{n}"
-        )
-        rows.append({"covariates": n, "mse": res.report.mse, "mae": res.report.mae})
-        reports.append(res.report)
+    plan = replace(plan, target_rows=(0,))
+    rows, reports = _train_runs("covariates", [
+        (n, full.select_channels(range(n + 1)), replace(config, channels=n + 1),
+         plan, None, f"{dataset}-n{n}") for n in sizes], split)
+    for row in rows:
+        del row["runs"]
     return rows, reports

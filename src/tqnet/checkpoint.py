@@ -132,14 +132,13 @@ def load_checkpoint(path):
             f"{path}: payload has {have} bytes, the manifest needs {needed}"
         )
 
+    payload = np.frombuffer(body, dtype="<f4", offset=header_len)
     try:
-        model = TQNet(config, variant=variant)
+        return TQNet(config, variant=variant, values=payload)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: header key 'config' does not build a model ({exc})"
         ) from None
-    model.values[...] = np.frombuffer(body, dtype="<f4", offset=header_len)
-    return model
 
 
 def _header_section(path, header, key, cls):

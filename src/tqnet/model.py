@@ -226,22 +226,26 @@ class TQNet:
     The model owns its weights: ``values`` is one flat array of the working
     dtype, and each parameter's ``values`` is a view of its slice, at
     consecutive offsets in ``parameter_shapes`` order.  Code that changes
-    the weights writes into that buffer, as ``restore``, ``load_checkpoint``
-    and ``Adam`` do.
+    the weights writes into that buffer, as ``restore`` and ``Adam`` do.
+    ``values``, which only ``load_checkpoint`` passes, is a copy source for
+    the buffer in place of the seeded init draws, which are then skipped.
     """
 
-    def __init__(self, config, variant=None):
+    def __init__(self, config, variant=None, values=None):
         self.config = config
         self.variant = variant if variant is not None else VariantSpec()
         rng = np.random.default_rng(config.seed)
         dt = config.np_dtype
         shapes = parameter_shapes(config, self.variant)
-        self.values = np.zeros(sum(math.prod(s) for _, s in shapes), dtype=dt)
+        self.values = (np.zeros(sum(math.prod(s) for _, s in shapes), dtype=dt)
+                       if values is None else np.array(values, dtype=dt))
 
         self.params = {}  # name -> DiffTensor, in parameter_shapes order
         views = flat_views(self.values, [shape for _, shape in shapes])
         for (name, shape), view in zip(shapes, views):
             self.params[name] = DiffTensor(view, requires_grad=True, name=name)
+            if values is not None:
+                continue
             # the weights (".w*") draw in this order; biases and the bank stay zero
             if name == "attn.wq":  # head-then-q/k/v draws keep seeded runs bit-identical
                 per_head = (config.heads, 3, config.lookback, config.head_dim)

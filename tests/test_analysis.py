@@ -14,8 +14,8 @@ from tqnet.analysis import (
 )
 from tqnet.data import SplitSpec, SynthSpec, channel_correlation, generate_synthetic
 from tqnet.errors import ConfigError, DataError
-from tqnet.model import ModelConfig, TQNet
-from tqnet.training import TrainPlan, run_experiment
+from tqnet.model import ModelConfig, TQNet, VariantSpec
+from tqnet.training import TrainPlan, reseeded, run_experiment
 
 MICRO = ModelConfig(
     channels=4, lookback=16, horizon=8, period=8, hidden=12, heads=2,
@@ -46,8 +46,6 @@ class TestBankCorrelation:
         np.testing.assert_allclose(corr, expected, atol=1e-7)
 
     def test_variant_without_bank_rejected(self):
-        from tqnet.model import VariantSpec
-
         model = TQNet(MICRO, variant=VariantSpec.named("pure_mlp"))
         with pytest.raises(ConfigError, match="bank"):
             bank_correlation(model)
@@ -120,9 +118,14 @@ class TestPeriodSweep:
         with pytest.raises(ConfigError):
             run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=[])
 
-    def test_a_period_listed_twice_is_rejected(self):
-        with pytest.raises(ConfigError, match="^period 8 is listed twice$"):
-            run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=[8, 4, 8])
+    @pytest.mark.parametrize("periods,message", [
+        ([8, 4, 8], "period 8 is listed twice"),
+        ([8.7], "period 8.7 is not an integer"),  # not trained as W = 8
+        ([True], "period True is not an integer"),  # not trained as W = 1
+    ], ids=["twice", "float", "bool"])
+    def test_a_period_twice_or_no_int_is_rejected(self, periods, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=periods)
 
 
 class TestCovariateConstruction:
@@ -147,29 +150,87 @@ class TestCovariateConstruction:
         with pytest.raises(ConfigError, match="smoothing"):
             make_covariate_table(3, 500, horizon=6, seed=0, smooth=12)
 
-    def test_study_n0_equals_plain_single_channel_run(self):
-        cfg = ModelConfig(
-            channels=1, lookback=16, horizon=16, period=8, hidden=8, heads=2,
-            attn_dropout=0.0, out_dropout=0.0, seed=3,
-        )
-        plan = TrainPlan(lr=3e-3, batch_size=32, max_epochs=2, patience=2,
-                         seed=3, target_rows=(0,))
-        rows, _ = run_covariate_study(
-            cfg, plan, SPLIT, subset_sizes=[0], covariates=3, timesteps=420,
-            data_seed=11,
-        )
-        table = make_covariate_table(3, 420, cfg.horizon, seed=11)
-        manual = run_experiment(
-            table.select_channels([0]), cfg, plan, SPLIT, dataset="manual"
-        )
-        assert rows[0]["mse"] == manual.report.mse  # bitwise: same code path
-
     def test_subset_sizes_validated(self):
         with pytest.raises(ConfigError):
             run_covariate_study(MICRO, PLAN, SPLIT, subset_sizes=[9],
                                 covariates=4)
 
-    def test_a_size_listed_twice_is_rejected(self):
-        with pytest.raises(ConfigError, match="^subset size 2 is listed twice$"):
-            run_covariate_study(MICRO, PLAN, SPLIT, subset_sizes=[2, 0, 2],
+    @pytest.mark.parametrize("sizes,message", [
+        ([2, 0, 2], "subset size 2 is listed twice"),
+        ([0, 1.5], "subset size 1.5 is not an integer"),  # not trained as n = 1
+    ], ids=["twice", "float"])
+    def test_a_size_twice_or_no_int_is_rejected(self, sizes, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_covariate_study(MICRO, PLAN, SPLIT, subset_sizes=sizes,
                                 covariates=4)
+
+
+def _variant_row():
+    """A two-seed variant row and the mean of two runs by hand."""
+    rows, _ = run_variant_matrix(micro_table(), MICRO, PLAN, SPLIT,
+                                 variants=["pure_mlp"], seeds=[1, 2])
+    runs = []
+    for seed in (1, 2):
+        rep = run_experiment(micro_table(), *reseeded(MICRO, PLAN, seed), SPLIT,
+                             variant=VariantSpec.named("pure_mlp")).report
+        runs.append((seed, rep.mse, rep.mae))
+    return rows[0], {"variant": "pure_mlp",
+                     "mse": float(np.mean([m for _, m, _ in runs])),
+                     "mae": float(np.mean([a for _, _, a in runs])),
+                     "runs": runs}
+
+
+def _sweep_off_row():
+    """The sweep's no-bank row and a ``self_attention`` run by hand."""
+    rows, _ = run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=[4],
+                               include_disabled=True)
+    rep = run_experiment(micro_table(), MICRO, PLAN, SPLIT,
+                         variant=VariantSpec.named("self_attention")).report
+    return rows[1], {"period": "off", "mse": rep.mse, "mae": rep.mae,
+                     "best_epoch": rep.best_epoch}
+
+
+def _covariate_n0_row():
+    """The covariate study's n = 0 row and a plain single-channel run."""
+    cfg = ModelConfig(
+        channels=1, lookback=16, horizon=16, period=8, hidden=8, heads=2,
+        attn_dropout=0.0, out_dropout=0.0, seed=3,
+    )
+    plan = TrainPlan(lr=3e-3, batch_size=32, max_epochs=2, patience=2,
+                     seed=3, target_rows=(0,))
+    rows, _ = run_covariate_study(
+        cfg, plan, SPLIT, subset_sizes=[0], covariates=3, timesteps=420,
+        data_seed=11,
+    )
+    table = make_covariate_table(3, 420, cfg.horizon, seed=11)
+    rep = run_experiment(
+        table.select_channels([0]), cfg, plan, SPLIT, dataset="manual"
+    ).report
+    return rows[0], {"covariates": 0, "mse": rep.mse, "mae": rep.mae}
+
+
+@pytest.mark.parametrize("case", [_variant_row, _sweep_off_row, _covariate_n0_row],
+                         ids=["variant-two-seeds", "sweep-off", "covariates-n0"])
+def test_a_study_row_is_run_experiment_by_hand(case):
+    row, by_hand = case()
+    assert row == by_hand  # bitwise: the same code path
+
+
+@pytest.mark.parametrize("study,message", [
+    (lambda: run_variant_matrix(micro_table(), MICRO, PLAN, SPLIT,
+                                variants=["default"], seeds=[1, 1.5]),
+     "seed 1.5 is not an integer"),
+    (lambda: run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=[8, 0]),
+     "period must be a positive integer, got 0"),
+    (lambda: run_covariate_study(MICRO, PLAN, SPLIT, subset_sizes=[0, 1.5],
+                                 covariates=4),
+     "subset size 1.5 is not an integer"),
+], ids=["seed", "period", "size"])
+def test_a_bad_item_at_the_end_of_a_list_trains_nothing(study, message,
+                                                        monkeypatch):
+    calls = []
+    monkeypatch.setattr("tqnet.analysis.run_experiment",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ConfigError, match=message):
+        study()
+    assert calls == []

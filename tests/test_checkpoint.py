@@ -57,6 +57,20 @@ def test_fresh_seeded_model_saves_pinned_bytes(tmp_path, variant, dtype, digest)
     assert got == digest
 
 
+def test_load_draws_no_init_weights(tmp_path, model, monkeypatch):
+    """The payload fills the buffer; drawing weights only to overwrite
+    them would be waste."""
+    save_checkpoint(tmp_path / "m.ckpt", model)
+
+    def refuse(*args):
+        raise AssertionError("load_checkpoint drew init weights")
+
+    monkeypatch.setattr("tqnet.model._uniform_init", refuse)
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    x = np.random.default_rng(2).normal(size=(3, 8))
+    np.testing.assert_array_equal(loaded.predict(x, 4), model.predict(x, 4))
+
+
 def _failing_crc(*args):
     raise OSError("no space left on device")
 

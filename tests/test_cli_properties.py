@@ -1,9 +1,11 @@
 """Property tests of the CLI's exit-code contract: any argv for the fast
-subcommands ends in exit 0, 1 or 2, never in an uncaught exception, and any
-JSON object as a ``--config`` file ends in exit 1 or 2 before training.
+subcommands and the studies ends in exit 0, 1 or 2, never in an uncaught
+exception, and any JSON object as a ``--config`` file ends in exit 1 or 2
+before training.
 
 Sizes are drawn from small ranges, so no example allocates a large array or
-runs a long gradient check.
+runs a long gradient check.  A study's runs are stubbed out, so no example
+trains; an argv that exits 2 must not reach them.
 """
 
 import json
@@ -14,7 +16,8 @@ import pytest
 
 from tqnet.checkpoint import save_checkpoint
 from tqnet.cli import RunConfig, main
-from tqnet.model import ModelConfig, TQNet
+from tqnet.model import ModelConfig, TQNet, VariantSpec
+from tqnet.training import ExperimentResult, MetricsReport
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -25,6 +28,15 @@ NUMBER = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, width=32).map(repr),
     st.sampled_from(["0", "-1", "1e9", "abc", ""]),
 )
+# a comma-separated study list: empty items, repeats, negatives, non-integers
+INT_LIST = st.lists(
+    st.sampled_from([*map(str, range(-2, 10)), "", " ", "1.5", "x", "True"]),
+    max_size=4,
+).map(",".join)
+VARIANT_LIST = st.lists(
+    st.sampled_from(["default", "pure_mlp", "self_attention", "nope", "", " "]),
+    max_size=3,
+).map(",".join)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +59,7 @@ def files(tmp_path_factory):
         "model.ckpt": d / "model.ckpt",
         "missing": d / "no-such-file",
         "out": d / "out.csv",
+        "outdir": d / "study",
     }
 
 
@@ -78,6 +91,16 @@ FLAGS = {
         "--truth": st.sampled_from(["truth.csv", "good.csv", "bad.csv", "missing"]),
         "--out": st.just("out"),
     },
+    "ablate": {"--variants": VARIANT_LIST, "--seeds": INT_LIST},
+    "sweep-w": {"--periods": INT_LIST},
+    "covariates": {"--sizes": INT_LIST},
+}
+# flags every argv of a command carries: a study reads the good data, unless
+# it makes its own, and writes to a scratch directory, never to runs/
+FIXED = {
+    "ablate": ["--data", "good.csv", "--out-dir", "outdir"],
+    "sweep-w": ["--data", "good.csv", "--out-dir", "outdir"],
+    "covariates": ["--out-dir", "outdir"],
 }
 
 
@@ -86,7 +109,7 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = FLAGS[command]
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=6, unique=True))
-    argv = [command]
+    argv = [command, *FIXED.get(command, [])]
     for flag in chosen:
         argv += [flag, draw(flags[flag])]
     if draw(st.booleans()) and chosen:  # a flag without its value
@@ -94,17 +117,31 @@ def argvs(draw):
     return argv
 
 
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+def _no_training(table, config, plan, split, variant=None, dataset="series",
+                 log=None):
+    """``run_experiment``'s result, untrained."""
+    report = MetricsReport(
+        dataset=dataset, lookback=config.lookback, horizon=config.horizon,
+        period=config.period, variant=(variant or VariantSpec()).name,
+        seed=plan.seed, mse=1.0, mae=1.0, best_epoch=1, wall_time_s=0.0)
+    return ExperimentResult(model=None, fit=None, report=report)
+
+
+# seven commands share the examples, so each draws about fifty
+@hypothesis.settings(max_examples=350, deadline=None, derandomize=True,
                      database=None,
                      suppress_health_check=[hypothesis.HealthCheck.too_slow])
 @hypothesis.given(argv=argvs())
 def test_any_argv_exits_0_1_or_2(files, argv):
     argv = [str(files[a]) if a in files else a for a in argv]
-    try:
-        rc = main(argv)
-    except SystemExit as exc:  # argparse's usage errors
-        rc = exc.code
+    with mock.patch("tqnet.analysis.run_experiment",
+                    side_effect=_no_training) as run:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
     assert rc in (0, 1, 2), argv
+    assert rc != 2 or not run.called, argv  # a bad argument trains nothing
 
 
 JSON = st.recursive(
