@@ -13,7 +13,7 @@ from .data import (
     make_windows,
     split_and_scale,
 )
-from .model import ModelConfig, TemporalQueryBank, TQNet, VariantSpec
+from .model import VARIANTS, ModelConfig, TemporalQueryBank, TQNet, VariantSpec
 from .tensor import DiffTensor, GradCheckResult, Tape, gradient_check
 from .training import TrainPlan, evaluate, fit, run_experiment
 
@@ -31,6 +31,7 @@ __all__ = [
     "TemporalQueryBank",
     "TQNet",
     "TrainPlan",
+    "VARIANTS",
     "VariantSpec",
     "channel_correlation",
     "compute_acf",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import SeriesTable, channel_correlation
 from .errors import ConfigError, DataError
-from .model import VariantSpec
+from .model import VARIANTS
 from .training import reseeded, run_experiment
 
 
@@ -38,15 +38,14 @@ def _once_each(items, what, ints=False):
 
 
 def _train_runs(key, runs, split):
-    """Train ``runs``, ``(label, table, config, plan, variant, dataset)``
-    tuples, in order.  Returns (rows, reports): a row per label, in
-    first-seen order, holds the label under ``key``, the mean MSE/MAE of its
-    runs and their ``(seed, mse, mae)`` under ``"runs"``; reports holds every
-    run's MetricsReport."""
+    """Train ``runs``, ``(label, table, config, plan, dataset)`` tuples, in
+    order.  Returns (rows, reports): a row per label, in first-seen order,
+    holds the label under ``key``, the mean MSE/MAE of its runs and their
+    ``(seed, mse, mae)`` under ``"runs"``; reports holds every run's
+    MetricsReport."""
     per_label, reports = {}, []
-    for label, table, config, plan, variant, dataset in runs:
-        rep = run_experiment(table, config, plan, split, variant=variant,
-                             dataset=dataset).report
+    for label, table, config, plan, dataset in runs:
+        rep = run_experiment(table, config, plan, split, dataset=dataset).report
         per_label.setdefault(label, []).append((plan.seed, rep.mse, rep.mae))
         reports.append(rep)
     return [{key: label, "mse": float(np.mean([r[1] for r in done])),
@@ -60,14 +59,13 @@ def run_variant_matrix(table, config, plan, split, variants=None, seeds=None,
     variant, as ``_train_runs`` gives it.  A variant or seed listed twice is
     refused: it would run again and weigh twice.
     """
-    variants = _once_each(VariantSpec.NAMED if variants is None else variants,
-                          "variant")
+    variants = _once_each(VARIANTS if variants is None else variants, "variant")
     seeds = _once_each([plan.seed] if seeds is None else seeds, "seed", ints=True)
     if not variants or not seeds:
         raise ConfigError("run_variant_matrix needs at least one variant "
                           f"and one seed, got {variants} and {seeds}")
     return _train_runs("variant", [
-        (name, table, *reseeded(config, plan, seed), VariantSpec.named(name), dataset)
+        (name, table, *reseeded(replace(config, variant=name), plan, seed), dataset)
         for name in variants for seed in seeds], split)
 
 
@@ -82,11 +80,10 @@ def run_period_sweep(table, config, plan, split, periods, include_disabled=False
     periods = _once_each(periods, "period", ints=True)
     if not periods:
         raise ConfigError("period sweep needs at least one period")
-    runs = [(w, table, replace(config, period=w), plan, None, dataset)
-            for w in periods]
+    runs = [(w, table, replace(config, period=w), plan, dataset) for w in periods]
     if include_disabled:
-        runs.append(("off", table, config, plan,
-                     VariantSpec.named("self_attention"), dataset))
+        runs.append(("off", table, replace(config, variant="self_attention"), plan,
+                     dataset))
     rows, reports = _train_runs("period", runs, split)
     for row, report in zip(rows, reports):  # one run, so one report, per row
         del row["runs"]
@@ -202,7 +199,7 @@ def run_covariate_study(config, plan, split, subset_sizes, covariates=8,
     plan = replace(plan, target_rows=(0,))
     rows, reports = _train_runs("covariates", [
         (n, full.select_channels(range(n + 1)), replace(config, channels=n + 1),
-         plan, None, f"{dataset}-n{n}") for n in sizes], split)
+         plan, f"{dataset}-n{n}") for n in sizes], split)
     for row in rows:
         del row["runs"]
     return rows, reports

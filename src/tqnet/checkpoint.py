@@ -4,8 +4,10 @@ Layout (all integers little-endian uint32):
 
     8 bytes   magic ``TQNETCK1``
     4 bytes   header length N
-    N bytes   UTF-8 JSON header: format_version, config, variant, and the
-              ordered parameter manifest [{name, rows, cols}, ...]
+    N bytes   UTF-8 JSON header: format_version; config, the model's
+              ModelConfig less its variant name; variant, the VariantSpec
+              wiring of that name; and params, the parameter manifest
+              [{name, rows, cols}, ...] in parameter_shapes(config) order
     payload   the model's flat parameter buffer as float32 little-endian:
               per manifest entry in order, rows*cols values, row-major
     4 bytes   CRC-32 of header+payload
@@ -20,10 +22,11 @@ target, so a save that fails partway leaves the previous checkpoint intact.
 The payload is ``TQNet.values`` cast once to ``<f4``, whatever the model's
 working dtype, so a float64 model round-trips with float32 precision; a load
 fills the new model's buffer with one assignment.  Loading validates magic,
-version, the header schema, manifest-vs-model shape agreement, payload
-length, and the checksum, raising :class:`~tqnet.errors.CheckpointError`
-with the offending detail.  The shapes and the payload length are checked
-against the stored config before any parameter array is allocated.
+version, the header schema, the manifest (which must equal the one the
+stored config derives), payload length, and the checksum, raising
+:class:`~tqnet.errors.CheckpointError` with the offending detail.  The
+manifest and the payload length are checked before any parameter array is
+allocated.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import os
 import struct
 import zlib
 from dataclasses import asdict, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -44,17 +48,26 @@ MAGIC = b"TQNETCK1"
 FORMAT_VERSION = 2
 
 
+def _manifest(config):
+    return [{"name": name, "rows": rows, "cols": cols}
+            for name, (rows, cols) in parameter_shapes(config)]
+
+
+def _json_text(obj):
+    """``obj`` as JSON text: equal texts are equal values, and unlike
+    ``==`` the text tells ``true`` from ``1``."""
+    return json.dumps(obj, sort_keys=True)
+
+
 def save_checkpoint(path, model):
-    manifest = [
-        {"name": name, "rows": p.rows, "cols": p.cols}
-        for name, p in model.named_parameters()
-    ]
+    config = asdict(model.config)
+    del config["variant"]  # stored as its wiring
     header = json.dumps(
         {
             "format_version": FORMAT_VERSION,
-            "config": asdict(model.config),
-            "variant": asdict(model.variant),
-            "params": manifest,
+            "config": config,
+            "variant": asdict(model.wiring),
+            "params": _manifest(model.config),
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -99,34 +112,20 @@ def load_checkpoint(path):
             f"not supported (expected {FORMAT_VERSION})"
         )
 
-    config = _header_section(path, header, "config", ModelConfig)
-    variant = _header_section(path, header, "variant", VariantSpec)
-    manifest = header.get("params")
-    if not isinstance(manifest, list) or not all(
-        isinstance(m, dict)
-        and isinstance(m.get("name"), str)
-        and type(m.get("rows")) is int
-        and type(m.get("cols")) is int
-        for m in manifest
-    ):
+    wiring = _header_section(path, header, "variant", VariantSpec)
+    config = _header_section(path, header, "config", ModelConfig,
+                             variant=wiring.name)
+    want, got = _manifest(config), header.get("params")
+    if not isinstance(got, list):
+        raise CheckpointError(f"{path}: header key 'params' must be a list")
+    diff = next(((i, g, w) for i, (g, w) in enumerate(zip_longest(got, want))
+                 if _json_text(g) != _json_text(w)), None)
+    if diff:
         raise CheckpointError(
-            f"{path}: header key 'params' must be a list of "
-            "{name, rows, cols} entries"
-        )
-    expected = parameter_shapes(config, variant)
-    if [m["name"] for m in manifest] != [name for name, _ in expected]:
-        raise CheckpointError(
-            f"{path}: parameter manifest does not match the model built from "
-            "the stored config"
-        )
-    for m, (name, shape) in zip(manifest, expected):
-        if (m["rows"], m["cols"]) != shape:
-            raise CheckpointError(
-                f"{path}: parameter {name} has shape ({m['rows']}, {m['cols']}) "
-                f"in the manifest, the stored config gives {shape}"
-            )
+            f"{path}: header key 'params' differs from the manifest of the stored "
+            f"config at entry {diff[0]}: {diff[1]!r}, expected {diff[2]!r}")
     have = len(body) - header_len
-    needed = sum(rows * cols * 4 for _, (rows, cols) in expected)
+    needed = sum(m["rows"] * m["cols"] * 4 for m in want)
     if have != needed:
         raise CheckpointError(
             f"{path}: payload has {have} bytes, the manifest needs {needed}"
@@ -134,16 +133,17 @@ def load_checkpoint(path):
 
     payload = np.frombuffer(body, dtype="<f4", offset=header_len)
     try:
-        return TQNet(config, variant=variant, values=payload)
+        return TQNet(config, values=payload)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: header key 'config' does not build a model ({exc})"
         ) from None
 
 
-def _header_section(path, header, key, cls):
-    """Build ``cls`` from the header object under ``key``; every schema
-    fault becomes a :class:`CheckpointError` naming the file and the key."""
+def _header_section(path, header, key, cls, **given):
+    """Build ``cls`` from the header object under ``key`` plus the fields
+    ``given``; every schema fault, a field the object gives again included,
+    becomes a :class:`CheckpointError` naming the file and the key."""
     section = header.get(key)
     if not isinstance(section, dict):
         raise CheckpointError(f"{path}: header key {key!r} must be an object")
@@ -153,7 +153,7 @@ def _header_section(path, header, key, cls):
             f"{path}: header key {key!r} has unknown field {unknown[0]!r}"
         )
     try:
-        return cls(**section)
+        return cls(**section, **given)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: header key {key!r} is invalid ({exc})"

@@ -6,16 +6,17 @@ mirror the flag names; unknown keys are rejected rather than ignored.  The
 annotations of ``RunConfig`` (and of ``SynthSpec`` for ``synth``) type both
 the flags and the file's values, through :mod:`tqnet.errors`.
 
-``RunConfig`` declares only the run keys ``data``, ``dataset``, ``out_dir``
-and ``variant``; its other fields are those of ``ModelConfig``, ``TrainPlan``
-and ``SplitSpec`` with their annotations and defaults, less
-``NOT_RUN_FIELDS``: ``channels``, ``beta1``, ``beta2``, ``adam_eps`` and
-``target_rows``.  The defaults of ``covariates --n-covariates``/``--timesteps``
-and ``gradcheck --seed``/``--variant`` are read from ``run_covariate_study``,
-``ModelConfig`` and ``RunConfig``.  A study picks the variants it trains, so
-it refuses a ``variant`` other than the default, and ``covariates``, which
-makes its data, refuses ``data``.  ``train`` and the studies make their run
-directory only after the library call returns, so a failed run leaves none.
+``RunConfig`` declares only the run keys ``data``, ``dataset`` and
+``out_dir``; its other fields are those of ``ModelConfig`` (``variant``
+among them), ``TrainPlan`` and ``SplitSpec`` with their annotations and
+defaults, less ``NOT_RUN_FIELDS``: ``channels``, ``beta1``, ``beta2``,
+``adam_eps`` and ``target_rows``.  The defaults of ``covariates
+--n-covariates``/``--timesteps`` and ``gradcheck --seed``/``--variant`` are
+read from ``run_covariate_study`` and ``ModelConfig``.  A study picks the
+variants it trains, so it refuses a ``variant`` other than the default, and
+``covariates``, which makes its data, refuses ``data``.  ``train`` and the
+studies make their run directory only after the library call returns, so a
+failed run leaves none.
 
 Exit codes: 0 success, 1 runtime failure (numeric problems, bad checkpoint,
 missing files, out of memory), 2 configuration or usage errors.
@@ -55,7 +56,7 @@ from .data import (
     write_matrix_csv,
 )
 from .errors import ConfigError, DataError, check_field_types, field_type
-from .model import ModelConfig, TQNet, VariantSpec
+from .model import VARIANTS, ModelConfig, TQNet
 from .training import (
     MetricsReport,
     TrainPlan,
@@ -103,7 +104,6 @@ class _RunKeys:
     data: str | None = None
     dataset: str | None = None
     out_dir: str | None = None
-    variant: str = "default"
 
     def __post_init__(self):
         check_field_types(self)
@@ -213,7 +213,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
 
     p = runish("ablate", "attention-wiring variant matrix")
-    p.add_argument("--variants", default=",".join(VariantSpec.NAMED),
+    p.add_argument("--variants", default=",".join(VARIANTS),
                    help="comma-separated variant names")
     p.add_argument("--seeds", default=None,
                    help="comma-separated seeds (default: the configured seed)")
@@ -258,7 +258,7 @@ def build_parser():
     p.add_argument("--period", type=int, default=4)
     p.add_argument("--hidden", type=int, default=4)
     p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--variant", default=RunConfig.variant)
+    p.add_argument("--variant", default=ModelConfig.variant)
     p.add_argument("--eps", type=_positive_float, default=1e-5)
     p.add_argument("--tol", type=_positive_float, default=1e-4)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
@@ -325,7 +325,6 @@ def _run_parts(cfg, channels):
 
 def cmd_train(args):
     cfg, table, dataset = _prepare_run(args)
-    variant = VariantSpec.named(cfg.variant)
     config, plan, split = _run_parts(cfg, table.channels)
     log_rows = []
 
@@ -336,8 +335,7 @@ def cmd_train(args):
             f"val mse {val_mse:.6f}{'  *' if improved else ''}"
         )
 
-    res = run_experiment(table, config, plan, split, variant=variant,
-                         dataset=dataset, log=log)
+    res = run_experiment(table, config, plan, split, dataset=dataset, log=log)
     out = _open_run(cfg, dataset)
     with open(out / "train_log.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -357,7 +355,6 @@ def cmd_evaluate(args):
     stored = {key: value for key, value in asdict(model.config).items()
               if key in _RUN_KEYS
               and key not in ("attn_dropout", "out_dropout", "seed")}
-    stored["variant"] = model.variant.name
     cfg, table, dataset = _prepare_run(args, stored)
     for key, value in stored.items():
         if getattr(cfg, key) != value:
@@ -374,7 +371,7 @@ def cmd_evaluate(args):
     mse, mae = evaluate(model, test_w)
     report = MetricsReport(
         dataset=dataset, lookback=mc.lookback, horizon=mc.horizon,
-        period=mc.period, variant=model.variant.name, seed=mc.seed,
+        period=mc.period, variant=mc.variant, seed=mc.seed,
         mse=mse, mae=mae, best_epoch=0, wall_time_s=0.0,
     )
     print(report.results_line())
@@ -507,9 +504,9 @@ def cmd_gradcheck(args):
         channels=args.channels, lookback=args.lookback, horizon=args.horizon,
         period=args.period, hidden=args.hidden, heads=args.heads,
         attn_dropout=0.0, out_dropout=0.0, seed=args.seed, dtype="float64",
+        variant=args.variant,
     )
-    model = TQNet(config, variant=VariantSpec.named(args.variant))
-    result = check_model_gradients(model, args.seed + 1, args.eps, args.tol)
+    result = check_model_gradients(TQNet(config), args.seed + 1, args.eps, args.tol)
     print(result.summary())
     return 0 if result.passed else 1
 

@@ -5,13 +5,15 @@ Everything user-facing raises one of these (or a stdlib error where that is
 the established idiom) so the CLI can map failures onto exit codes: config
 and usage problems exit 2, runtime failures exit 1.
 
-Every config dataclass (``ModelConfig``, ``VariantSpec``, ``TrainPlan``,
-``SplitSpec``, ``SynthSpec``, ``RunConfig``) calls :func:`check_field_types`
-first in its ``__post_init__``, and the CLI types its flags by
-:func:`field_type`, so a field's annotation is the only statement of what it
-accepts.  ``RunConfig`` restates no field: ``tqnet.cli`` builds it from those
-of ``ModelConfig``, ``TrainPlan`` and ``SplitSpec`` less ``channels``,
-``beta1``, ``beta2``, ``adam_eps`` and ``target_rows``, plus four run keys.
+Every config dataclass (``ModelConfig``, ``TrainPlan``, ``SplitSpec``,
+``SynthSpec``, ``RunConfig``), and ``VariantSpec``, the variant wiring a
+checkpoint stores, calls :func:`check_field_types` first in its
+``__post_init__``, and the CLI types its flags by :func:`field_type`, so a
+field's annotation is the only statement of what it accepts.  ``RunConfig``
+restates no field: ``tqnet.cli`` builds it from those of ``ModelConfig``,
+``TrainPlan`` and ``SplitSpec`` less ``channels``, ``beta1``, ``beta2``,
+``adam_eps`` and ``target_rows``, plus three run keys: ``data``,
+``dataset`` and ``out_dir``.
 """
 
 from dataclasses import fields

@@ -19,15 +19,16 @@ head ``h`` in columns ``h*head_dim:(h+1)*head_dim``, so Q, K and V are one
 ``linear`` each.  One ``channel_attention`` node takes the three and gives
 back the head outputs side by side for the ``attn.wo`` ``linear``: inside
 it, every head's scores, softmax and dropout form a single (heads, B,
-channels, channels) stack.  ``VariantSpec`` rewires the
-block for component studies (raw self-attention, bank-only attention,
-additive channel identifiers, plain MLP).
+channels, channels) stack.  ``ModelConfig.variant`` names one of the
+``VARIANTS`` of the component study, which rewire the block (raw
+self-attention, bank-only attention, additive channel identifiers, plain
+MLP); ``VariantSpec`` is that name's wiring, which the forward pass reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -63,6 +64,7 @@ class ModelConfig:
     scale_by_head_dim: bool = False
     seed: int = 2024
     dtype: str = "float32"
+    variant: str = "default"
 
     def __post_init__(self):
         check_field_types(self)
@@ -83,6 +85,9 @@ class ModelConfig:
                 f"norm_eps must be finite and positive, got {self.norm_eps!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}; "
+                              f"known: {', '.join(sorted(VARIANTS))}")
 
     @property
     def head_dim(self):
@@ -92,12 +97,28 @@ class ModelConfig:
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
+    @property
+    def wiring(self):
+        return VariantSpec(*VARIANTS[self.variant])
+
+
+# The component study's variants, each as its VariantSpec field values:
+# (query_source, key_source, attention, bank).
+VARIANTS = {
+    "default": ("bank", "window", True, True),
+    "self_attention": ("window", "window", True, True),
+    "global_only": ("bank", "bank", True, True),
+    "channel_identifier": ("bank", "window", False, True),
+    "pure_mlp": ("window", "window", False, False),
+}
+
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """Wiring of the attention block for component studies.
+    """The attention-block wiring of one of the ``VARIANTS``, as a
+    checkpoint stores it.
 
-    ``query_source``/``key_source`` select what feeds Q and K ("bank" or
+    ``query_source``/``key_source`` say what feeds Q and K ("bank" or
     "window"); values always come from the observed window.  With
     ``attention=False`` and ``bank=True`` the bank segment is added to the
     window elementwise (an additive channel identifier).  With both off the
@@ -109,54 +130,15 @@ class VariantSpec:
     attention: bool = True
     bank: bool = True
 
-    NAMED = (
-        "default",
-        "self_attention",
-        "global_only",
-        "channel_identifier",
-        "pure_mlp",
-    )
-
     def __post_init__(self):
         check_field_types(self)
-        for field_name in ("query_source", "key_source"):
-            v = getattr(self, field_name)
-            if v not in ("bank", "window"):
-                raise ConfigError(
-                    f"{field_name} must be 'bank' or 'window', got {v!r}"
-                )
-        if self.attention and not self.bank and "bank" in (
-            self.query_source,
-            self.key_source,
-        ):
-            raise ConfigError("attention reads the bank but bank=False")
-
-    @classmethod
-    def named(cls, name):
-        table = {
-            "default": cls(),
-            "self_attention": cls(query_source="window", key_source="window"),
-            "global_only": cls(query_source="bank", key_source="bank"),
-            "channel_identifier": cls(attention=False, bank=True),
-            "pure_mlp": cls(
-                query_source="window", key_source="window", attention=False, bank=False
-            ),
-        }
-        if name not in table:
-            raise ConfigError(
-                f"unknown variant {name!r}; known: {', '.join(sorted(table))}"
-            )
-        return table[name]
+        if astuple(self) not in VARIANTS.values():
+            raise ConfigError(f"{self} is the wiring of no variant; "
+                              f"known: {', '.join(sorted(VARIANTS))}")
 
     @property
     def name(self):
-        for candidate in self.NAMED:
-            if VariantSpec.named(candidate) == self:
-                return candidate
-        return (
-            f"custom(q={self.query_source},k={self.key_source},"
-            f"attn={self.attention},bank={self.bank})"
-        )
+        return next(n for n, w in VARIANTS.items() if w == astuple(self))
 
 
 class TemporalQueryBank:
@@ -195,12 +177,13 @@ def _uniform_init(rng, shape, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def parameter_shapes(config, variant):
-    """``(name, (rows, cols))`` of every parameter of ``TQNet(config,
-    variant)``, in ``named_parameters`` order, without allocating any."""
+def parameter_shapes(config):
+    """``(name, (rows, cols))`` of every parameter of ``TQNet(config)``, in
+    ``named_parameters`` order, without allocating any."""
     C, L, H, d = config.channels, config.lookback, config.horizon, config.hidden
-    shapes = [("bank.theta", (C, config.period))] if variant.bank else []
-    if variant.attention:
+    wiring = config.wiring
+    shapes = [("bank.theta", (C, config.period))] if wiring.bank else []
+    if wiring.attention:
         shapes += [(f"attn.{w}", (L, L)) for w in ("wq", "wk", "wv", "wo")]
     return shapes + [
         ("proj_in.w", (L, d)), ("proj_in.b", (1, d)),
@@ -221,7 +204,8 @@ def flat_views(flat, shapes):
 
 
 class TQNet:
-    """The forecaster.  See the module docstring for the block layout.
+    """The forecaster of ``config``, wired as ``config.variant`` says.  See
+    the module docstring for the block layout.
 
     The model owns its weights: ``values`` is one flat array of the working
     dtype, and each parameter's ``values`` is a view of its slice, at
@@ -231,12 +215,12 @@ class TQNet:
     the buffer in place of the seeded init draws, which are then skipped.
     """
 
-    def __init__(self, config, variant=None, values=None):
+    def __init__(self, config, values=None):
         self.config = config
-        self.variant = variant if variant is not None else VariantSpec()
+        self.wiring = config.wiring
         rng = np.random.default_rng(config.seed)
         dt = config.np_dtype
-        shapes = parameter_shapes(config, self.variant)
+        shapes = parameter_shapes(config)
         self.values = (np.zeros(sum(math.prod(s) for _, s in shapes), dtype=dt)
                        if values is None else np.array(values, dtype=dt))
 
@@ -255,7 +239,7 @@ class TQNet:
             elif name.rpartition(".")[2].startswith("w"):
                 view[...] = _uniform_init(rng, shape, dt)
         self.bank = None
-        if self.variant.bank:
+        if self.wiring.bank:
             self.bank = TemporalQueryBank(self.params["bank.theta"])
 
     # -- parameter bookkeeping ------------------------------------------------
@@ -289,7 +273,7 @@ class TQNet:
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         xt, seg, stats = self._inputs(x, t, tape)
 
-        if self.variant.attention:
+        if self.wiring.attention:
             h = self._attention(tape, *self._qk_sources(xt, seg), xt, mode, rng)
         elif seg is not None:
             h = add(tape, xt, seg)
@@ -340,7 +324,7 @@ class TQNet:
 
     def _qk_sources(self, xt, seg):
         pick = {"bank": seg, "window": xt}
-        return pick[self.variant.query_source], pick[self.variant.key_source]
+        return pick[self.wiring.query_source], pick[self.wiring.key_source]
 
     def _projections(self, tape, *sources):
         """Each source times its ``attn`` weight, in ``wq``, ``wk``, ``wv``
@@ -362,7 +346,7 @@ class TQNet:
     def attention_weights(self, x, t):
         """Eval-mode softmax weights, one array per head: (channels x
         channels) for one window, (B, channels, channels) for a stack of B."""
-        if not self.variant.attention:
+        if not self.wiring.attention:
             raise ConfigError("variant has no attention block")
         xt, seg, _ = self._inputs(x, t, None)
         q, k = self._projections(None, *self._qk_sources(xt, seg))

@@ -258,15 +258,14 @@ class ExperimentResult:
     report: MetricsReport
 
 
-def run_experiment(table, config, plan, split, variant=None, dataset="series",
-                   log=None):
+def run_experiment(table, config, plan, split, dataset="series", log=None):
     """Split, train, and score on the test part.  One results-line per call."""
     splits = split_and_scale(table, split, lookback=config.lookback)
     train_w = make_windows(splits.train, config.lookback, config.horizon)
     val_w = make_windows(splits.val, config.lookback, config.horizon)
     test_w = make_windows(splits.test, config.lookback, config.horizon)
 
-    model = TQNet(config, variant=variant)
+    model = TQNet(config)
     t0 = time.perf_counter()
     fit_res = fit(model, train_w, val_w, plan, log=log)
     mse, mae = evaluate(model, test_w, plan.target_rows)
@@ -277,7 +276,7 @@ def run_experiment(table, config, plan, split, variant=None, dataset="series",
         lookback=config.lookback,
         horizon=config.horizon,
         period=config.period,
-        variant=model.variant.name,
+        variant=config.variant,
         seed=plan.seed,
         mse=mse,
         mae=mae,

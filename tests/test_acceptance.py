@@ -28,7 +28,6 @@ from tqnet.model import (
     ModelConfig,
     TemporalQueryBank,
     TQNet,
-    VariantSpec,
     instance_denorm,
     instance_norm,
 )
@@ -87,11 +86,8 @@ def synth_runs():
     models = {}
     for name in ("default", "self_attention", "pure_mlp"):
         for seed in SEEDS:
-            cfg, plan = reseeded(SYNTH_CONFIG, SYNTH_PLAN, seed)
-            res = run_experiment(
-                table, cfg, plan, SYNTH_SPLIT,
-                variant=VariantSpec.named(name), dataset="synth",
-            )
+            cfg, plan = reseeded(replace(SYNTH_CONFIG, variant=name), SYNTH_PLAN, seed)
+            res = run_experiment(table, cfg, plan, SYNTH_SPLIT, dataset="synth")
             variant_mse[(name, seed)] = res.report.mse
             if seed == SEEDS[0]:
                 models[name] = res.model

@@ -1,6 +1,8 @@
 """Analysis procedures: variant matrix wiring, period sweep, correlation
 read-outs, and the covariate-dependency construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from tqnet.analysis import (
 )
 from tqnet.data import SplitSpec, SynthSpec, channel_correlation, generate_synthetic
 from tqnet.errors import ConfigError, DataError
-from tqnet.model import ModelConfig, TQNet, VariantSpec
+from tqnet.model import ModelConfig, TQNet
 from tqnet.training import TrainPlan, reseeded, run_experiment
 
 MICRO = ModelConfig(
@@ -46,7 +48,7 @@ class TestBankCorrelation:
         np.testing.assert_allclose(corr, expected, atol=1e-7)
 
     def test_variant_without_bank_rejected(self):
-        model = TQNet(MICRO, variant=VariantSpec.named("pure_mlp"))
+        model = TQNet(replace(MICRO, variant="pure_mlp"))
         with pytest.raises(ConfigError, match="bank"):
             bank_correlation(model)
 
@@ -171,8 +173,9 @@ def _variant_row():
                                  variants=["pure_mlp"], seeds=[1, 2])
     runs = []
     for seed in (1, 2):
-        rep = run_experiment(micro_table(), *reseeded(MICRO, PLAN, seed), SPLIT,
-                             variant=VariantSpec.named("pure_mlp")).report
+        rep = run_experiment(micro_table(),
+                             *reseeded(replace(MICRO, variant="pure_mlp"), PLAN, seed),
+                             SPLIT).report
         runs.append((seed, rep.mse, rep.mae))
     return rows[0], {"variant": "pure_mlp",
                      "mse": float(np.mean([m for _, m, _ in runs])),
@@ -184,8 +187,8 @@ def _sweep_off_row():
     """The sweep's no-bank row and a ``self_attention`` run by hand."""
     rows, _ = run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=[4],
                                include_disabled=True)
-    rep = run_experiment(micro_table(), MICRO, PLAN, SPLIT,
-                         variant=VariantSpec.named("self_attention")).report
+    rep = run_experiment(micro_table(), replace(MICRO, variant="self_attention"),
+                         PLAN, SPLIT).report
     return rows[1], {"period": "off", "mse": rep.mse, "mae": rep.mae,
                      "best_epoch": rep.best_epoch}
 

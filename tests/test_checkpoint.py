@@ -12,7 +12,7 @@ import pytest
 from tqnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from tqnet.cli import main
 from tqnet.errors import CheckpointError
-from tqnet.model import ModelConfig, TQNet, VariantSpec
+from tqnet.model import VARIANTS, ModelConfig, TQNet
 
 
 @pytest.fixture
@@ -31,7 +31,6 @@ def test_round_trip_is_bit_exact(tmp_path, model):
     save_checkpoint(path, model)
     loaded = load_checkpoint(path)
     assert loaded.config == model.config
-    assert loaded.variant == model.variant
     for (na, pa), (nb, pb) in zip(
         model.named_parameters(), loaded.named_parameters()
     ):
@@ -46,13 +45,19 @@ def test_round_trip_is_bit_exact(tmp_path, model):
      "b8d844326ea26fe6f302f86992ca8e638f3512d0eff9fcb4ec6c74c5128dc93f"),
     ("pure_mlp", "float64",
      "1083d68410b701e60dc813ed6984a45779db0317af0139251ed7758c7a7de3d8"),
+    ("self_attention", "float32",
+     "f661143973188a8db620ed7c88624d961670f1745d898d42fc5afefbcd86c254"),
+    ("global_only", "float32",
+     "bbef1a3dc66a712ca5f8a7d16f41e1af6bd182c4962d894ea596789e2a5d72f3"),
+    ("channel_identifier", "float32",
+     "e5b13b828fd6fdf1dcabb30c9ae68f683b67ad509d531548bb509c2b99f4ca72"),
 ])
 def test_fresh_seeded_model_saves_pinned_bytes(tmp_path, variant, dtype, digest):
     """The init draw order and the version 2 byte layout, pinned: a change
     to either changes these digests."""
     cfg = ModelConfig(channels=3, lookback=8, horizon=4, period=5, hidden=6,
-                      heads=2, seed=11, dtype=dtype)
-    save_checkpoint(tmp_path / "m.ckpt", TQNet(cfg, VariantSpec.named(variant)))
+                      heads=2, seed=11, dtype=dtype, variant=variant)
+    save_checkpoint(tmp_path / "m.ckpt", TQNet(cfg))
     got = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
     assert got == digest
 
@@ -114,12 +119,14 @@ def test_train_exits_1_when_its_checkpoint_save_fails(tmp_path, monkeypatch,
     assert not [f for f in out.iterdir() if f.name.endswith(".tmp")]
 
 
-def test_variant_survives_round_trip(tmp_path):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_variant_survives_round_trip(tmp_path, variant):
     cfg = ModelConfig(channels=2, lookback=4, horizon=2, period=3, hidden=4,
-                      heads=2, attn_dropout=0.0)
-    m = TQNet(cfg, variant=VariantSpec.named("channel_identifier"))
-    save_checkpoint(tmp_path / "v.ckpt", m)
-    assert load_checkpoint(tmp_path / "v.ckpt").variant.name == "channel_identifier"
+                      heads=2, attn_dropout=0.0, variant=variant)
+    model = TQNet(cfg)
+    save_checkpoint(tmp_path / "v.ckpt", model)
+    loaded = load_checkpoint(tmp_path / "v.ckpt")
+    assert loaded.config == model.config and loaded.wiring == model.wiring
 
 
 def test_bad_magic(tmp_path):
@@ -163,6 +170,11 @@ def _rewrite_header(path, mutate):
         + new_body
         + struct.pack("<I", zlib.crc32(new_body) & 0xFFFFFFFF)
     )
+
+
+def _entry(header, name):
+    """The manifest entry of the parameter ``name``."""
+    return next(m for m in header["params"] if m["name"] == name)
 
 
 def test_manifest_and_payload_must_agree(tmp_path, model):
@@ -239,6 +251,16 @@ def test_unsupported_version(tmp_path, model, capsys):
                  id="variant-bool-field-str"),
     pytest.param(lambda h: h["variant"].update(bank=1), "bank",
                  id="variant-bool-field-int"),
+    # a wiring that no variant has
+    pytest.param(lambda h: h["variant"].update(query_source="window",
+                                               key_source="bank"), "variant",
+                 id="variant-unnamed-wiring"),
+    # the variant is stored once, as its wiring
+    pytest.param(lambda h: h["config"].update(variant="default"), "variant",
+                 id="config-with-variant"),
+    # JSON's true is not 1: a manifest entry compares as typed
+    pytest.param(lambda h: _entry(h, "proj_in.b").update(rows=True), "params",
+                 id="params-rows-true"),
 ])
 def test_malformed_header_is_checkpoint_error(tmp_path, model, capsys, mutate, key):
     p = tmp_path / "m.ckpt"

@@ -152,6 +152,7 @@ class TestFieldTypes:
         (SynthSpec, "seed", None),
         (RunConfig, "variant", None),
         (_model_config, "dtype", None),
+        (_model_config, "variant", 1),
     ])
     def test_wrong_type_names_the_field(self, build, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be of type"):
@@ -379,7 +380,7 @@ class TestCliSurface:
         assert covariates["timesteps"] == study["timesteps"].default
         gradcheck = {a.dest: a.default for a in _actions("gradcheck")}
         assert gradcheck["seed"] == ModelConfig.seed
-        assert gradcheck["variant"] == RunConfig.variant
+        assert gradcheck["variant"] == ModelConfig.variant
 
     @pytest.mark.parametrize("argv", README_COMMANDS,
                              ids=[argv[0] for argv in README_COMMANDS])

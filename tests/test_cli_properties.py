@@ -16,7 +16,7 @@ import pytest
 
 from tqnet.checkpoint import save_checkpoint
 from tqnet.cli import RunConfig, main
-from tqnet.model import ModelConfig, TQNet, VariantSpec
+from tqnet.model import ModelConfig, TQNet
 from tqnet.training import ExperimentResult, MetricsReport
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -117,12 +117,11 @@ def argvs(draw):
     return argv
 
 
-def _no_training(table, config, plan, split, variant=None, dataset="series",
-                 log=None):
+def _no_training(table, config, plan, split, dataset="series", log=None):
     """``run_experiment``'s result, untrained."""
     report = MetricsReport(
         dataset=dataset, lookback=config.lookback, horizon=config.horizon,
-        period=config.period, variant=(variant or VariantSpec()).name,
+        period=config.period, variant=config.variant,
         seed=plan.seed, mse=1.0, mae=1.0, best_epoch=1, wall_time_s=0.0)
     return ExperimentResult(model=None, fit=None, report=report)
 

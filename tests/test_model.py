@@ -10,6 +10,7 @@ from tqnet.errors import ConfigError, NumericError, ShapeError
 from tqnet.model import (
     ModelConfig,
     TemporalQueryBank,
+    VARIANTS,
     TQNet,
     VariantSpec,
     instance_denorm,
@@ -28,8 +29,7 @@ TINY = ModelConfig(
 def tiny_model(variant="default", **overrides):
     from dataclasses import replace
 
-    cfg = replace(TINY, **overrides)
-    return TQNet(cfg, variant=VariantSpec.named(variant))
+    return TQNet(replace(TINY, variant=variant, **overrides))
 
 
 class TestConfig:
@@ -49,8 +49,9 @@ class TestConfig:
                         norm_eps=value)
 
     def test_unknown_variant_name(self):
-        with pytest.raises(ConfigError, match="unknown variant"):
-            VariantSpec.named("nope")
+        with pytest.raises(ConfigError, match="unknown variant 'nope'; known: "):
+            ModelConfig(channels=2, lookback=8, horizon=2, period=4, heads=2,
+                        variant="nope")
 
     def test_attention_cannot_read_missing_bank(self):
         with pytest.raises(ConfigError):
@@ -142,7 +143,7 @@ class TestForward:
             tiny_model().predict(np.zeros(x_shape), t)
         assert str(t_shape) in str(err.value)
 
-    @pytest.mark.parametrize("vname", list(VariantSpec.NAMED))
+    @pytest.mark.parametrize("vname", list(VARIANTS))
     def test_stack_matches_window_by_window(self, vname):
         model = tiny_model(vname)
         rng = np.random.default_rng(12)
@@ -203,13 +204,13 @@ class TestForward:
 class TestVariants:
     def test_default_variant_equals_base_model(self):
         a = TQNet(TINY)
-        b = TQNet(TINY, variant=VariantSpec.named("default"))
+        b = tiny_model("default")
         x = np.random.default_rng(5).normal(size=(2, 8))
         np.testing.assert_array_equal(a.predict(x, 1), b.predict(x, 1))
 
     def test_parameter_lists_per_variant(self):
         names = {v: [n for n, _ in tiny_model(v).named_parameters()]
-                 for v in VariantSpec.NAMED}
+                 for v in VARIANTS}
         assert any("attn" in n for n in names["default"])
         assert "bank.theta" in names["default"]
         assert "bank.theta" in names["channel_identifier"]
@@ -237,10 +238,11 @@ class TestVariants:
         assert not np.allclose(base, shifted)
 
     def test_variant_names_round_trip(self):
-        for name in VariantSpec.NAMED:
-            assert VariantSpec.named(name).name == name
+        for name, wiring in VARIANTS.items():
+            assert tiny_model(name).wiring == VariantSpec(*wiring)
+            assert VariantSpec(*wiring).name == name
 
-    @pytest.mark.parametrize("vname", list(VariantSpec.NAMED))
+    @pytest.mark.parametrize("vname", list(VARIANTS))
     def test_gradients_per_variant(self, vname):
         model = tiny_model(vname)
         rng = np.random.default_rng(9)
@@ -256,7 +258,7 @@ class TestVariants:
         res = gradient_check(closure, model.parameters(), tol=1e-4)
         assert res.passed, res.summary()
 
-    @pytest.mark.parametrize("vname", list(VariantSpec.NAMED))
+    @pytest.mark.parametrize("vname", list(VARIANTS))
     def test_masked_batch_gradients_per_variant(self, vname):
         res = check_model_gradients(tiny_model(vname), data_seed=13)
         assert res.passed, res.summary()
@@ -347,7 +349,7 @@ class TestBatchedAttention:
                 np.testing.assert_array_equal(head_block(model, w, h), want)
         wo = rng.uniform(-bound, bound, size=(L, L)).astype(np.float32)
         np.testing.assert_array_equal(model.params["attn.wo"].values, wo)
-        attn = [(n, s) for n, s in parameter_shapes(cfg, model.variant)
+        attn = [(n, s) for n, s in parameter_shapes(cfg)
                 if n.startswith("attn.")]
         assert attn == [(f"attn.{w}", (L, L)) for w in ("wq", "wk", "wv", "wo")]
 

@@ -18,7 +18,7 @@ from tqnet.data import (
     split_and_scale,
 )
 from tqnet.errors import ConfigError, NumericError
-from tqnet.model import ModelConfig, TQNet, VariantSpec, flat_views, parameter_shapes
+from tqnet.model import VARIANTS, ModelConfig, TQNet, flat_views, parameter_shapes
 from tqnet.tensor import DiffTensor, Tape, mse_loss
 from tqnet.training import (
     Adam,
@@ -188,16 +188,16 @@ class TestGradientOwnership:
     """Backward writes each gradient once: a parameter's lands in its slice
     of ``Adam.g``, and no two live tensors share gradient memory."""
 
-    @pytest.mark.parametrize("variant", VariantSpec.NAMED)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_a_train_step_writes_gradients_into_adam_g(self, variant):
-        cfg = replace(MICRO, attn_dropout=0.3, out_dropout=0.2)
-        plain = TQNet(cfg, VariantSpec.named(variant))
+        cfg = replace(MICRO, attn_dropout=0.3, out_dropout=0.2, variant=variant)
+        plain = TQNet(cfg)
         _train_backward(plain)
         want = {name: p.grad for name, p in plain.named_parameters()}
 
         gc.collect()
         before = {id(o) for o in gc.get_objects() if isinstance(o, DiffTensor)}
-        model = TQNet(cfg, VariantSpec.named(variant))
+        model = TQNet(cfg)
         opt = Adam(model, MICRO_PLAN)
         opt.g.fill(np.nan)  # what a slice no gradient reached must not keep
         init = {name: p.values.copy() for name, p in model.named_parameters()}
@@ -235,12 +235,12 @@ class TestParameterBuffer:
     of it, and training does not move them (``restore`` and
     ``load_checkpoint`` writing through: see ``TestPackedAdam``)."""
 
-    @pytest.mark.parametrize("variant", VariantSpec.NAMED)
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_parameters_are_consecutive_views_of_values(self, variant, dtype):
-        cfg, spec = replace(MICRO, dtype=dtype), VariantSpec.named(variant)
-        model = TQNet(cfg, spec)
-        shapes = parameter_shapes(cfg, spec)
+        cfg = replace(MICRO, dtype=dtype, variant=variant)
+        model = TQNet(cfg)
+        shapes = parameter_shapes(cfg)
         assert [name for name, _ in model.named_parameters()] == [
             name for name, _ in shapes]
         assert model.values.ndim == 1 and model.values.dtype == cfg.np_dtype
@@ -253,7 +253,7 @@ class TestParameterBuffer:
             assert start == offset * model.values.itemsize, name
             offset += p.values.size
         assert offset == model.values.size
-        if spec.bank:
+        if model.wiring.bank:
             assert model.bank.theta is model.params["bank.theta"]
 
     def test_adam_and_fit_leave_the_buffer_in_place(self):
