@@ -104,7 +104,7 @@ def bank_correlation(model):
     """
     if model.bank is None:
         raise ConfigError("model variant has no query bank")
-    theta = model.bank.theta.values
+    theta = model.bank.values
     if not np.any(theta):
         raise DataError("query bank is all zeros (untrained); nothing to correlate")
     return channel_correlation(theta.T.astype(np.float64))

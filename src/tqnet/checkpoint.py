@@ -5,8 +5,8 @@ Layout (all integers little-endian uint32):
     8 bytes   magic ``TQNETCK1``
     4 bytes   header length N
     N bytes   UTF-8 JSON header: format_version; config, the model's
-              ModelConfig less its variant name; variant, the VariantSpec
-              wiring of that name; and params, the parameter manifest
+              ModelConfig less its variant name; variant, the wiring of the
+              config's variant name; and params, the parameter manifest
               [{name, rows, cols}, ...] in parameter_shapes(config) order
     payload   the model's flat parameter buffer as float32 little-endian:
               per manifest entry in order, rows*cols values, row-major
@@ -22,9 +22,10 @@ target, so a save that fails partway leaves the previous checkpoint intact.
 The payload is ``TQNet.values`` cast once to ``<f4``, whatever the model's
 working dtype, so a float64 model round-trips with float32 precision; a load
 fills the new model's buffer with one assignment.  Loading validates magic,
-version, the header schema, the manifest (which must equal the one the
-stored config derives), payload length, and the checksum, raising
-:class:`~tqnet.errors.CheckpointError` with the offending detail.  The
+version, the header schema, the variant section (which must be one of the
+``VARIANTS`` wirings, compared as typed JSON), the manifest (which must
+equal the one the stored config derives), payload length, and the checksum,
+raising :class:`~tqnet.errors.CheckpointError` with the offending detail.  The
 manifest and the payload length are checked before any parameter array is
 allocated.
 """
@@ -42,7 +43,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import CheckpointError
-from .model import ModelConfig, TQNet, VariantSpec, parameter_shapes
+from .model import VARIANTS, ModelConfig, TQNet, parameter_shapes
 
 MAGIC = b"TQNETCK1"
 FORMAT_VERSION = 2
@@ -59,6 +60,10 @@ def _json_text(obj):
     return json.dumps(obj, sort_keys=True)
 
 
+# each variant's name, keyed by the JSON text of its wiring
+_VARIANT_NAMES = {_json_text(w._asdict()): name for name, w in VARIANTS.items()}
+
+
 def save_checkpoint(path, model):
     config = asdict(model.config)
     del config["variant"]  # stored as its wiring
@@ -66,7 +71,7 @@ def save_checkpoint(path, model):
         {
             "format_version": FORMAT_VERSION,
             "config": config,
-            "variant": asdict(model.wiring),
+            "variant": model.wiring._asdict(),
             "params": _manifest(model.config),
         },
         sort_keys=True,
@@ -112,9 +117,23 @@ def load_checkpoint(path):
             f"not supported (expected {FORMAT_VERSION})"
         )
 
-    wiring = _header_section(path, header, "variant", VariantSpec)
-    config = _header_section(path, header, "config", ModelConfig,
-                             variant=wiring.name)
+    wiring = _json_text(header.get("variant"))
+    variant = _VARIANT_NAMES.get(wiring)
+    if variant is None:
+        raise CheckpointError(
+            f"{path}: header key 'variant' is the wiring of no variant: {wiring}")
+    section = header.get("config")
+    if not isinstance(section, dict):
+        raise CheckpointError(f"{path}: header key 'config' must be an object")
+    unknown = sorted(set(section) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise CheckpointError(
+            f"{path}: header key 'config' has unknown field {unknown[0]!r}")
+    try:
+        config = ModelConfig(**section, variant=variant)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: header key 'config' is invalid ({exc})") from None
     want, got = _manifest(config), header.get("params")
     if not isinstance(got, list):
         raise CheckpointError(f"{path}: header key 'params' must be a list")
@@ -139,22 +158,3 @@ def load_checkpoint(path):
             f"{path}: header key 'config' does not build a model ({exc})"
         ) from None
 
-
-def _header_section(path, header, key, cls, **given):
-    """Build ``cls`` from the header object under ``key`` plus the fields
-    ``given``; every schema fault, a field the object gives again included,
-    becomes a :class:`CheckpointError` naming the file and the key."""
-    section = header.get(key)
-    if not isinstance(section, dict):
-        raise CheckpointError(f"{path}: header key {key!r} must be an object")
-    unknown = sorted(set(section) - {f.name for f in fields(cls)})
-    if unknown:
-        raise CheckpointError(
-            f"{path}: header key {key!r} has unknown field {unknown[0]!r}"
-        )
-    try:
-        return cls(**section, **given)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"{path}: header key {key!r} is invalid ({exc})"
-        ) from None

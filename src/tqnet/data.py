@@ -422,6 +422,8 @@ class SynthSpec:
             raise ConfigError(f"period must be >= 2, got {self.period}")
         if self.channels < 1 or self.latents < 1:
             raise ConfigError("channels and latents must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.timesteps < 2 * self.period:
             raise ConfigError(
                 f"timesteps ({self.timesteps}) must cover at least two periods"

@@ -6,8 +6,7 @@ the established idiom) so the CLI can map failures onto exit codes: config
 and usage problems exit 2, runtime failures exit 1.
 
 Every config dataclass (``ModelConfig``, ``TrainPlan``, ``SplitSpec``,
-``SynthSpec``, ``RunConfig``), and ``VariantSpec``, the variant wiring a
-checkpoint stores, calls :func:`check_field_types` first in its
+``SynthSpec``, ``RunConfig``) calls :func:`check_field_types` first in its
 ``__post_init__``, and the CLI types its flags by :func:`field_type`, so a
 field's annotation is the only statement of what it accepts.  ``RunConfig``
 restates no field: ``tqnet.cli`` builds it from those of ``ModelConfig``,

@@ -6,10 +6,10 @@ whose absolute start position ``t`` is known; a minibatch is a stack
 (B x channels x lookback) with one start per window, run in one pass.  Each
 channel owns a learnable query vector of length ``period`` (one slot per
 position of the assumed cycle).  For a window starting at ``t``, slot
-``(t + j) mod period`` is read for offset ``j``, so two windows whose starts
-differ by a whole number of periods read byte-identical query segments — the
-query bank is a phase-locked description of each channel, not of any single
-window.
+``(t + j) mod period`` is read for offset ``j`` (``segment_indices``), so
+two windows whose starts differ by a whole number of periods read
+byte-identical query segments — the query bank is a phase-locked
+description of each channel, not of any single window.
 
 Attention mixes *channels* (rows): queries come from the bank segment, keys
 and values from the observed window, so a channel attends to the raw channels
@@ -22,13 +22,15 @@ it, every head's scores, softmax and dropout form a single (heads, B,
 channels, channels) stack.  ``ModelConfig.variant`` names one of the
 ``VARIANTS`` of the component study, which rewire the block (raw
 self-attention, bank-only attention, additive channel identifiers, plain
-MLP); ``VariantSpec`` is that name's wiring, which the forward pass reads.
+MLP); ``ModelConfig.wiring`` is that name's row of the table, which the
+forward pass reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +74,8 @@ class ModelConfig:
             v = getattr(self, name)
             if v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.lookback % self.heads != 0:
             raise ConfigError(
                 f"lookback ({self.lookback}) must be divisible by heads ({self.heads})"
@@ -99,22 +103,10 @@ class ModelConfig:
 
     @property
     def wiring(self):
-        return VariantSpec(*VARIANTS[self.variant])
+        return VARIANTS[self.variant]
 
 
-# The component study's variants, each as its VariantSpec field values:
-# (query_source, key_source, attention, bank).
-VARIANTS = {
-    "default": ("bank", "window", True, True),
-    "self_attention": ("window", "window", True, True),
-    "global_only": ("bank", "bank", True, True),
-    "channel_identifier": ("bank", "window", False, True),
-    "pure_mlp": ("window", "window", False, False),
-}
-
-
-@dataclass(frozen=True)
-class VariantSpec:
+class Wiring(NamedTuple):
     """The attention-block wiring of one of the ``VARIANTS``, as a
     checkpoint stores it.
 
@@ -125,50 +117,33 @@ class VariantSpec:
     model is the bare MLP trunk.
     """
 
-    query_source: str = "bank"
-    key_source: str = "window"
-    attention: bool = True
-    bank: bool = True
-
-    def __post_init__(self):
-        check_field_types(self)
-        if astuple(self) not in VARIANTS.values():
-            raise ConfigError(f"{self} is the wiring of no variant; "
-                              f"known: {', '.join(sorted(VARIANTS))}")
-
-    @property
-    def name(self):
-        return next(n for n, w in VARIANTS.items() if w == astuple(self))
+    query_source: str
+    key_source: str
+    attention: bool
+    bank: bool
 
 
-class TemporalQueryBank:
-    """Per-channel learnable vector over one period, read cyclically:
-    ``theta`` is the (channels x period) parameter tensor."""
-
-    def __init__(self, theta):
-        self.theta = theta
-        self.period = theta.cols
-
-    def segment_indices(self, t, length):
-        """Column indices for a window of ``length`` starting at ``t``; an
-        array of starts gives one row of indices per start."""
-        t = np.asarray(t, dtype=np.int64)
-        if (t < 0).any():
-            raise ValueError(f"window start must be non-negative, got {t}")
-        return (t[..., None] + np.arange(length, dtype=np.int64)) % self.period
-
-    def extract(self, tape, t, length):
-        return gather_cols(tape, self.theta, self.segment_indices(t, length))
+# The component study's variants, each name with its wiring.
+VARIANTS = {
+    "default": Wiring("bank", "window", True, True),
+    "self_attention": Wiring("window", "window", True, True),
+    "global_only": Wiring("bank", "bank", True, True),
+    "channel_identifier": Wiring("bank", "window", False, True),
+    "pure_mlp": Wiring("window", "window", False, False),
+}
 
 
-def instance_norm(x, eps):
-    """Per-row standardization with population variance; returns (xn, mu, var)."""
-    return kernels.row_norm_stats(x, eps)
+def segment_indices(t, length, period):
+    """Bank columns of a window of ``length`` starting at ``t``: offset ``j``
+    reads slot ``(t + j) mod period``.  An array of starts gives one row of
+    indices per start."""
+    t = np.asarray(t, dtype=np.int64)
+    return (t[..., None] + np.arange(length, dtype=np.int64)) % period
 
 
 def instance_denorm(tape, y, mu, var, eps):
-    """Inverse of ``instance_norm`` on the tensor ``y``: the forward's
-    output denorm."""
+    """Inverse of ``kernels.row_norm_stats`` on the tensor ``y``: the
+    forward's output denorm."""
     return row_affine(tape, y, np.sqrt(var + eps), mu)
 
 
@@ -238,9 +213,7 @@ class TQNet:
                 view[...] = next(qkv)
             elif name.rpartition(".")[2].startswith("w"):
                 view[...] = _uniform_init(rng, shape, dt)
-        self.bank = None
-        if self.wiring.bank:
-            self.bank = TemporalQueryBank(self.params["bank.theta"])
+        self.bank = self.params.get("bank.theta")  # None without a bank
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -312,14 +285,18 @@ class TQNet:
             raise ShapeError(
                 f"expected x {window} with a scalar t, or x (B, {window[0]}, "
                 f"{window[1]}) with t (B,); got x {x.shape} and t {t.shape}")
+        if t.dtype.kind not in "iu" or (t < 0).any():
+            raise ValueError(f"t must hold non-negative integer window starts, "
+                             f"got {t.tolist()!r}")
         check_finite(x, "input window")
         stats = None
         if cfg.use_instance_norm:
-            x, mu, var = instance_norm(x, cfg.norm_eps)
+            x, mu, var = kernels.row_norm_stats(x, cfg.norm_eps)
             stats = (mu, var)
         seg = None
         if self.bank is not None:
-            seg = self.bank.extract(tape, t, cfg.lookback)
+            seg = gather_cols(tape, self.bank,
+                              segment_indices(t, cfg.lookback, cfg.period))
         return DiffTensor(x, name="window"), seg, stats
 
     def _qk_sources(self, xt, seg):

@@ -435,7 +435,7 @@ class GradCheckResult:
         return "\n".join(lines)
 
 
-def gradient_check(closure, params, eps=1e-5, tol=1e-4, rel_floor=1e-6):
+def gradient_check(closure, params, eps=1e-5, tol=1e-4):
     """Compare tape gradients against central finite differences.
 
     ``closure`` must rebuild the forward pass from the parameters' *current*
@@ -445,7 +445,7 @@ def gradient_check(closure, params, eps=1e-5, tol=1e-4, rel_floor=1e-6):
     differencing noise would drown the signal.
 
     Relative error per element is |analytic - numeric| / max(|analytic|,
-    |numeric|, rel_floor).  A non-finite analytic or numeric value is an
+    |numeric|, 1e-6).  A non-finite analytic or numeric value is an
     error of ``inf``, so it fails at any ``tol``.
     """
     for label, value in (("eps", eps), ("tol", tol)):
@@ -488,7 +488,7 @@ def gradient_check(closure, params, eps=1e-5, tol=1e-4, rel_floor=1e-6):
             fm = closure()[0].values[0, 0]
             flat[j] = orig
             numeric = (fp - fm) / (2.0 * eps)
-            denom = max(abs(aflat[j]), abs(numeric), rel_floor)
+            denom = max(abs(aflat[j]), abs(numeric), 1e-6)
             err = abs(aflat[j] - numeric) / denom
             if not (math.isfinite(aflat[j]) and math.isfinite(numeric)
                     and math.isfinite(err)):

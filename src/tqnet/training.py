@@ -53,6 +53,8 @@ class TrainPlan:
                 raise ConfigError(f"{name} must be finite and positive, got {v!r}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 1 <= self.patience <= self.max_epochs:
             raise ConfigError(
                 f"patience must be in [1, max_epochs], got {self.patience}"
@@ -298,8 +300,7 @@ def check_model_gradients(model, data_seed, eps=1e-5, tol=1e-4):
     y = rng.normal(size=(len(t), c.channels, c.horizon))
     rows = (0, c.channels - 1, c.channels - 1)
     if model.bank is not None:
-        theta = model.bank.theta
-        theta.values[...] = rng.normal(size=theta.shape, scale=0.1)
+        model.bank.values[...] = rng.normal(size=model.bank.shape, scale=0.1)
 
     def closure():
         tape = Tape()

@@ -24,14 +24,9 @@ from tqnet.analysis import (
 )
 from tqnet.cli import main as cli_main
 from tqnet.data import SplitSpec, SynthSpec, generate_synthetic, load_csv
-from tqnet.model import (
-    ModelConfig,
-    TemporalQueryBank,
-    TQNet,
-    instance_denorm,
-    instance_norm,
-)
-from tqnet.tensor import DiffTensor
+from tqnet.kernels import row_norm_stats
+from tqnet.model import ModelConfig, TQNet, instance_denorm, segment_indices
+from tqnet.tensor import DiffTensor, gather_cols
 from tqnet.training import (
     TrainPlan,
     check_model_gradients,
@@ -137,13 +132,12 @@ def test_criterion_1_gradient_fidelity():
 
 def test_criterion_2_query_bank_periodicity():
     period = 24
-    bank = TemporalQueryBank(DiffTensor(np.zeros((8, period))))
     rng = np.random.default_rng(11)
     for _ in range(1000):
         t = int(rng.integers(0, 100_000))
         i = int(rng.integers(1, 500))
-        a = bank.segment_indices(t, 17)
-        b = bank.segment_indices(t + i * period, 17)
+        a = segment_indices(t, 17, period)
+        b = segment_indices(t + i * period, 17, period)
         assert np.array_equal(a, b), (t, i)
 
     config = ModelConfig(
@@ -157,7 +151,8 @@ def test_criterion_2_query_bank_periodicity():
         for w in model.attention_weights(x, t=2)
     )
     xt = DiffTensor(x)
-    seg = model.bank.extract(None, 2, config.lookback)
+    seg = gather_cols(None, model.bank,
+                      segment_indices(2, config.lookback, config.period))
     pre_residual = model._attention(None, seg, xt, xt, "eval", None).values - x
     row_spread = float(np.abs(pre_residual - pre_residual[0]).max())
     ok = weight_dev < 1e-6 and row_spread < 1e-6
@@ -179,11 +174,11 @@ def test_criterion_3_normalization_round_trip():
         x = rng.normal(size=(6, 32)) * rng.uniform(0.1, 100.0, size=(6, 1))
         x[0, :] = 0.0                      # constant channels: zero variance
         x[1, :] = rng.uniform(-5.0, 5.0)
-        xn, mu, var = instance_norm(x, eps)
+        xn, mu, var = row_norm_stats(x, eps)
         back = instance_denorm(None, DiffTensor(xn), mu, var, eps).values
         worst = max(worst, float(np.abs(back - x).max()))
     x32 = rng.normal(size=(4, 16)).astype(np.float32)
-    xn, mu, var = instance_norm(x32, eps)
+    xn, mu, var = row_norm_stats(x32, eps)
     back32 = instance_denorm(None, DiffTensor(xn), mu, var, eps).values
     worst32 = float(np.abs(back32 - x32).max())
     ok = worst <= 1e-5 and worst32 <= 1e-5

@@ -42,9 +42,9 @@ class TestBankCorrelation:
     def test_matches_channel_correlation_of_rows(self):
         model = TQNet(MICRO)
         rng = np.random.default_rng(4)
-        model.bank.theta.values[...] = rng.normal(size=(4, 8))
+        model.bank.values[...] = rng.normal(size=(4, 8))
         corr = bank_correlation(model)
-        expected = channel_correlation(model.bank.theta.values.T)
+        expected = channel_correlation(model.bank.values.T)
         np.testing.assert_allclose(corr, expected, atol=1e-7)
 
     def test_variant_without_bank_rejected(self):

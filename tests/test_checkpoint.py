@@ -20,8 +20,8 @@ def model():
     cfg = ModelConfig(channels=3, lookback=8, horizon=4, period=5, hidden=6,
                       heads=2, attn_dropout=0.0, seed=11)
     m = TQNet(cfg)
-    m.bank.theta.values[...] = np.random.default_rng(1).normal(
-        size=m.bank.theta.shape
+    m.bank.values[...] = np.random.default_rng(1).normal(
+        size=m.bank.shape
     ).astype(np.float32)
     return m
 
@@ -251,10 +251,15 @@ def test_unsupported_version(tmp_path, model, capsys):
                  id="variant-bool-field-str"),
     pytest.param(lambda h: h["variant"].update(bank=1), "bank",
                  id="variant-bool-field-int"),
+    pytest.param(lambda h: h["variant"].update(query_source=1), "query_source",
+                 id="variant-str-field-int"),
     # a wiring that no variant has
     pytest.param(lambda h: h["variant"].update(query_source="window",
                                                key_source="bank"), "variant",
                  id="variant-unnamed-wiring"),
+    # attention that would read a bank the model does not have
+    pytest.param(lambda h: h["variant"].update(bank=False), "variant",
+                 id="variant-attention-without-bank"),
     # the variant is stored once, as its wiring
     pytest.param(lambda h: h["config"].update(variant="default"), "variant",
                  id="config-with-variant"),

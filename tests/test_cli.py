@@ -30,7 +30,7 @@ from tqnet.cli import (
 )
 from tqnet.data import SplitSpec, SynthSpec, generate_synthetic, write_csv
 from tqnet.errors import ConfigError, NumericError
-from tqnet.model import ModelConfig, TQNet, VariantSpec
+from tqnet.model import ModelConfig, TQNet
 from tqnet.training import TrainPlan, config_hash
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -145,7 +145,6 @@ class TestFieldTypes:
         (SplitSpec, "max_rows", 2.5),
         (SynthSpec, "channels", 3.5),
         (RunConfig, "data", 5),
-        (VariantSpec, "query_source", 1),
         # None only where the annotation says ``X | None``
         (TrainPlan, "lr", None),
         (SplitSpec, "border_context", None),
@@ -169,6 +168,12 @@ class TestFieldTypes:
         assert type(_model_config(attn_dropout=0).attn_dropout) is float
         assert type(SynthSpec(noise_sigma=0).noise_sigma) is float
         assert type(RunConfig(val_frac=0).val_frac) is float
+
+
+@pytest.mark.parametrize("build", [_model_config, TrainPlan, SynthSpec])
+def test_a_negative_seed_names_seed(build):
+    with pytest.raises(ConfigError, match="^seed must be a non-negative integer, got -1$"):
+        build(seed=-1)
 
 
 class TestSynthAndACF:
@@ -543,6 +548,24 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path / "run"), *MICRO_ARGS])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1"], ["ablate", "--seeds", "1,-2"],
+        ["synth", "--seed", "-3"], ["gradcheck", "--seed", "-1"],
+    ], ids=["train", "ablate", "synth", "gradcheck"])
+    def test_a_negative_seed_exits_2_before_any_artifact(
+            self, argv, synth_csv, tmp_path, capsys):
+        # numpy would refuse it only once a generator is seeded, and as exit 1
+        if argv[0] == "synth":
+            argv = [*argv, "--out", str(tmp_path / "run")]
+        elif argv[0] != "gradcheck":
+            argv = [*argv, "--data", str(synth_csv),
+                    "--out-dir", str(tmp_path / "run"), *MICRO_ARGS]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a non-negative integer, got -")
+        assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key,value", [("data", "x.csv"),

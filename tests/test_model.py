@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from tqnet.errors import ConfigError, NumericError, ShapeError
+from tqnet.kernels import row_norm_stats
 from tqnet.model import (
     ModelConfig,
-    TemporalQueryBank,
     VARIANTS,
     TQNet,
-    VariantSpec,
     instance_denorm,
-    instance_norm,
     parameter_shapes,
+    segment_indices,
 )
 from tqnet.tensor import DiffTensor, Tape, gradient_check, mse_loss
 from tqnet.training import check_model_gradients
@@ -53,44 +52,34 @@ class TestConfig:
             ModelConfig(channels=2, lookback=8, horizon=2, period=4, heads=2,
                         variant="nope")
 
-    def test_attention_cannot_read_missing_bank(self):
-        with pytest.raises(ConfigError):
-            VariantSpec(query_source="bank", bank=False)
-
-
-def bank_of(channels, period):
-    return TemporalQueryBank(DiffTensor(np.zeros((channels, period))))
-
 
 class TestBankIndexing:
     def test_frozen_example(self):
-        bank = bank_of(1, 4)
         np.testing.assert_array_equal(
-            bank.segment_indices(t=3, length=6), [3, 0, 1, 2, 3, 0]
+            segment_indices(t=3, length=6, period=4), [3, 0, 1, 2, 3, 0]
         )
 
     def test_periodicity_over_random_starts(self):
         rng = np.random.default_rng(0)
-        bank = bank_of(3, 24)
         for _ in range(200):
             t = int(rng.integers(0, 10_000))
             k = int(rng.integers(1, 50))
-            a = bank.segment_indices(t, 96)
-            b = bank.segment_indices(t + k * 24, 96)
+            a = segment_indices(t, 96, 24)
+            b = segment_indices(t + k * 24, 96, 24)
             np.testing.assert_array_equal(a, b)
 
     def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            bank_of(2, 4).segment_indices(-1, 4)
-        with pytest.raises(ValueError):
-            bank_of(2, 4).segment_indices(np.array([3, -1]), 4)
+        model, x = tiny_model(), np.zeros((2, 2, 8))
+        with pytest.raises(ValueError, match="^t must"):
+            model.predict(x[0], -1)
+        with pytest.raises(ValueError, match=r"^t must .* got \[3, -1\]"):
+            model.predict(x, np.array([3, -1]))
 
     def test_array_of_starts_gives_one_row_each(self):
-        bank = bank_of(1, 4)
         starts = np.array([3, 0, 6])
         np.testing.assert_array_equal(
-            bank.segment_indices(starts, 6),
-            [bank.segment_indices(t, 6) for t in starts],
+            segment_indices(starts, 6, 4),
+            [segment_indices(t, 6, 4) for t in starts],
         )
 
     def test_zero_bank_gives_uniform_attention(self):
@@ -106,13 +95,13 @@ class TestInstanceNorm:
         x = rng.normal(size=(5, 32), scale=4.0).astype(np.float32)
         x[2, :] = 7.25  # constant channel
         x[4, :] = 0.0
-        xn, mu, var = instance_norm(x, 1e-5)
+        xn, mu, var = row_norm_stats(x, 1e-5)
         back = instance_denorm(None, DiffTensor(xn), mu, var, 1e-5).values
         assert np.abs(back - x).max() < 1e-5
 
     def test_constant_channel_normalizes_to_zero(self):
         x = np.full((1, 16), 3.0)
-        xn, mu, var = instance_norm(x, 1e-5)
+        xn, mu, var = row_norm_stats(x, 1e-5)
         np.testing.assert_array_equal(xn, np.zeros((1, 16)))
         assert mu[0] == 3.0 and var[0] == 0.0
 
@@ -143,12 +132,22 @@ class TestForward:
             tiny_model().predict(np.zeros(x_shape), t)
         assert str(t_shape) in str(err.value)
 
+    @pytest.mark.parametrize("t", [2.9, True, -1], ids=["float", "bool", "negative"])
+    @pytest.mark.parametrize("vname", list(VARIANTS))
+    def test_window_start_must_be_a_non_negative_int(self, vname, t):
+        # 2.9 would read phase 2 and True phase 1, with or without a bank
+        model, x = tiny_model(vname), np.zeros((2, 2, 8))
+        with pytest.raises(ValueError, match=f"^t must .* got {t!r}$"):
+            model.predict(x[0], t)
+        with pytest.raises(ValueError, match="^t must"):
+            model.predict(x, np.full(2, t))
+
     @pytest.mark.parametrize("vname", list(VARIANTS))
     def test_stack_matches_window_by_window(self, vname):
         model = tiny_model(vname)
         rng = np.random.default_rng(12)
         if model.bank is not None:
-            model.bank.theta.values[...] = rng.normal(size=(2, 4))
+            model.bank.values[...] = rng.normal(size=(2, 4))
         x = rng.normal(size=(5, 2, 8))
         t = np.array([0, 3, 5, 2, 9])
         stacked = model.predict(x, t)
@@ -225,22 +224,21 @@ class TestVariants:
         tape = Tape()
         loss = mse_loss(tape, model.forward(x, 2, tape, mode="train"), y)
         tape.backward(loss)
-        assert model.bank.theta.grad is None  # disconnected from the loss
+        assert model.bank.grad is None  # disconnected from the loss
         assert model.params["proj_out.w"].grad is not None
 
     def test_channel_identifier_adds_bank_segment(self):
         model = tiny_model("channel_identifier", use_instance_norm=False)
         rng = np.random.default_rng(8)
-        model.bank.theta.values[...] = rng.normal(size=(2, 4))
+        model.bank.values[...] = rng.normal(size=(2, 4))
         x = rng.normal(size=(2, 8))
         base = model.predict(x, t=0)
         shifted = model.predict(x, t=1)  # different phase, different identity mix
         assert not np.allclose(base, shifted)
 
     def test_variant_names_round_trip(self):
-        for name, wiring in VARIANTS.items():
-            assert tiny_model(name).wiring == VariantSpec(*wiring)
-            assert VariantSpec(*wiring).name == name
+        for name in VARIANTS:
+            assert tiny_model(name).wiring == VARIANTS[name]
 
     @pytest.mark.parametrize("vname", list(VARIANTS))
     def test_gradients_per_variant(self, vname):
@@ -249,7 +247,7 @@ class TestVariants:
         x = rng.normal(size=(2, 8))
         y = rng.normal(size=(2, 2))
         if model.bank is not None:
-            model.bank.theta.values[...] = rng.normal(size=(2, 4), scale=0.1)
+            model.bank.values[...] = rng.normal(size=(2, 4), scale=0.1)
 
         def closure():
             tape = Tape()
@@ -301,7 +299,7 @@ def attention_sources(vname, dtype, x, t):
     model = tiny_model(vname, dtype=dtype, channels=3, lookback=12, heads=4,
                        attn_dropout=0.5)
     rng = np.random.default_rng(14)
-    model.bank.theta.values[...] = rng.normal(size=model.bank.theta.shape)
+    model.bank.values[...] = rng.normal(size=model.bank.shape)
     xt, seg, _ = model._inputs(x, t, None)
     return model, xt, *model._qk_sources(xt, seg)
 
@@ -377,8 +375,8 @@ class TestAttentionScaling:
             pb.values[...] = pa.values
         x = np.random.default_rng(10).normal(size=(2, 8))
         # bank is zero -> uniform rows either way; give it structure first
-        a.bank.theta.values[...] = 0.3
-        b.bank.theta.values[...] = 0.3
+        a.bank.values[...] = 0.3
+        b.bank.values[...] = 0.3
         wa = a.attention_weights(x, 0)[0]
         wb = b.attention_weights(x, 0)[0]
         assert not np.allclose(wa, wb)

@@ -254,7 +254,7 @@ class TestParameterBuffer:
             offset += p.values.size
         assert offset == model.values.size
         if model.wiring.bank:
-            assert model.bank.theta is model.params["bank.theta"]
+            assert model.bank is model.params["bank.theta"]
 
     def test_adam_and_fit_leave_the_buffer_in_place(self):
         model = TQNet(MICRO)

@@ -1,0 +1,157 @@
+"""Run the ``tqnet`` CLI from two source trees and compare what each argv does.
+
+    python tools/outdiff.py PARENT_TREE CHANGE_TREE [ARGV_FILE]
+
+A tree is a checkout; its ``src/`` goes on ``PYTHONPATH``.  ARGV_FILE
+(default: ``argvs.txt`` next to this script) is read the way the README's
+``sh`` blocks are: a trailing backslash continues a line, and each line that
+starts with ``tqnet `` is one argv; every other line is a comment.
+
+The parent tree first makes the inputs: a copy of its ``configs/``,
+``SETUP``'s synth CSV and truth matrix and a checkpoint trained on them
+(``runs/demo``), plus ``bad.csv``
+(a non-numeric cell) and ``bad_variant.ckpt`` (that checkpoint with a
+``variant`` section no variant has).  Each argv then runs once per tree in
+its own process, with one BLAS thread, in a fresh copy of the inputs.
+
+Compared per argv: the exit code, stdout, stderr, the set of files in the
+directory afterwards and their bytes.  In stdout and stderr the directory's
+path reads ``<cwd>`` and the tree's ``src`` path ``<src>``; every
+``"wall_time_s": <number>`` is masked.  One verdict line per argv, then a
+summary line; the exit status is 1 if any argv differs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import shlex
+import shutil
+import struct
+import subprocess
+import sys
+import tempfile
+import zlib
+from concurrent.futures import ThreadPoolExecutor
+from itertools import zip_longest
+from pathlib import Path
+
+MAIN = "import sys; from tqnet.cli import main; sys.exit(main(sys.argv[1:]))"
+ONE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+SETUP = """
+tqnet synth --out synth.csv --channels 8 --timesteps 2400 --period 24 --latents 3 \\
+    --noise-sigma 0.1 --seed 42
+tqnet train --data synth.csv --out-dir runs/demo --lookback 24 --horizon 24 \\
+    --period 24 --hidden 64 --attn-dropout 0.0 --lr 0.003 \\
+    --train-frac 0.6 --val-frac 0.2 --test-frac 0.2
+"""
+WALL_TIME = re.compile(rb'"wall_time_s": [-+.0-9eE]+')
+
+
+def read_argvs(text):
+    """Every ``tqnet`` line of ``text`` as an argv, without the ``tqnet``."""
+    return [shlex.split(line)[1:] for line in text.replace("\\\n", " ").splitlines()
+            if line.startswith("tqnet ")]
+
+
+def _mask(data):
+    return WALL_TIME.sub(b'"wall_time_s": "<masked>"', data)
+
+
+def snapshot(work, code, out, err, paths):
+    """What a run in the directory ``work`` did: exit code, masked stdout and
+    stderr bytes with each key of ``paths`` replaced by its value, and the
+    masked bytes of every file under ``work`` by relative path."""
+    for path, name in paths.items():
+        out, err = (s.replace(path.encode(), name.encode()) for s in (out, err))
+    files = {p.relative_to(work).as_posix(): _mask(p.read_bytes())
+             for p in sorted(Path(work).rglob("*")) if p.is_file()}
+    return {"exit": code, "stdout": _mask(out), "stderr": _mask(err), "files": files}
+
+
+def first_difference(a, b):
+    """The first way the snapshots ``a`` and ``b`` differ, or None."""
+    if a["exit"] != b["exit"]:
+        return f"exit code {a['exit']} != {b['exit']}"
+    for stream in ("stdout", "stderr"):
+        lines = zip_longest(a[stream].splitlines(), b[stream].splitlines())
+        for n, (x, y) in enumerate(lines, 1):
+            if x != y:
+                return f"{stream} line {n}: {x!r} != {y!r}"
+    only = sorted(set(a["files"]) ^ set(b["files"]))
+    if only:
+        return f"file {only[0]} is on one side only"
+    for name, x in a["files"].items():
+        y = b["files"][name]
+        if x != y:
+            offset = next(i for i, (p, q) in enumerate(zip_longest(x, y)) if p != q)
+            return f"{name}: bytes differ at offset {offset}"
+    return None
+
+
+def run(tree, argv, work, inputs=None):
+    """``tqnet argv`` from ``tree``'s sources in ``work``, which is made as a
+    copy of ``inputs`` when they are given."""
+    src = str(Path(tree, "src").resolve())
+    if inputs is not None:
+        shutil.copytree(inputs, work)
+    proc = subprocess.run([sys.executable, "-c", MAIN, *argv], cwd=work,
+                          env={**os.environ, **ONE_THREAD, "PYTHONPATH": src},
+                          capture_output=True, timeout=1800)
+    return snapshot(work, proc.returncode, proc.stdout, proc.stderr,
+                    {str(work): "<cwd>", src: "<src>"})
+
+
+def _rewire(src, dst):
+    """Copy the checkpoint ``src`` to ``dst`` with ``bank`` false in its
+    ``variant`` section, checksum updated."""
+    blob = src.read_bytes()
+    (size,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + size])
+    header["variant"]["bank"] = False
+    text = json.dumps(header, sort_keys=True).encode()
+    body = text + blob[12 + size:-4]
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(text)) + body
+                    + struct.pack("<I", zlib.crc32(body)))
+
+
+def make_inputs(tree, inputs):
+    shutil.copytree(Path(tree, "configs"), inputs / "configs")
+    for argv in read_argvs(SETUP):
+        snap = run(tree, argv, inputs)
+        if snap["exit"] != 0:
+            raise SystemExit(f"setup failed: tqnet {shlex.join(argv)}\n"
+                             + snap["stderr"].decode(errors="replace"))
+    (inputs / "bad.csv").write_text("date,a,b\n1,0.5,xyz\n2,0.1,0.2\n")
+    _rewire(inputs / "runs/demo/model.ckpt", inputs / "bad_variant.ckpt")
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) not in (2, 3):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent, change = args[:2]
+    argv_file = Path(args[2]) if len(args) == 3 else Path(__file__).with_name("argvs.txt")
+    argvs = read_argvs(argv_file.read_text())
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="outdiff-") as tmp, \
+            ThreadPoolExecutor(2) as pool:
+        inputs = Path(tmp, "inputs")
+        make_inputs(parent, inputs)
+        for i, argv in enumerate(argvs):
+            sides = [pool.submit(run, tree, argv, Path(tmp, f"{i}-{side}"), inputs)
+                     for side, tree in (("parent", parent), ("change", change))]
+            diff = first_difference(*(s.result() for s in sides))
+            differ += diff is not None
+            print(f"{'identical' if diff is None else 'DIFFERS'}: tqnet {shlex.join(argv)}"
+                  + ("" if diff is None else f"\n    {diff}"), flush=True)
+            for side in ("parent", "change"):
+                shutil.rmtree(Path(tmp, f"{i}-{side}"))
+    print(f"outdiff: {len(argvs)} argvs, {len(argvs) - differ} identical, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
