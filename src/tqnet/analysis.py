@@ -134,6 +134,12 @@ def upper_triangle_pearson(a, b):
 SMOOTH = 12  # moving-average width of the covariates; a horizon must cover it
 
 
+def _check_counts(covariates, timesteps):
+    for name, n in (("covariates", covariates), ("timesteps", timesteps)):
+        if n < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {n!r}")
+
+
 def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
                          smooth=SMOOTH):
     """Series whose channel 0 is a delayed mixture of the other channels.
@@ -149,8 +155,7 @@ def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
     is reachable by the attention block while staying invisible to any
     single-channel extrapolation.
     """
-    if covariates < 1:
-        raise ConfigError("need at least one covariate channel")
+    _check_counts(covariates, timesteps)
     if smooth < 1 or horizon < smooth:
         raise ConfigError(
             f"horizon ({horizon}) must be >= smoothing width ({smooth}) so the "
@@ -188,6 +193,7 @@ def run_covariate_study(config, plan, split, subset_sizes, covariates=8,
     Loss and metrics are restricted to the target channel in every run, so
     n = 0 is exactly the plain single-channel experiment.
     """
+    _check_counts(covariates, timesteps)
     sizes = sorted(_once_each(subset_sizes, "subset size", ints=True))
     if not sizes or sizes[0] < 0 or sizes[-1] > covariates:
         raise ConfigError(

@@ -8,9 +8,8 @@ the flags and the file's values, through :mod:`tqnet.errors`.
 
 ``RunConfig`` declares only the run keys ``data``, ``dataset`` and
 ``out_dir``; its other fields are those of ``ModelConfig`` (``variant``
-among them), ``TrainPlan`` and ``SplitSpec`` with their annotations and
-defaults, less ``NOT_RUN_FIELDS``: ``channels``, ``beta1``, ``beta2``,
-``adam_eps`` and ``target_rows``.  The defaults of ``covariates
+among them), ``TrainPlan`` and ``SplitSpec`` with their names, annotations
+and defaults, less ``NOT_RUN_FIELDS``.  The defaults of ``covariates
 --n-covariates``/``--timesteps`` and ``gradcheck --seed``/``--variant`` are
 read from ``run_covariate_study`` and ``ModelConfig``.  A study picks the
 variants it trains, so it refuses a ``variant`` other than the default, and
@@ -28,7 +27,6 @@ import argparse
 import csv
 import inspect
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from functools import partial
@@ -68,30 +66,23 @@ from .training import (
 )
 
 
-# SplitSpec field -> RunConfig field; the ratios carry a suffix as flags.
-_SPLIT_FIELDS = {"train": "train_frac", "val": "val_frac", "test": "test_frac"}
-
-# Library fields a run does not set: the channel count comes from the data;
-# the Adam constants and the loss rows keep TrainPlan's defaults.
-NOT_RUN_FIELDS = {"channels", "beta1", "beta2", "adam_eps", "target_rows"}
-
-# The window shape, which ModelConfig leaves required.
-_WINDOW_DEFAULTS = {"lookback": 96, "horizon": 96, "period": 24}
+# Library fields a run does not set: the channel count comes from the data,
+# and the loss rows keep TrainPlan's default.
+NOT_RUN_FIELDS = {"channels", "target_rows"}
 
 
 def run_fields(*sources):
     """``make_dataclass`` specs of the fields of the dataclasses ``sources``
-    outside ``NOT_RUN_FIELDS``, under their ``_SPLIT_FIELDS`` names, with
-    their annotation strings and defaults.  Two sources that give one name
-    two annotations or two defaults raise ``TypeError``."""
+    outside ``NOT_RUN_FIELDS``, with their annotation strings and defaults.
+    Two sources that give one name two annotations or two defaults raise
+    ``TypeError``."""
     specs = {}
     for cls in sources:
         for f in fields(cls):
-            name = _SPLIT_FIELDS.get(f.name, f.name)
-            spec = (f.type, _WINDOW_DEFAULTS.get(name, f.default))
-            if specs.setdefault(name, spec) != spec:
-                raise TypeError(f"{name}: {cls.__name__} declares {spec}, "
-                                f"an earlier source {specs[name]}")
+            spec = (f.type, f.default)
+            if specs.setdefault(f.name, spec) != spec:
+                raise TypeError(f"{f.name}: {cls.__name__} declares {spec}, "
+                                f"an earlier source {specs[f.name]}")
     return [(name, typ, field(default=default))
             for name, (typ, default) in specs.items()
             if name not in NOT_RUN_FIELDS]
@@ -122,7 +113,7 @@ class _RunKeys:
         the ``NOT_RUN_FIELDS`` that ``given`` lacks keep ``cls``'s defaults."""
         for f in fields(cls):
             if f.name not in NOT_RUN_FIELDS:
-                given[f.name] = getattr(self, _SPLIT_FIELDS.get(f.name, f.name))
+                given[f.name] = getattr(self, f.name)
         return cls(**given)
 
 
@@ -175,18 +166,6 @@ def _add_config_flags(p, cls):
             p.add_argument(flag, action=argparse.BooleanOptionalAction)
         else:
             p.add_argument(flag, type=typ)
-
-
-def _positive_float(text):
-    """argparse type: a finite number above zero (argparse names the flag)."""
-    try:
-        val = float(text)
-    except ValueError:
-        val = math.nan
-    if not (math.isfinite(val) and val > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number above zero, got {text!r}")
-    return val
 
 
 def build_parser():
@@ -259,8 +238,8 @@ def build_parser():
     p.add_argument("--hidden", type=int, default=4)
     p.add_argument("--heads", type=int, default=2)
     p.add_argument("--variant", default=ModelConfig.variant)
-    p.add_argument("--eps", type=_positive_float, default=1e-5)
-    p.add_argument("--tol", type=_positive_float, default=1e-4)
+    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
 
     return parser

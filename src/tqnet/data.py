@@ -188,20 +188,18 @@ def read_matrix_csv(path):
 class SplitSpec:
     """Chronological split ratios plus the border-context convention."""
 
-    train: float = 0.7
-    val: float = 0.1
-    test: float = 0.2
+    train_frac: float = 0.7
+    val_frac: float = 0.1
+    test_frac: float = 0.2
     border_context: bool = True
     max_rows: int | None = None
 
     def __post_init__(self):
         check_field_types(self)
-        if min(self.train, self.val, self.test) < 0 or not math.isclose(
-            self.train + self.val + self.test, 1.0, abs_tol=1e-9
-        ):
+        ratios = (self.train_frac, self.val_frac, self.test_frac)
+        if min(ratios) < 0 or not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
             raise ConfigError(
-                f"split ratios must be non-negative and sum to 1, got "
-                f"({self.train}, {self.val}, {self.test})"
+                f"split ratios must be non-negative and sum to 1, got {ratios}"
             )
         if self.max_rows is not None and self.max_rows < 1:
             raise ConfigError(f"max_rows must be positive, got {self.max_rows}")
@@ -209,8 +207,8 @@ class SplitSpec:
     def boundaries(self, timesteps):
         """(n_train, n_val, n_test) row counts after the optional row cap."""
         n = timesteps if self.max_rows is None else min(timesteps, self.max_rows)
-        n_train = int(n * self.train)
-        n_test = int(n * self.test)
+        n_train = int(n * self.train_frac)
+        n_test = int(n * self.test_frac)
         n_val = n - n_train - n_test
         if min(n_train, n_val, n_test) <= 0:
             raise DataError(
@@ -255,7 +253,6 @@ class DataSplits:
     val: SplitPart
     test: SplitPart
     scaler: Scaler
-    boundaries: tuple  # (n_train, n_val, n_test)
 
 
 def split_and_scale(table, spec, lookback=0):
@@ -288,7 +285,6 @@ def split_and_scale(table, spec, lookback=0):
         val=parts["val"],
         test=parts["test"],
         scaler=scaler,
-        boundaries=(n_train, n_val, n_test),
     )
 
 

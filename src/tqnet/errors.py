@@ -10,9 +10,8 @@ Every config dataclass (``ModelConfig``, ``TrainPlan``, ``SplitSpec``,
 ``__post_init__``, and the CLI types its flags by :func:`field_type`, so a
 field's annotation is the only statement of what it accepts.  ``RunConfig``
 restates no field: ``tqnet.cli`` builds it from those of ``ModelConfig``,
-``TrainPlan`` and ``SplitSpec`` less ``channels``, ``beta1``, ``beta2``,
-``adam_eps`` and ``target_rows``, plus three run keys: ``data``,
-``dataset`` and ``out_dir``.
+``TrainPlan`` and ``SplitSpec`` less ``cli.NOT_RUN_FIELDS``, plus three run
+keys: ``data``, ``dataset`` and ``out_dir``.
 """
 
 from dataclasses import fields

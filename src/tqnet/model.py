@@ -54,9 +54,9 @@ from .tensor import (
 @dataclass(frozen=True)
 class ModelConfig:
     channels: int
-    lookback: int
-    horizon: int
-    period: int
+    lookback: int = 96
+    horizon: int = 96
+    period: int = 24
     hidden: int = 512
     heads: int = 4
     attn_dropout: float = 0.5

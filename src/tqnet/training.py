@@ -31,6 +31,10 @@ from .tensor import Tape, gradient_check, mse_loss
 # windows per forward pass in ``evaluate``; bounds its working set
 EVAL_BATCH = 32
 
+# Adam's moment decay rates and the epsilon of its denominator
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainPlan:
@@ -38,19 +42,14 @@ class TrainPlan:
     batch_size: int = 32
     max_epochs: int = 30
     patience: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     shuffle: bool = True
     seed: int = 2024
     target_rows: tuple | None = None  # restrict loss/metrics to these channels
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("lr", "adam_eps"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {v!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr!r}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.seed < 0:
@@ -59,8 +58,6 @@ class TrainPlan:
             raise ConfigError(
                 f"patience must be in [1, max_epochs], got {self.patience}"
             )
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("adam betas must be in [0, 1)")
         rows = self.target_rows
         if rows is not None and not (rows and all(
                 isinstance(r, int) and not isinstance(r, bool) and r >= 0
@@ -106,11 +103,8 @@ class Adam:
             elif p.grad is not g:
                 g[...] = p.grad
             p.zero_grad()
-        plan = self.plan
-        kernels.adam_update(
-            self.values, self.g, self.m, self.v,
-            plan.lr, plan.beta1, plan.beta2, plan.adam_eps, self.t,
-        )
+        kernels.adam_update(self.values, self.g, self.m, self.v,
+                            self.plan.lr, *ADAM_BETAS, ADAM_EPS, self.t)
 
 
 class EarlyStopper:

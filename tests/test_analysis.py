@@ -152,6 +152,16 @@ class TestCovariateConstruction:
         with pytest.raises(ConfigError, match="smoothing"):
             make_covariate_table(3, 500, horizon=6, seed=0, smooth=12)
 
+    @pytest.mark.parametrize("counts,message", [
+        ({"covariates": 0}, "covariates must be a positive integer, got 0"),
+        ({"covariates": -1}, "covariates must be a positive integer, got -1"),
+        ({"timesteps": 0}, "timesteps must be a positive integer, got 0"),
+    ], ids=["no-covariates", "negative-covariates", "no-timesteps"])
+    def test_a_count_below_one_is_named_before_the_sizes(self, counts, message):
+        # size 1 lies outside [0, covariates] for both covariate counts
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_covariate_study(MICRO, PLAN, SPLIT, subset_sizes=[1], **counts)
+
     def test_subset_sizes_validated(self):
         with pytest.raises(ConfigError):
             run_covariate_study(MICRO, PLAN, SPLIT, subset_sizes=[9],

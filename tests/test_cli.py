@@ -19,7 +19,6 @@ import tqnet
 from tqnet.analysis import run_covariate_study
 from tqnet.checkpoint import load_checkpoint, save_checkpoint
 from tqnet.cli import (
-    _SPLIT_FIELDS,
     COMMANDS,
     NOT_RUN_FIELDS,
     RunConfig,
@@ -99,7 +98,7 @@ class TestResolveConfig:
         cfg = RunConfig()
         assert cfg.train_plan() == TrainPlan()
         assert cfg.split_spec() == SplitSpec()
-        assert cfg.model_config(7) == ModelConfig(7, 96, 96, 24)
+        assert cfg.model_config(7) == ModelConfig(7)
         ref = tmp_path / "ref.csv"
         write_csv(generate_synthetic(SynthSpec())[0], ref)
         assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 0
@@ -110,7 +109,7 @@ class TestRunConfigDerivation:
     def test_fields_are_the_run_keys_and_the_library_configs(self):
         names = {"data", "dataset", "out_dir", "variant"}
         for cls in (ModelConfig, TrainPlan, SplitSpec):
-            names |= {_SPLIT_FIELDS.get(f.name, f.name) for f in fields(cls)}
+            names |= {f.name for f in fields(cls)}
         assert {f.name for f in fields(RunConfig)} == names - NOT_RUN_FIELDS
 
     @pytest.mark.parametrize("other,message", [
@@ -491,10 +490,11 @@ class TestExitCodes:
                                             ("--tol", "-1"), ("--tol", "inf")])
     def test_gradcheck_rejects_a_non_positive_step_or_tolerance(
             self, flag, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["gradcheck", flag, value])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert main(["gradcheck", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: gradient_check: {flag[2:]} must be finite "
+                              "and positive, got ")
+        assert "Traceback" not in err
 
     def test_synth_rejects_an_infinite_scale(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -529,7 +529,7 @@ class TestExitCodes:
         (["sweep-w", "--periods", "8", "--variant", "pure_mlp"],
          "sweep-w trains 'default', not variant 'pure_mlp'"),
         (["covariates", "--sizes", "0", "--n-covariates", "0"],
-         "need at least one covariate channel"),
+         "covariates must be a positive integer, got 0"),
         (["covariates", "--sizes", "1"],
          "horizon (8) must be >= smoothing width (12)"),
         (["ablate", "--seeds", "1,1,2"], "seed 1 is listed twice"),
@@ -566,6 +566,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: seed must be a non-negative integer, got -")
         assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--timesteps", "-5", "timesteps"), ("--n-covariates", "0", "covariates"),
+        ("--n-covariates", "-1", "covariates"),
+    ])
+    def test_covariates_names_a_count_below_one(self, flag, value, name,
+                                                tmp_path, capsys):
+        # checked before the sizes, which would blame the split or the sizes
+        assert main(["covariates", "--sizes", "0", flag, value,
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {name} must be a positive integer, got {value}\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key,value", [("data", "x.csv"),

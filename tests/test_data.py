@@ -121,22 +121,22 @@ class TestCSV:
 
 class TestSplits:
     def test_622_of_14400(self):
-        spec = SplitSpec(train=0.6, val=0.2, test=0.2)
+        spec = SplitSpec(train_frac=0.6, val_frac=0.2, test_frac=0.2)
         assert spec.boundaries(14400) == (8640, 2880, 2880)
 
     def test_row_cap_applies_before_ratios(self):
-        spec = SplitSpec(train=0.6, val=0.2, test=0.2, max_rows=14400)
+        spec = SplitSpec(train_frac=0.6, val_frac=0.2, test_frac=0.2, max_rows=14400)
         assert spec.boundaries(17420) == (8640, 2880, 2880)
 
     def test_ratios_must_sum_to_one(self):
         with pytest.raises(ConfigError):
-            SplitSpec(train=0.5, val=0.2, test=0.2)
+            SplitSpec(train_frac=0.5, val_frac=0.2, test_frac=0.2)
 
     def test_window_counts_with_border_context(self):
         T, L, H = 14400, 96, 96
         table = toy_table(T, 2)
         splits = split_and_scale(
-            table, SplitSpec(train=0.6, val=0.2, test=0.2), lookback=L
+            table, SplitSpec(train_frac=0.6, val_frac=0.2, test_frac=0.2), lookback=L
         )
         train_w = make_windows(splits.train, L, H)
         val_w = make_windows(splits.val, L, H)
@@ -147,7 +147,7 @@ class TestSplits:
 
     def test_window_counts_strict_isolation(self):
         table = toy_table(1000, 2)
-        spec = SplitSpec(train=0.6, val=0.2, test=0.2, border_context=False)
+        spec = SplitSpec(train_frac=0.6, val_frac=0.2, test_frac=0.2, border_context=False)
         splits = split_and_scale(table, spec, lookback=24)
         assert len(make_windows(splits.val, 24, 12)) == 200 - 24 - 12 + 1
 
