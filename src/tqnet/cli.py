@@ -24,7 +24,6 @@ missing files, out of memory), 2 configuration or usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import sys
@@ -41,6 +40,7 @@ from .analysis import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
+    FLOAT_FMT,
     SplitSpec,
     SynthSpec,
     channel_correlation,
@@ -52,6 +52,7 @@ from .data import (
     split_and_scale,
     write_csv,
     write_matrix_csv,
+    write_rows,
 )
 from .errors import ConfigError, DataError, check_field_types, field_type
 from .model import VARIANTS, ModelConfig, TQNet
@@ -98,6 +99,12 @@ class _RunKeys:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.out_dir == "":
+            raise ConfigError("out_dir must name a directory, got ''")
+        if self.dataset is not None and (
+                not self.dataset or Path(self.dataset).name != self.dataset):
+            raise ConfigError(f"dataset must be a name without a path separator, "
+                              f"got {self.dataset!r}")
 
     def model_config(self, channels):
         return self._build(ModelConfig, channels=channels)
@@ -277,11 +284,8 @@ def _close_study(cfg, dataset, table, rows, reports, row_format):
     """Open the run directory of a finished study, write its CSV ``table``
     and results.jsonl, and print its rows."""
     out = _open_run(cfg, dataset)
-    with open(out / table, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, [k for k in rows[0] if k != "runs"],
-                                extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
+    keys = [k for k in rows[0] if k != "runs"]
+    write_rows(out / table, keys, ([row[k] for k in keys] for row in rows))
     append_results(out / "results.jsonl", reports)
     for row in rows:
         print(row_format.format(**row))
@@ -316,10 +320,8 @@ def cmd_train(args):
 
     res = run_experiment(table, config, plan, split, dataset=dataset, log=log)
     out = _open_run(cfg, dataset)
-    with open(out / "train_log.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "train_mse", "val_mse", "improved"))
-        writer.writerows(log_rows)
+    write_rows(out / "train_log.csv", ("epoch", "train_mse", "val_mse", "improved"),
+               log_rows)
     save_checkpoint(out / "model.ckpt", res.model)
     append_results(out / "results.jsonl", [res.report])
     print(res.report.results_line())
@@ -354,7 +356,7 @@ def cmd_evaluate(args):
         mse=mse, mae=mae, best_epoch=0, wall_time_s=0.0,
     )
     print(report.results_line())
-    if cfg.out_dir:
+    if cfg.out_dir is not None:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         append_results(Path(cfg.out_dir, "results.jsonl"), [report])
     return 0
@@ -422,14 +424,9 @@ def cmd_acf(args):
     table = load_csv(args.data)
     res = compute_acf(table.data, max_lag=args.max_lag)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("lag", "mean_acf") + tuple(table.names))
-            for k in res.lags:
-                writer.writerow(
-                    (int(k), "%.10g" % res.mean[k])
-                    + tuple("%.10g" % v for v in res.per_channel[k])
-                )
+        write_rows(args.out, ("lag", "mean_acf") + tuple(table.names), (
+            [int(k), *(FLOAT_FMT % v for v in (res.mean[k], *res.per_channel[k]))]
+            for k in res.lags))
     print(f"noise threshold 2/sqrt(T) = {res.threshold:.4f}")
     if not res.candidates:
         print("no periodic structure found above the noise threshold")

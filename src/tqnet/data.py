@@ -2,6 +2,10 @@
 standardization, sliding windows, periodicity detection, and a synthetic
 generator with a known ground-truth channel correlation.
 
+One reader and one writer carry the CSV format: both readers go through
+``_read_header`` and ``_read_rows``, so they refuse a bad file alike, and every
+table the package writes goes through ``write_rows``, floats as ``FLOAT_FMT``.
+
 Layout conventions: a :class:`SeriesTable` stores the file layout (rows =
 timesteps, columns = channels).  Split parts flip to channels x time so all
 windows are slices of one strided view.  Splits are chronological;
@@ -23,6 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, check_field_types
 
+FLOAT_FMT = "%.10g"  # how every table the package writes spells a float
 
 @dataclass(frozen=True)
 class SeriesTable:
@@ -68,32 +73,54 @@ def load_csv(path):
     :class:`DataError` naming the offending row and column; bytes that are
     not UTF-8 and oversized fields raise it naming the row.
     """
-    records = _csv_records(path)
-    try:
-        header = next(records)[1]
-    except StopIteration:
-        raise DataError(f"{path}: file is empty") from None
+    header, records = _read_header(path)
     if len(header) < 2:
         raise DataError(f"{path}: need a timestamp column plus >=1 channel")
     names = tuple(h.strip() for h in header[1:])
-    timestamps = []
-    rows = []
+    timestamps, data = _read_rows(path, records, names, labelled=True)
+    return SeriesTable(names=names, timestamps=tuple(timestamps), data=data)
+
+
+def read_matrix_csv(path):
+    """(names, matrix) of a square labelled matrix, as ``write_matrix_csv``
+    writes it."""
+    names, records = _read_header(path)
+    _, matrix = _read_rows(path, records, names)
+    if matrix.shape != (len(names), len(names)):
+        raise DataError(
+            f"{path}: expected a {len(names)}x{len(names)} matrix, "
+            f"got shape {matrix.shape}"
+        )
+    return names, matrix
+
+
+def _read_header(path):
+    """The header of the CSV ``path`` and an iterator over its other records."""
+    records = _csv_records(path)
+    try:
+        return tuple(next(records)[1]), records
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+
+
+def _read_rows(path, records, names, labelled=False):
+    """Each record's first field (with ``labelled``) and its cells of the
+    columns ``names`` as a float64 array.  A ragged record, a cell
+    ``_parse_cell`` refuses, or no record at all raises :class:`DataError`."""
+    lead = int(labelled)
+    width = lead + len(names)
+    labels, rows = [], []
     for lineno, row in records:
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {lineno} has {len(row)} fields, expected "
-                f"{len(header)}"
-            )
-        timestamps.append(row[0])
-        rows.append([
-            _parse_cell(path, lineno, names[c], cell)
-            for c, cell in enumerate(row[1:])
-        ])
+        if len(row) != width:
+            raise DataError(f"{path}: row {lineno} has {len(row)} fields, "
+                            f"expected {width}")
+        if lead:
+            labels.append(row[0])
+        rows.append([_parse_cell(path, lineno, names[c], cell)
+                     for c, cell in enumerate(row[lead:])])
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return SeriesTable(
-        names=names, timestamps=tuple(timestamps), data=np.array(rows, dtype=np.float64)
-    )
+    return labels, np.array(rows, dtype=np.float64)
 
 
 def _csv_records(path):
@@ -134,50 +161,26 @@ def _parse_cell(path, lineno, column, cell):
     return val
 
 
-def write_csv(table, path, float_fmt="%.10g"):
+def write_rows(path, header, rows):
+    """Write ``header``, then each of ``rows``, as a CSV record of ``path``;
+    a cell is written as ``str`` gives it, so floats come as ``FLOAT_FMT``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("date",) + tuple(table.names))
-        for t in range(table.timesteps):
-            writer.writerow(
-                (table.timestamps[t],)
-                + tuple(float_fmt % v for v in table.data[t])
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_matrix_csv(path, names, matrix, float_fmt="%.10g"):
+def write_csv(table, path):
+    """``table`` as ``load_csv`` reads it: a ``date`` column, then the channels."""
+    write_rows(path, ("date",) + tuple(table.names), (
+        (ts, *(FLOAT_FMT % v for v in row))
+        for ts, row in zip(table.timestamps, table.data.tolist())))
+
+
+def write_matrix_csv(path, names, matrix):
     """Square labelled matrix (correlations): header row of names, then rows."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in matrix:
-            writer.writerow(tuple(float_fmt % v for v in row))
-
-
-def read_matrix_csv(path):
-    records = _csv_records(path)
-    try:
-        names = tuple(next(records)[1])
-    except StopIteration:
-        raise DataError(f"{path}: file is empty") from None
-    rows = []
-    for lineno, row in records:
-        if len(row) != len(names):
-            raise DataError(
-                f"{path}: row {lineno} has {len(row)} fields, expected "
-                f"{len(names)}"
-            )
-        rows.append([
-            _parse_cell(path, lineno, names[c], cell) for c, cell in enumerate(row)
-        ])
-    matrix = np.array(rows, dtype=np.float64)
-    if matrix.shape != (len(names), len(names)):
-        raise DataError(
-            f"{path}: expected a {len(names)}x{len(names)} matrix, "
-            f"got shape {matrix.shape}"
-        )
-    return names, matrix
+    write_rows(path, names, ([FLOAT_FMT % v for v in row]
+                             for row in np.asarray(matrix).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +412,6 @@ class SynthSpec:
     spike_rate: float = 0.0
     spike_scale: float = 5.0
     missing_rate: float = 0.0
-    mixing_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -429,7 +431,7 @@ class SynthSpec:
                 f"latents ({self.latents}) too many for period {self.period}: "
                 "highest harmonic must stay below the foldover frequency"
             )
-        for name in ("noise_sigma", "spike_scale", "mixing_scale"):
+        for name in ("noise_sigma", "spike_scale"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {v!r}")
@@ -452,7 +454,7 @@ def generate_synthetic(spec):
     rng = np.random.default_rng(spec.seed)
     C, T, W, K = spec.channels, spec.timesteps, spec.period, spec.latents
     phases = rng.uniform(0.0, 2.0 * math.pi, size=K)
-    mixing = rng.normal(0.0, spec.mixing_scale, size=(C, K))
+    mixing = rng.normal(0.0, 1.0, size=(C, K))
 
     t = np.arange(T, dtype=np.float64)
     latents = np.sin(

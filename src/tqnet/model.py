@@ -237,17 +237,19 @@ class TQNet:
 
         ``t`` is the window's absolute start index in its series, a scalar
         for one window and shape (B,) for a stack; the bank is read at phase
-        ``t mod period``.  ``mode`` is "train" or "eval"; eval additionally
-        guards against non-finite intermediates.  ``rng`` drives dropout and
-        must be given in train mode when any dropout is active.
+        ``t mod period``.  ``mode`` is "train" or "eval"; eval drops nothing
+        and guards against non-finite intermediates.  ``rng`` drives dropout
+        and must be given in train mode when any dropout is active.
         """
         cfg = self.config
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        attn_p, out_p = ((cfg.attn_dropout, cfg.out_dropout) if mode == "train"
+                         else (0.0, 0.0))
         xt, seg, stats = self._inputs(x, t, tape)
 
         if self.wiring.attention:
-            h = self._attention(tape, *self._qk_sources(xt, seg), xt, mode, rng)
+            h = self._attention(tape, *self._qk_sources(xt, seg), xt, attn_p, rng)
         elif seg is not None:
             h = add(tape, xt, seg)
         else:
@@ -263,7 +265,7 @@ class TQNet:
         h2 = add(tape, z, h1)
         if mode == "eval":
             check_finite(h2, "mlp block")
-        h2 = dropout(tape, h2, cfg.out_dropout, mode, rng)
+        h2 = dropout(tape, h2, out_p, rng)
         y = linear(tape, h2, p["proj_out.w"], p["proj_out.b"])
 
         if stats is not None:
@@ -313,11 +315,10 @@ class TQNet:
         cfg = self.config
         return 1.0 / math.sqrt(cfg.head_dim if cfg.scale_by_head_dim else cfg.lookback)
 
-    def _attention(self, tape, q_src, k_src, v_src, mode, rng):
+    def _attention(self, tape, q_src, k_src, v_src, p, rng):
         cfg = self.config
         mixed = channel_attention(tape, *self._projections(tape, q_src, k_src, v_src),
-                                  cfg.heads, self._score_scale(), cfg.attn_dropout,
-                                  mode, rng)
+                                  cfg.heads, self._score_scale(), p, rng)
         return add(tape, linear(tape, mixed, self.params["attn.wo"]), v_src)
 
     def attention_weights(self, x, t):

@@ -32,7 +32,9 @@ projections included), ``gather_cols`` scatters into it zeroed, and any
 other gradient is copied in.
 
 Ops take the tape as their first argument; passing ``tape=None`` runs the
-same math without recording anything (cheap inference path).
+same math without recording anything (cheap inference path).  Dropout is
+``(p, rng)``: ``p == 0`` is the identity and draws nothing, ``p > 0`` needs an
+``rng``; ``TQNet.forward`` passes 0 in eval mode.
 """
 
 from __future__ import annotations
@@ -231,19 +233,17 @@ def gelu(tape, x):
     return _node(tape, kernels.gelu(x.values, erf), (x,), backward)
 
 
-def _dropout_mask(a, p, mode, rng):
+def _dropout_mask(a, p, rng):
     """Inverted dropout's mask for an array like ``a``: the boolean
     ``rng.random(a.shape) >= p`` and the scale ``1 / (1 - p)`` in ``a``'s
-    dtype.  None in eval mode or at ``p == 0``, which draw nothing."""
+    dtype.  None at ``p == 0``, which draws nothing."""
     p = float(p)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or p == 0.0:
+    if p == 0.0:
         return None
     if rng is None:
-        raise ValueError("train-mode dropout with p > 0 needs an rng")
+        raise ValueError("dropout with p > 0 needs an rng")
     return rng.random(a.shape) >= p, a.dtype.type(1.0) / a.dtype.type(1.0 - p)
 
 
@@ -258,12 +258,10 @@ def _drop(a, mask, out=None):
     return out
 
 
-def dropout(tape, x, p, mode, rng=None):
-    """Inverted dropout: train-mode keeps with prob 1-p and rescales by 1/(1-p).
-
-    Eval mode (or p == 0) is the identity and consumes no randomness.
-    """
-    mask = _dropout_mask(x.values, p, mode, rng)
+def dropout(tape, x, p, rng=None):
+    """Inverted dropout: keeps with prob 1-p and rescales by 1/(1-p); at
+    p == 0 it is the identity and consumes no randomness."""
+    mask = _dropout_mask(x.values, p, rng)
     if mask is None:
         return x
 
@@ -296,11 +294,11 @@ def attention_probs(q, k, heads, c):
     return kernels.softmax_rows(scores)
 
 
-def channel_attention(tape, q, k, v, heads, c, p, mode, rng=None):
+def channel_attention(tape, q, k, v, heads, c, p, rng=None):
     """Multi-head attention over the rows (channels) of ``(..., C, L)``
     projections: head ``h`` mixes the rows of its columns of ``v`` by
-    ``attention_probs`` under inverted dropout (``p``, ``mode`` and ``rng``
-    as in ``dropout``, one draw for the whole stack), and the head outputs
+    ``attention_probs`` under inverted dropout (``p`` and ``rng`` as in
+    ``dropout``, one draw for the whole stack), and the head outputs
     sit side by side again.  The node keeps the softmax and a boolean keep
     mask; the backward rebuilds the dropped weights from them.
     """
@@ -309,7 +307,7 @@ def channel_attention(tape, q, k, v, heads, c, p, mode, rng=None):
             f"channel_attention: q {q.shape}, k {k.shape} and v {v.shape} must "
             f"share one shape whose columns split into {heads} heads")
     probs = attention_probs(q.values, k.values, heads, c)
-    mask = _dropout_mask(probs, p, mode, rng)
+    mask = _dropout_mask(probs, p, rng)
     vh = _split(v.values, heads)
 
     def backward(g):

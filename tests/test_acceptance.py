@@ -153,7 +153,7 @@ def test_criterion_2_query_bank_periodicity():
     xt = DiffTensor(x)
     seg = gather_cols(None, model.bank,
                       segment_indices(2, config.lookback, config.period))
-    pre_residual = model._attention(None, seg, xt, xt, "eval", None).values - x
+    pre_residual = model._attention(None, seg, xt, xt, 0.0, None).values - x
     row_spread = float(np.abs(pre_residual - pre_residual[0]).max())
     ok = weight_dev < 1e-6 and row_spread < 1e-6
     _verdict(2, ok, (

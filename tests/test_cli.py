@@ -368,7 +368,7 @@ class TestCliSurface:
         ("corr", {"--data", "--checkpoint", "--truth", "--out"}),
         ("synth", {"--out", "--channels", "--timesteps", "--period",
                    "--latents", "--noise-sigma", "--missing-rate",
-                   "--spike-rate", "--spike-scale", "--mixing-scale",
+                   "--spike-rate", "--spike-scale",
                    "--seed"}),
         ("gradcheck", {"--channels", "--lookback", "--horizon", "--period",
                        "--hidden", "--heads", "--variant", "--eps", "--tol",
@@ -498,11 +498,11 @@ class TestExitCodes:
 
     def test_synth_rejects_an_infinite_scale(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        rc = main(["synth", "--out", str(out), "--mixing-scale", "inf",
+        rc = main(["synth", "--out", str(out), "--spike-scale", "inf",
                    "--channels", "2", "--timesteps", "30", "--period", "8",
                    "--latents", "1"])
         assert rc == 2
-        assert "mixing_scale" in capsys.readouterr().err
+        assert "spike_scale" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
@@ -580,6 +580,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: {name} must be a positive integer, got {value}\n"
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("train", "--out-dir", ""), ("train", "--dataset", ""),
+        ("train", "--dataset", "a/b"), ("train", "--dataset", "../x"),
+        ("ablate", "--dataset", "a/b"), ("sweep-w", "--out-dir", ""),
+    ])
+    def test_a_run_key_that_would_misplace_the_run_exits_2(
+            self, command, flag, value, synth_csv, tmp_path, monkeypatch, capsys):
+        # an empty out_dir would write into the working directory, and a
+        # dataset with a path separator outside runs/ or below a subdirectory
+        monkeypatch.chdir(tmp_path)
+        extra = ["--periods", "8"] if command == "sweep-w" else []
+        assert main([command, "--data", str(synth_csv), flag, value, *extra,
+                     *MICRO_ARGS]) == 2
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {key} must ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key,value", [("data", "x.csv"),
                                            ("variant", "pure_mlp")])

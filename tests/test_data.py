@@ -2,6 +2,7 @@
 counts, window views and indexing, train-only scaling, ACF period ranking,
 and the synthetic generator's closed-form correlation."""
 
+import csv
 import math
 import re
 
@@ -23,6 +24,7 @@ from tqnet.data import (
     split_and_scale,
     write_csv,
     write_matrix_csv,
+    write_rows,
 )
 from tqnet.errors import ConfigError, DataError
 
@@ -110,6 +112,36 @@ class TestCSV:
         p.write_bytes(body)
         with pytest.raises(DataError, match=rf"{re.escape(str(p))}: row {row}\b"):
             read_matrix_csv(p)
+
+    @pytest.mark.parametrize("reader,header,label", [
+        (load_csv, b"date,a,b\n", b"1,"), (read_matrix_csv, b"a,b\n", b""),
+    ], ids=["load_csv", "read_matrix_csv"])
+    @pytest.mark.parametrize("rows,message", [
+        (None, "file is empty"),
+        ([], "no data rows"),
+        ([b"1.0,0.5", b"0.5"], r"row 3 has \d fields, expected \d"),
+        ([b"1.0,0.5", b"0.5,x"], "row 3, column 'b': non-numeric value 'x'"),
+        ([b"1.0,0.5", b"0.5,-inf"], "row 3, column 'b': non-finite value '-inf'"),
+        ([b"1.0,0.5", b"0.5,\xff"], r"row 3: not UTF-8 text \(byte 0xff\)"),
+        ([b"1.0,0.5", b"9" * 200_000 + b",1"],
+         r"row 3: field larger than field limit \(\d+\)"),
+    ], ids=["empty", "header-only", "ragged", "non-numeric", "non-finite",
+            "not-utf8", "field-limit"])
+    def test_both_readers_refuse_a_bad_file_alike(self, tmp_path, reader, header,
+                                                  label, rows, message):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"" if rows is None else
+                      header + b"".join(label + row + b"\n" for row in rows))
+        with pytest.raises(DataError) as exc:
+            reader(p)
+        assert re.fullmatch(f"{re.escape(str(p))}: {message}", str(exc.value))
+
+    def test_write_rows_round_trips_commas_quotes_and_newlines(self, tmp_path):
+        header = ("k", "v,w", '"q"')
+        rows = [["a,b", 'say "hi"', "1.5"], ["", "two\nlines", 'x",y']]
+        write_rows(tmp_path / "w.csv", header, rows)
+        with open(tmp_path / "w.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [list(header), *rows]
 
     def test_matrix_csv_round_trip(self, tmp_path):
         m = np.array([[1.0, 0.25], [0.25, 1.0]])
@@ -323,7 +355,7 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             SynthSpec(period=1)
 
-    @pytest.mark.parametrize("field", ["noise_sigma", "spike_scale", "mixing_scale"])
+    @pytest.mark.parametrize("field", ["noise_sigma", "spike_scale"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
     def test_scales_must_be_finite_and_non_negative(self, field, value):
         with pytest.raises(ConfigError, match=field):

@@ -283,14 +283,13 @@ def per_head_weights(model, q_src, k_src):
     return weights
 
 
-def per_head_attention(model, q_src, k_src, v_src, mode, rng):
+def per_head_attention(model, q_src, k_src, v_src, p, rng):
     """The attention block head by head, with one dropout mask per head."""
-    cfg = model.config
     heads = []
     for h, w in enumerate(per_head_weights(model, q_src, k_src)):
-        if mode == "train":
-            keep = (rng.random(w.shape) >= cfg.attn_dropout).astype(w.dtype)
-            w = w * (keep / w.dtype.type(1.0 - cfg.attn_dropout))
+        if p:
+            keep = (rng.random(w.shape) >= p).astype(w.dtype)
+            w = w * (keep / w.dtype.type(1.0 - p))
         heads.append(w @ (v_src @ head_block(model, "wv", h)))
     return np.concatenate(heads, axis=-1) @ model.params["attn.wo"].values + v_src
 
@@ -316,9 +315,10 @@ class TestBatchedAttention:
         model, xt, q_src, k_src = attention_sources(
             vname, dtype, x, np.array([0, 3, 5, 2, 9]))
         drop_a, drop_b = np.random.default_rng(7), np.random.default_rng(7)
-        got = model._attention(None, q_src, k_src, xt, mode, drop_a).values
+        p = model.config.attn_dropout if mode == "train" else 0.0
+        got = model._attention(None, q_src, k_src, xt, p, drop_a).values
         want = per_head_attention(model, q_src.values, k_src.values, xt.values,
-                                  mode, drop_b)
+                                  p, drop_b)
         assert got.dtype == want.dtype == model.config.np_dtype
         tol = 1e-12 if dtype == "float64" else 1e-5
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol)

@@ -132,7 +132,7 @@ class TestStructure:
         ]:
             q, k, v = (param(np.zeros(shape)) for shape in shapes)
             with pytest.raises(ShapeError, match=message):
-                channel_attention(None, q, k, v, heads, 1.0, 0.0, "eval")
+                channel_attention(None, q, k, v, heads, 1.0, 0.0)
 
     @pytest.mark.parametrize("rows", [[0, 3], [-1], []])
     def test_mse_loss_rejects_bad_rows(self, rows):
@@ -255,17 +255,21 @@ class TestDropout:
         x = param(np.ones((2, 2)))
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                dropout(None, x, bad, "train", np.random.default_rng(0))
+                dropout(None, x, bad, np.random.default_rng(0))
 
     def test_eval_is_identity_object(self):
+        # eval mode is a rate of zero: the identity, with no draw
         x = param(np.ones((2, 2)))
-        assert dropout(None, x, 0.9, "eval") is x
-        assert dropout(None, x, 0.0, "train") is x
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert dropout(None, x, 0.0) is x
+        assert dropout(None, x, 0.0, rng) is x
+        assert rng.bit_generator.state == state
 
     def test_train_keeps_expected_fraction_and_mean(self):
         rng = np.random.default_rng(123)
         x = DiffTensor(np.ones((250, 400)))  # 1e5 elements
-        out = dropout(None, x, 0.5, "train", rng)
+        out = dropout(None, x, 0.5, rng)
         kept = np.count_nonzero(out.values) / out.values.size
         assert 0.49 < kept < 0.51
         assert abs(out.values.mean() - 1.0) < 0.02
@@ -274,7 +278,7 @@ class TestDropout:
         rng = np.random.default_rng(5)
         x = param(np.full((10, 10), 2.0))
         tape = Tape()
-        out = dropout(tape, x, 0.3, "train", rng)
+        out = dropout(tape, x, 0.3, rng)
         loss = mse_loss(tape, out, np.zeros((10, 10)))
         tape.backward(loss)
         dropped = out.values == 0
@@ -321,7 +325,7 @@ class TestGradientCheck:
             if case == "scale_add":
                 return add(tape, scale(tape, p, 1.5), p)
             if case == "dropout":  # the same mask on every call
-                return dropout(tape, p, 0.3, "train", np.random.default_rng(0))
+                return dropout(tape, p, 0.3, np.random.default_rng(0))
             # two stacked matrices sharing ``p``
             if case == "batched_linear":
                 return linear(tape, xs, p, bias)
@@ -334,13 +338,13 @@ class TestGradientCheck:
                                   np.zeros((2, 3)))
             if case == "attention_1_head_train":  # the same mask on every call
                 return channel_attention(tape, p, gelu(tape, p), scale(tape, p, -2.0),
-                                         1, 0.7, 0.3, "train", np.random.default_rng(0))
+                                         1, 0.7, 0.3, np.random.default_rng(0))
             if case == "attention_3_heads_eval":  # two stacked (3, 6) matrices
                 z = linear(tape, xs, p)
                 return channel_attention(tape, gelu(tape, z), z, add(tape, z, z),
-                                         3, 1.3, 0.3, "eval")
+                                         3, 1.3, 0.0)
             if case == "attention_shared_qkv":  # one node, three gradients to p
-                return channel_attention(tape, p, p, p, 3, 0.9, 0.5, "train",
+                return channel_attention(tape, p, p, p, 3, 0.9, 0.5,
                                          np.random.default_rng(1))
             raise AssertionError(f"no finite-difference case for op {case!r}")
 
