@@ -14,7 +14,9 @@ Layout (all integers little-endian uint32):
 
 Format version 2 stores each attention projection (``attn.wq``, ``attn.wk``,
 ``attn.wv``) as one (lookback x lookback) weight; version 1 files, which
-stored them per head, are refused like any other version.
+stored them per head, are refused like any other version.  Format 2's config
+also holds three settings that are now model constants, ``FORMAT2_FIXED``: a
+save writes them, and a load checks them, not reads them.
 
 A save writes a temporary file next to the target and renames it over the
 target, so a save that fails partway leaves the previous checkpoint intact.
@@ -43,10 +45,14 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import CheckpointError
-from .model import VARIANTS, ModelConfig, TQNet, parameter_shapes
+from .model import NORM_EPS, VARIANTS, ModelConfig, TQNet, parameter_shapes
 
 MAGIC = b"TQNETCK1"
 FORMAT_VERSION = 2
+
+# the config keys format 2 stores for the model constants, each with its one value
+FORMAT2_FIXED = {"use_instance_norm": True, "norm_eps": NORM_EPS,
+                 "scale_by_head_dim": False}
 
 
 def _manifest(config):
@@ -65,7 +71,7 @@ _VARIANT_NAMES = {_json_text(w._asdict()): name for name, w in VARIANTS.items()}
 
 
 def save_checkpoint(path, model):
-    config = asdict(model.config)
+    config = {**asdict(model.config), **FORMAT2_FIXED}
     del config["variant"]  # stored as its wiring
     header = json.dumps(
         {
@@ -125,6 +131,11 @@ def load_checkpoint(path):
     section = header.get("config")
     if not isinstance(section, dict):
         raise CheckpointError(f"{path}: header key 'config' must be an object")
+    for key, value in FORMAT2_FIXED.items():
+        stored, want = _json_text(section.pop(key, None)), _json_text(value)
+        if stored != want:
+            raise CheckpointError(f"{path}: header key 'config' has {key} {stored}, "
+                                  f"but only {want} is supported")
     unknown = sorted(set(section) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise CheckpointError(

@@ -167,12 +167,7 @@ def _add_config_flags(p, cls):
     """One flag per field of the dataclass ``cls``, typed by its annotation.
     An absent flag reads None."""
     for f in fields(cls):
-        typ, _ = field_type(f)
-        flag = "--" + f.name.replace("_", "-")
-        if typ is bool:
-            p.add_argument(flag, action=argparse.BooleanOptionalAction)
-        else:
-            p.add_argument(flag, type=typ)
+        p.add_argument("--" + f.name.replace("_", "-"), type=field_type(f)[0])
 
 
 def build_parser():
@@ -423,7 +418,7 @@ def cmd_sweep_w(args):
 def cmd_acf(args):
     table = load_csv(args.data)
     res = compute_acf(table.data, max_lag=args.max_lag)
-    if args.out:
+    if args.out is not None:
         write_rows(args.out, ("lag", "mean_acf") + tuple(table.names), (
             [int(k), *(FLOAT_FMT % v for v in (res.mean[k], *res.per_channel[k]))]
             for k in res.lags))
@@ -451,10 +446,10 @@ def cmd_corr(args):
         names = tuple(f"ch{c}" for c in range(corr.shape[0]))
         source = f"query bank of {args.checkpoint}"
     print(f"channel correlation from {source}: {corr.shape[0]} channels")
-    if args.out:
+    if args.out is not None:
         write_matrix_csv(args.out, names, corr)
         print(f"wrote {args.out}")
-    if args.truth:
+    if args.truth is not None:
         _, truth = read_matrix_csv(args.truth)
         if truth.shape != corr.shape:
             raise DataError(

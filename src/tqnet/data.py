@@ -9,7 +9,7 @@ table the package writes goes through ``write_rows``, floats as ``FLOAT_FMT``.
 Layout conventions: a :class:`SeriesTable` stores the file layout (rows =
 timesteps, columns = channels).  Split parts flip to channels x time so all
 windows are slices of one strided view.  Splits are chronological;
-validation/test parts optionally include ``lookback`` context rows from the
+validation/test parts include ``lookback`` context rows from the
 preceding part so their first prediction target starts exactly at the split
 boundary (the usual long-horizon benchmark convention).  Window start indices
 ``t`` are absolute positions in the original table — the model's query bank
@@ -189,12 +189,11 @@ def write_matrix_csv(path, names, matrix):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological split ratios plus the border-context convention."""
+    """Chronological split ratios and an optional cap on the rows used."""
 
     train_frac: float = 0.7
     val_frac: float = 0.1
     test_frac: float = 0.2
-    border_context: bool = True
     max_rows: int | None = None
 
     def __post_init__(self):
@@ -258,11 +257,11 @@ class DataSplits:
     scaler: Scaler
 
 
-def split_and_scale(table, spec, lookback=0):
+def split_and_scale(table, spec, lookback):
     """Split chronologically, standardize with train statistics.
 
-    With ``spec.border_context`` true, val/test parts are extended backwards
-    by ``lookback`` rows so the first forecast origin sits at the boundary.
+    The val/test parts are extended backwards by ``lookback`` rows so the
+    first forecast origin sits at the boundary.
     """
     n_train, n_val, n_test = spec.boundaries(table.timesteps)
     n = n_train + n_val + n_test
@@ -270,17 +269,17 @@ def split_and_scale(table, spec, lookback=0):
     scaler = Scaler.fit(raw[:n_train])
     std_all = np.ascontiguousarray(scaler.transform(raw).T, dtype=np.float32)
 
-    ctx = lookback if spec.border_context else 0
     bounds = {
         "train": (0, n_train),
-        "val": (n_train - ctx, n_train + n_val),
-        "test": (n_train + n_val - ctx, n),
+        "val": (n_train - lookback, n_train + n_val),
+        "test": (n_train + n_val - lookback, n),
     }
     parts = {}
     for name, (lo, hi) in bounds.items():
         if lo < 0:
             raise DataError(
-                f"{name} part needs {ctx} context rows but only {lo + ctx} exist"
+                f"{name} part needs {lookback} context rows but only "
+                f"{lo + lookback} exist"
             )
         parts[name] = SplitPart(name=name, series=std_all[:, lo:hi], t0=lo)
     return DataSplits(

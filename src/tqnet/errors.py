@@ -41,7 +41,7 @@ class CheckpointError(RuntimeError):
     """Checkpoint file is corrupt, truncated, or does not match the model."""
 
 
-_TYPES = {"bool": bool, "int": int, "float": float, "str": str, "tuple": tuple}
+_TYPES = {"int": int, "float": float, "str": str, "tuple": tuple}
 
 
 def field_type(f):
@@ -54,17 +54,16 @@ def field_type(f):
 
 def check_field_types(obj):
     """Raise :class:`ConfigError` naming the first field of the dataclass
-    ``obj`` whose value lacks its annotated type.  A ``bool`` field takes a
-    bool; an ``int`` field an int; a ``float`` field an int or a float, and
-    stores it as a float; ``str`` and ``tuple`` fields their type; a bool is
-    no number; ``T | None`` also takes None.  Otherwise a truthy ``"false"``
-    would shuffle, or ``True`` would be a batch size of 1."""
+    ``obj`` whose value lacks its annotated type.  An ``int`` field takes an
+    int; a ``float`` field an int or a float, and stores it as a float;
+    ``str`` and ``tuple`` fields their type; a bool is no number; ``T |
+    None`` also takes None.  Otherwise ``True`` would be a batch size of 1."""
     for f in fields(obj):
         typ, optional = field_type(f)
         v = getattr(obj, f.name)
         if v is None and optional:
             continue
-        ok = isinstance(v, bool) is (typ is bool) and isinstance(
+        ok = not isinstance(v, bool) and isinstance(
             v, (int, float) if typ is float else typ)
         if ok and typ is float:
             try:

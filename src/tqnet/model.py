@@ -24,6 +24,9 @@ channels, channels) stack.  ``ModelConfig.variant`` names one of the
 self-attention, bank-only attention, additive channel identifiers, plain
 MLP); ``ModelConfig.wiring`` is that name's row of the table, which the
 forward pass reads.
+
+Every input row is instance-normalized (``NORM_EPS``) and the output mapped
+back with its statistics; attention scores are scaled by ``1/sqrt(lookback)``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ from .tensor import (
     row_affine,
 )
 
+NORM_EPS = 1e-5  # added to each input row's variance before its square root
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -61,9 +66,6 @@ class ModelConfig:
     heads: int = 4
     attn_dropout: float = 0.5
     out_dropout: float = 0.0
-    use_instance_norm: bool = True
-    norm_eps: float = 1e-5
-    scale_by_head_dim: bool = False
     seed: int = 2024
     dtype: str = "float32"
     variant: str = "default"
@@ -84,9 +86,6 @@ class ModelConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {v!r}")
-        if not (math.isfinite(self.norm_eps) and self.norm_eps > 0):
-            raise ConfigError(
-                f"norm_eps must be finite and positive, got {self.norm_eps!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.variant not in VARIANTS:
@@ -268,17 +267,15 @@ class TQNet:
         h2 = dropout(tape, h2, out_p, rng)
         y = linear(tape, h2, p["proj_out.w"], p["proj_out.b"])
 
-        if stats is not None:
-            y = instance_denorm(tape, y, *stats, cfg.norm_eps)
+        y = instance_denorm(tape, y, *stats, NORM_EPS)
         if mode == "eval":
             check_finite(y, "output projection")
         return y
 
     def _inputs(self, x, t, tape):
-        """Validate a window or a stack; return it as a (normalized) tensor,
+        """Validate a window or a stack; return it as a normalized tensor,
         the bank segment at phase ``t`` (None without a bank), and the
-        instance-norm ``(mu, var)`` the output denorm needs (None with the
-        norm off)."""
+        instance-norm ``(mu, var)`` the output denorm needs."""
         cfg = self.config
         x = np.asarray(x, dtype=cfg.np_dtype)
         t = np.asarray(t)
@@ -291,15 +288,12 @@ class TQNet:
             raise ValueError(f"t must hold non-negative integer window starts, "
                              f"got {t.tolist()!r}")
         check_finite(x, "input window")
-        stats = None
-        if cfg.use_instance_norm:
-            x, mu, var = kernels.row_norm_stats(x, cfg.norm_eps)
-            stats = (mu, var)
+        x, mu, var = kernels.row_norm_stats(x, NORM_EPS)
         seg = None
         if self.bank is not None:
             seg = gather_cols(tape, self.bank,
                               segment_indices(t, cfg.lookback, cfg.period))
-        return DiffTensor(x, name="window"), seg, stats
+        return DiffTensor(x, name="window"), seg, (mu, var)
 
     def _qk_sources(self, xt, seg):
         pick = {"bank": seg, "window": xt}
@@ -312,8 +306,7 @@ class TQNet:
                 for src, w in zip(sources, ("wq", "wk", "wv"))]
 
     def _score_scale(self):
-        cfg = self.config
-        return 1.0 / math.sqrt(cfg.head_dim if cfg.scale_by_head_dim else cfg.lookback)
+        return 1.0 / math.sqrt(self.config.lookback)
 
     def _attention(self, tape, q_src, k_src, v_src, p, rng):
         cfg = self.config

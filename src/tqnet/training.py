@@ -1,7 +1,8 @@
 """Optimization loop: Adam, patience-based early stopping, evaluation, and
 the JSONL results log.
 
-Each minibatch is one index array into the training windows, run through
+Each epoch visits the training windows in a fresh random order drawn from
+the plan's seed.  Each minibatch is one index array into them, run through
 one forward pass on one tape; the batch-mean L2 loss's ``backward``
 leaves the minibatch gradient in the parameters for one fused Adam step.
 The model owns one flat buffer of weights and Adam one of gradients, laid
@@ -42,7 +43,6 @@ class TrainPlan:
     batch_size: int = 32
     max_epochs: int = 30
     patience: int = 5
-    shuffle: bool = True
     seed: int = 2024
     target_rows: tuple | None = None  # restrict loss/metrics to these channels
 
@@ -174,7 +174,7 @@ def fit(model, train_windows, val_windows, plan, log=None):
 
     n = len(train_windows)
     for epoch in range(1, plan.max_epochs + 1):
-        order = shuffle_rng.permutation(n) if plan.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         epoch_mse = 0.0
         for b_start in range(0, n, plan.batch_size):
             b = train_windows[order[b_start : b_start + plan.batch_size]]

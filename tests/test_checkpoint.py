@@ -247,6 +247,15 @@ def test_unsupported_version(tmp_path, model, capsys):
                  "attn_dropout", id="float-field-str"),
     pytest.param(lambda h: h["config"].update(norm_eps=True), "norm_eps",
                  id="float-field-bool"),
+    # format 2's fixed keys each hold the one value the model has
+    pytest.param(lambda h: h["config"].update(scale_by_head_dim=True),
+                 "scale_by_head_dim", id="fixed-head-dim-scale"),
+    pytest.param(lambda h: h["config"].update(use_instance_norm=False),
+                 "use_instance_norm", id="fixed-norm-off"),
+    pytest.param(lambda h: h["config"].update(norm_eps=1e-6), "norm_eps",
+                 id="fixed-other-eps"),
+    pytest.param(lambda h: h["config"].pop("norm_eps"), "norm_eps",
+                 id="fixed-key-missing"),
     pytest.param(lambda h: h["variant"].update(attention="false"), "attention",
                  id="variant-bool-field-str"),
     pytest.param(lambda h: h["variant"].update(bank=1), "bank",

@@ -86,8 +86,8 @@ class TestResolveConfig:
 
     def test_bool_keys_strict(self, tmp_path):
         cfg_file = tmp_path / "c.json"
-        cfg_file.write_text(json.dumps({"shuffle": 1}))
-        with pytest.raises(ConfigError, match="shuffle"):
+        cfg_file.write_text(json.dumps({"hidden": True}))
+        with pytest.raises(ConfigError, match="hidden"):
             resolve_config(cfg_file, {})
 
     def test_int_accepted_for_float(self):
@@ -137,16 +137,15 @@ class TestFieldTypes:
 
     @pytest.mark.parametrize("build,field,value", [
         (TrainPlan, "batch_size", True),
-        (TrainPlan, "shuffle", "false"),
+        (TrainPlan, "max_epochs", 2.0),
         (TrainPlan, "target_rows", [0]),
         pytest.param(TrainPlan, "lr", 10**400, id="TrainPlan-lr-beyond-float"),
-        (SplitSpec, "border_context", "false"),
         (SplitSpec, "max_rows", 2.5),
         (SynthSpec, "channels", 3.5),
         (RunConfig, "data", 5),
         # None only where the annotation says ``X | None``
         (TrainPlan, "lr", None),
-        (SplitSpec, "border_context", None),
+        (SplitSpec, "train_frac", None),
         (SynthSpec, "seed", None),
         (RunConfig, "variant", None),
         (_model_config, "dtype", None),
@@ -250,11 +249,11 @@ class TestTrainEvaluate:
 
     @pytest.mark.parametrize("flags,message", [
         (["--lookback", "200"], "lookback is 200, but {} has 16"),
-        (["--no-use-instance-norm"], "use_instance_norm is False, but {} has True"),
+        (["--heads", "4"], "heads is 4, but {} has 2"),
         (["--dtype", "float64"], "dtype is 'float64', but {} has 'float32'"),
         (["--variant", "pure_mlp"], "variant is 'pure_mlp', but {} has 'default'"),
-        ({"norm_eps": 0.5}, "norm_eps is 0.5, but {} has 1e-05"),
-    ], ids=["lookback", "norm", "dtype", "variant", "config-key"])
+        ({"dtype": "float64"}, "dtype is 'float64', but {} has 'float32'"),
+    ], ids=["lookback", "heads", "dtype", "variant", "config-key"])
     def test_evaluate_refuses_a_model_setting_the_checkpoint_lacks(
             self, flags, message, run_dir, synth_csv, tmp_path, capsys):
         if isinstance(flags, dict):
@@ -335,18 +334,13 @@ RUN_FIELD_TYPES = {
     "data": "str | None", "dataset": "str | None", "out_dir": "str | None",
     "variant": "str", "lookback": "int", "horizon": "int", "period": "int",
     "hidden": "int", "heads": "int", "attn_dropout": "float",
-    "out_dropout": "float", "use_instance_norm": "bool", "norm_eps": "float",
-    "scale_by_head_dim": "bool", "dtype": "str", "lr": "float",
+    "out_dropout": "float", "dtype": "str", "lr": "float",
     "batch_size": "int", "max_epochs": "int", "patience": "int",
-    "shuffle": "bool", "seed": "int", "train_frac": "float",
-    "val_frac": "float", "test_frac": "float", "border_context": "bool",
-    "max_rows": "int | None",
+    "seed": "int", "train_frac": "float", "val_frac": "float",
+    "test_frac": "float", "max_rows": "int | None",
 }
 RUN_OPTIONS = {"-h", "--help", "--config"} | {
-    f"--{prefix}{name.replace('_', '-')}"
-    for name, typ in RUN_FIELD_TYPES.items()
-    for prefix in (("", "no-") if typ == "bool" else ("",))
-}
+    "--" + name.replace("_", "-") for name in RUN_FIELD_TYPES}
 
 
 class TestCliSurface:
@@ -396,14 +390,14 @@ class TestCliSurface:
 
     def test_run_config_fields_and_defaults(self):
         assert {f.name: f.type for f in fields(RunConfig)} == RUN_FIELD_TYPES
-        assert config_hash(asdict(RunConfig())) == "129695609154"
+        assert config_hash(asdict(RunConfig())) == "f6beaa628849"
 
     def test_train_echoes_every_run_setting(self, run_dir):
         echo = json.loads((run_dir / "config.json").read_text())
         assert set(echo) == set(RUN_FIELD_TYPES) | {"config_hash"}
 
-    @pytest.mark.parametrize("name,digest", [("etth1", "d429c250600d"),
-                                             ("etth2", "078c40347707")])
+    @pytest.mark.parametrize("name,digest", [("etth1", "a56831fe088d"),
+                                             ("etth2", "8d57a0f7f2e8")])
     def test_preset_config_hashes(self, name, digest):
         cfg = resolve_config(CONFIGS / f"{name}.json")
         assert config_hash(asdict(cfg)) == digest
@@ -420,6 +414,29 @@ class TestExitCodes:
         rc = main(["train", "--data", str(synth_csv), "--config", str(bad)])
         assert rc == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("use_instance_norm", True), ("norm_eps", 1e-5),
+        ("scale_by_head_dim", False), ("shuffle", True), ("border_context", True),
+    ])
+    def test_a_removed_setting_is_an_unknown_config_key(
+            self, key, value, tmp_path, capsys, synth_csv):
+        # each is a constant now, so even its one value is refused
+        bad = tmp_path / "old.json"
+        bad.write_text(json.dumps({key: value}))
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(synth_csv), "--config", str(bad),
+                   "--out-dir", str(out), *MICRO_ARGS])
+        assert rc == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["acf", "--out", ""], ["corr", "--out", ""], ["corr", "--truth", ""]])
+    def test_an_empty_path_is_opened_and_exits_1(self, argv, synth_csv, capsys):
+        # an empty path names no file; it is not a path left out
+        assert main([*argv, "--data", str(synth_csv)]) == 1
+        assert "No such file or directory: ''" in capsys.readouterr().err
 
     def test_malformed_csv_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -177,12 +177,6 @@ class TestSplits:
         assert len(val_w) == 2880 - H + 1  # context supplies the lookback
         assert len(test_w) == 2880 - H + 1
 
-    def test_window_counts_strict_isolation(self):
-        table = toy_table(1000, 2)
-        spec = SplitSpec(train_frac=0.6, val_frac=0.2, test_frac=0.2, border_context=False)
-        splits = split_and_scale(table, spec, lookback=24)
-        assert len(make_windows(splits.val, 24, 12)) == 200 - 24 - 12 + 1
-
     def test_first_val_window_starts_lookback_before_boundary(self):
         table = toy_table(1000, 2)
         splits = split_and_scale(table, SplitSpec(0.6, 0.2, 0.2), lookback=24)

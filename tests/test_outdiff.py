@@ -23,11 +23,11 @@ def _snapshot(work, line):
 
 def test_compare_ignores_wall_time_and_flags_one_byte(tmp_path):
     a = _snapshot(tmp_path / "a", LINE % b"1.25")
-    assert outdiff.first_difference(a, _snapshot(tmp_path / "b", LINE % b"2e-05")) is None
+    assert outdiff.differences(a, _snapshot(tmp_path / "b", LINE % b"2e-05")) == []
     c = _snapshot(tmp_path / "c", (LINE % b"1.25").replace(b"0.5", b"0.6"))
-    assert outdiff.first_difference(a, c).startswith("stdout line 1: ")
-    c["stdout"] = a["stdout"]
-    assert outdiff.first_difference(a, c) == "results.jsonl: bytes differ at offset 10"
+    stdout, results = outdiff.differences(a, c)
+    assert stdout.startswith("stdout line 1: ")
+    assert results == "results.jsonl: bytes differ at offset 10"
 
 
 def test_compare_normalizes_the_run_directory_and_lists_files(tmp_path):
@@ -37,7 +37,24 @@ def test_compare_normalizes_the_run_directory_and_lists_files(tmp_path):
     (tmp_path / "b" / "results.jsonl").write_bytes(a["files"]["results.jsonl"])
     (tmp_path / "b" / "extra.csv").write_text("")
     b = outdiff.snapshot(tmp_path / "b", 0, a["stdout"], b"", {})
-    assert outdiff.first_difference(a, b) == "file extra.csv is on one side only"
+    assert outdiff.differences(a, b) == ["file extra.csv is on one side only"]
+
+
+def test_compare_lists_every_difference(tmp_path):
+    for name in ("config.json", "model.ckpt", "results.jsonl", "same.csv"):
+        (tmp_path / name).write_text("x")
+    a = outdiff.snapshot(tmp_path, 0, b"one\ntwo\n", b"", {})
+    b = outdiff.snapshot(tmp_path, 2, b"one\nTWO\n", b"error\n", {})
+    b["files"].update({"config.json": b"y", "model.ckpt": b"xz"})
+    del b["files"]["results.jsonl"]
+    assert outdiff.differences(a, b) == [
+        "exit code 0 != 2",
+        "stdout line 2: b'two' != b'TWO'",
+        "stderr line 1: None != b'error'",
+        "config.json: bytes differ at offset 0",
+        "model.ckpt: bytes differ at offset 1",
+        "file results.jsonl is on one side only",
+    ]
 
 
 def test_argvs_cover_every_subcommand_and_every_readme_line():

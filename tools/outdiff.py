@@ -18,7 +18,9 @@ Compared per argv: the exit code, stdout, stderr, the set of files in the
 directory afterwards and their bytes.  In stdout and stderr the directory's
 path reads ``<cwd>`` and the tree's ``src`` path ``<src>``; every
 ``"wall_time_s": <number>`` is masked.  One verdict line per argv, then a
-summary line; the exit status is 1 if any argv differs.
+summary line.  A differing argv lists every difference, one per line: the
+exit code, the first differing line of each stream, and each file that
+differs or is on one side only.  The exit status is 1 if any argv differs.
 """
 
 from __future__ import annotations
@@ -70,24 +72,27 @@ def snapshot(work, code, out, err, paths):
     return {"exit": code, "stdout": _mask(out), "stderr": _mask(err), "files": files}
 
 
-def first_difference(a, b):
-    """The first way the snapshots ``a`` and ``b`` differ, or None."""
+def differences(a, b):
+    """Every way the snapshots ``a`` and ``b`` differ, empty if none: the
+    exit code, the first differing line of each stream, and each file that
+    differs or is on one side only, in name order."""
+    found = []
     if a["exit"] != b["exit"]:
-        return f"exit code {a['exit']} != {b['exit']}"
+        found.append(f"exit code {a['exit']} != {b['exit']}")
     for stream in ("stdout", "stderr"):
         lines = zip_longest(a[stream].splitlines(), b[stream].splitlines())
         for n, (x, y) in enumerate(lines, 1):
             if x != y:
-                return f"{stream} line {n}: {x!r} != {y!r}"
-    only = sorted(set(a["files"]) ^ set(b["files"]))
-    if only:
-        return f"file {only[0]} is on one side only"
-    for name, x in a["files"].items():
-        y = b["files"][name]
-        if x != y:
+                found.append(f"{stream} line {n}: {x!r} != {y!r}")
+                break
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        x, y = a["files"].get(name), b["files"].get(name)
+        if x is None or y is None:
+            found.append(f"file {name} is on one side only")
+        elif x != y:
             offset = next(i for i, (p, q) in enumerate(zip_longest(x, y)) if p != q)
-            return f"{name}: bytes differ at offset {offset}"
-    return None
+            found.append(f"{name}: bytes differ at offset {offset}")
+    return found
 
 
 def run(tree, argv, work, inputs=None):
@@ -143,10 +148,10 @@ def main(argv=None):
         for i, argv in enumerate(argvs):
             sides = [pool.submit(run, tree, argv, Path(tmp, f"{i}-{side}"), inputs)
                      for side, tree in (("parent", parent), ("change", change))]
-            diff = first_difference(*(s.result() for s in sides))
-            differ += diff is not None
-            print(f"{'identical' if diff is None else 'DIFFERS'}: tqnet {shlex.join(argv)}"
-                  + ("" if diff is None else f"\n    {diff}"), flush=True)
+            found = differences(*(s.result() for s in sides))
+            differ += bool(found)
+            print(f"{'DIFFERS' if found else 'identical'}: tqnet {shlex.join(argv)}"
+                  + "".join(f"\n    {line}" for line in found), flush=True)
             for side in ("parent", "change"):
                 shutil.rmtree(Path(tmp, f"{i}-{side}"))
     print(f"outdiff: {len(argvs)} argvs, {len(argvs) - differ} identical, {differ} differ")
