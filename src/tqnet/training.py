@@ -8,9 +8,9 @@ leaves the minibatch gradient in the parameters for one fused Adam step.
 The model owns one flat buffer of weights and Adam one of gradients, laid
 out alike: each parameter's gradient is written straight into its slice of
 Adam's, so the step copies no gradient and updates the weights in place.
-Validation runs after every epoch; when the patience budget of consecutive
-non-improving epochs is spent, training stops and the best-validation
-parameter snapshot is restored.
+Validation runs after every epoch; when ``patience`` epochs have passed
+since the best one, training stops and the best epoch's weights are
+restored.
 """
 
 from __future__ import annotations
@@ -107,29 +107,6 @@ class Adam:
                             self.plan.lr, *ADAM_BETAS, ADAM_EPS, self.t)
 
 
-class EarlyStopper:
-    """Counts consecutive epochs without a new best validation loss."""
-
-    def __init__(self, patience):
-        self.patience = patience
-        self.best = float("inf")
-        self.best_epoch = 0
-        self.streak = 0
-
-    def update(self, value, epoch):
-        if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.streak = 0
-            return True
-        self.streak += 1
-        return False
-
-    @property
-    def should_stop(self):
-        return self.streak >= self.patience
-
-
 def _rows(a, target_rows):
     return a if target_rows is None else a[..., list(target_rows), :]
 
@@ -162,53 +139,59 @@ class FitResult:
 
 
 def fit(model, train_windows, val_windows, plan, log=None):
-    """Train in place; returns the fit trace.  Deterministic per plan seed."""
+    """Train in place; returns the fit trace.  Deterministic per plan seed.
+
+    An epoch improves when its validation MSE is below the best so far; a
+    tie does not.  A non-finite training or validation loss raises
+    ``NumericError``."""
     if not train_windows or not val_windows:
         raise ConfigError("fit needs non-empty train and val windows")
     shuffle_rng = np.random.default_rng([plan.seed, 0])
     dropout_rng = np.random.default_rng([plan.seed, 1])
     opt = Adam(model, plan)
-    stopper = EarlyStopper(plan.patience)
-    best_state = model.snapshot()
     result = FitResult(best_epoch=0, epochs_run=0, best_val_mse=float("inf"))
 
     n = len(train_windows)
-    for epoch in range(1, plan.max_epochs + 1):
-        order = shuffle_rng.permutation(n)
-        epoch_mse = 0.0
-        for b_start in range(0, n, plan.batch_size):
-            b = train_windows[order[b_start : b_start + plan.batch_size]]
-            tape = Tape()
-            pred = model.forward(b.x, b.t, tape, mode="train", rng=dropout_rng)
-            loss = mse_loss(tape, pred, b.y, rows=plan.target_rows)
-            mse = loss.item()
-            if not np.isfinite(mse):
-                raise NumericError(
-                    f"non-finite training loss at epoch {epoch}, "
-                    f"batch starting at sample {b_start}"
-                )
-            tape.backward(loss)
-            opt.step()
-            epoch_mse += mse * len(b)
-        epoch_mse /= n
+    try:
+        for epoch in range(1, plan.max_epochs + 1):
+            order = shuffle_rng.permutation(n)
+            epoch_mse = 0.0
+            for b_start in range(0, n, plan.batch_size):
+                b = train_windows[order[b_start : b_start + plan.batch_size]]
+                tape = Tape()
+                pred = model.forward(b.x, b.t, tape, mode="train", rng=dropout_rng)
+                loss = mse_loss(tape, pred, b.y, rows=plan.target_rows)
+                mse = loss.item()
+                if not np.isfinite(mse):
+                    raise NumericError(
+                        f"non-finite training loss at epoch {epoch}, "
+                        f"batch starting at sample {b_start}"
+                    )
+                tape.backward(loss)
+                opt.step()
+                epoch_mse += mse * len(b)
+            epoch_mse /= n
 
-        val_mse, _ = evaluate(model, val_windows, plan.target_rows)
-        improved = stopper.update(val_mse, epoch)
-        if improved:
-            best_state = model.snapshot()
-        result.train_curve.append(epoch_mse)
-        result.val_curve.append(val_mse)
-        result.epochs_run = epoch
-        if log is not None:
-            log(epoch, epoch_mse, val_mse, improved)
-        if stopper.should_stop:
-            break
+            val_mse, _ = evaluate(model, val_windows, plan.target_rows)
+            if not np.isfinite(val_mse):
+                raise NumericError(f"non-finite validation loss at epoch {epoch}")
+            # a finite loss beats the initial inf, so epoch 1 sets best_state
+            improved = val_mse < result.best_val_mse
+            if improved:
+                result.best_epoch, result.best_val_mse = epoch, val_mse
+                best_state = model.snapshot()
+            result.train_curve.append(epoch_mse)
+            result.val_curve.append(val_mse)
+            result.epochs_run = epoch
+            if log is not None:
+                log(epoch, epoch_mse, val_mse, improved)
+            if epoch - result.best_epoch >= plan.patience:
+                break
+    finally:
+        for p in opt.params:  # the model keeps no hold on Adam's gradients
+            p.grad_home = None
 
     model.restore(best_state)
-    for p in opt.params:  # the trained model keeps no hold on Adam's gradients
-        p.grad_home = None
-    result.best_epoch = stopper.best_epoch
-    result.best_val_mse = stopper.best
     return result
 
 

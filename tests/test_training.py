@@ -11,6 +11,7 @@ import pytest
 from tqnet import kernels, training
 from tqnet.checkpoint import load_checkpoint, save_checkpoint
 from tqnet.data import (
+    SeriesTable,
     SplitSpec,
     SynthSpec,
     generate_synthetic,
@@ -24,7 +25,6 @@ from tqnet.training import (
     ADAM_BETAS,
     ADAM_EPS,
     Adam,
-    EarlyStopper,
     MetricsReport,
     TrainPlan,
     evaluate,
@@ -272,26 +272,62 @@ class TestParameterBuffer:
         assert not np.array_equal(buffer, init)  # trained where it lives
 
 
-class TestEarlyStopper:
-    def test_frozen_sequence_stops_after_epoch_8(self):
-        losses = [5.0, 4.0, 3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 99.0, 99.0]
-        stopper = EarlyStopper(patience=5)
-        stopped_at = None
-        for epoch, v in enumerate(losses, start=1):
-            stopper.update(v, epoch)
-            if stopper.should_stop:
-                stopped_at = epoch
-                break
-        assert stopped_at == 8
-        assert stopper.best_epoch == 3
-        assert stopper.best == 3.0
+def frozen_fit(monkeypatch, val_mses, patience):
+    """``fit`` a micro model, one step per epoch, with ``evaluate`` returning
+    ``val_mses`` in turn.  Returns the model, the fit result, the weights
+    each epoch was validated with, and the epoch of each ``snapshot`` call
+    (0 before the first validation)."""
+    splits = split_and_scale(micro_table(), SplitSpec(0.6, 0.2, 0.2), 16)
+    model = TQNet(MICRO)
+    validated, snapshot_epochs = [], []
 
-    def test_tie_is_not_an_improvement(self):
-        stopper = EarlyStopper(patience=2)
-        assert stopper.update(1.0, 1)
-        assert not stopper.update(1.0, 2)
-        assert not stopper.update(1.0, 3)
-        assert stopper.should_stop
+    def frozen_evaluate(m, windows, target_rows=None):
+        validated.append(m.values.copy())
+        return val_mses[len(validated) - 1], 0.0
+
+    def counted_snapshot():
+        snapshot_epochs.append(len(validated))
+        return TQNet.snapshot(model)
+
+    monkeypatch.setattr(training, "evaluate", frozen_evaluate)
+    monkeypatch.setattr(model, "snapshot", counted_snapshot)
+    plan = TrainPlan(lr=3e-3, batch_size=16, max_epochs=len(val_mses),
+                     patience=patience, seed=1)
+    res = fit(model, make_windows(splits.train, 16, 8)[:16],
+              make_windows(splits.val, 16, 8), plan)
+    return model, res, validated, snapshot_epochs
+
+
+class TestEarlyStopper:
+    """Early stopping as ``fit`` runs it, and the plan settings it reads."""
+
+    def test_frozen_sequence_stops_after_epoch_8(self, monkeypatch):
+        losses = [5.0, 4.0, 3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 99.0, 99.0]
+        _, res, _, _ = frozen_fit(monkeypatch, losses, patience=5)
+        assert res.epochs_run == 8
+        assert res.best_epoch == 3
+        assert res.best_val_mse == 3.0
+        assert res.val_curve == losses[:8]
+
+    def test_tie_is_not_an_improvement(self, monkeypatch):
+        _, res, _, snapshot_epochs = frozen_fit(monkeypatch, [1.0, 1.0, 1.0, 0.5],
+                                                patience=2)
+        assert res.epochs_run == 3
+        assert res.best_epoch == 1
+        assert snapshot_epochs == [1]
+
+    def test_snapshot_once_per_improving_epoch(self, monkeypatch):
+        losses = [5.0, 4.0, 4.5, 3.0, 3.0, 3.5]
+        _, res, _, snapshot_epochs = frozen_fit(monkeypatch, losses, patience=6)
+        assert res.epochs_run == 6
+        assert snapshot_epochs == [1, 2, 4]  # none before epoch 1
+
+    def test_restores_the_best_epochs_weights(self, monkeypatch):
+        losses = [5.0, 4.0, 3.0, 3.1, 3.2]
+        model, res, validated, _ = frozen_fit(monkeypatch, losses, patience=2)
+        assert res.epochs_run == 5 and res.best_epoch == 3
+        assert not np.array_equal(validated[2], validated[-1])  # it trained on
+        np.testing.assert_array_equal(model.values, validated[2])
 
     @pytest.mark.parametrize("field,value", [
         ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0),
@@ -412,8 +448,25 @@ class TestFit:
         val_w = make_windows(splits.val, 16, 8)
         model = TQNet(MICRO)
         model.params["mlp.w1"].values[0, 0] = np.nan
-        with pytest.raises(NumericError, match="epoch 1"):
+        with pytest.raises(NumericError, match="training loss at epoch 1"):
             fit(model, train_w, val_w, TrainPlan(max_epochs=1, patience=1))
+        assert all(p.grad_home is None for p in model.parameters())
+
+    def test_non_finite_validation_loss_raises(self):
+        table = micro_table()
+        spec = SplitSpec(0.6, 0.2, 0.2)
+        n_train, n_val, _ = spec.boundaries(table.timesteps)
+        data = table.data.copy()
+        data[n_train + n_val - 1, 0] = np.nan  # the last validation row
+        table = SeriesTable(names=table.names, timestamps=table.timestamps,
+                            data=data)
+        splits = split_and_scale(table, spec, 16)
+        train_w = make_windows(splits.train, 16, 8)
+        val_w = make_windows(splits.val, 16, 8)
+        model = TQNet(MICRO)
+        with pytest.raises(NumericError, match="validation loss at epoch 1$"):
+            fit(model, train_w, val_w, TrainPlan(max_epochs=2, patience=1))
+        assert all(p.grad_home is None for p in model.parameters())
 
     def test_one_tape_per_minibatch(self, monkeypatch):
         tapes = []
