@@ -5,31 +5,29 @@ Layout (all integers little-endian uint32):
     8 bytes   magic ``TQNETCK1``
     4 bytes   header length N
     N bytes   UTF-8 JSON header: format_version; config, the model's
-              ModelConfig less its variant name; variant, the wiring of the
-              config's variant name; and params, the parameter manifest
-              [{name, rows, cols}, ...] in parameter_shapes(config) order
-    payload   the model's flat parameter buffer as float32 little-endian:
-              per manifest entry in order, rows*cols values, row-major
+              ModelConfig with its variant name; and params, the parameter
+              manifest [{name, rows, cols}, ...] in parameter_shapes(config)
+              order
+    payload   the model's flat parameter buffer ``TQNet.values`` as is, in
+              the config's dtype, little-endian: per manifest entry in order,
+              rows*cols values, row-major
     4 bytes   CRC-32 of header+payload
 
-Format version 2 stores each attention projection (``attn.wq``, ``attn.wk``,
-``attn.wv``) as one (lookback x lookback) weight; version 1 files, which
-stored them per head, are refused like any other version.  Format 2's config
-also holds three settings that are now model constants, ``FORMAT2_FIXED``: a
-save writes them, and a load checks them, not reads them.
+So float32 and float64 models both round-trip bitwise.  Versions 1 and 2
+(per-head attention weights; the variant as its wiring and a float32
+payload) are refused like any other version: their models must be retrained.
 
 A save writes a temporary file next to the target and renames it over the
 target, so a save that fails partway leaves the previous checkpoint intact.
 
-The payload is ``TQNet.values`` cast once to ``<f4``, whatever the model's
-working dtype, so a float64 model round-trips with float32 precision; a load
-fills the new model's buffer with one assignment.  Loading validates magic,
-version, the header schema, the variant section (which must be one of the
-``VARIANTS`` wirings, compared as typed JSON), the manifest (which must
-equal the one the stored config derives), payload length, and the checksum,
-raising :class:`~tqnet.errors.CheckpointError` with the offending detail.  The
-manifest and the payload length are checked before any parameter array is
-allocated.
+Loading validates magic, checksum, version and the config, which
+``ModelConfig`` itself checks (an unknown, missing or mistyped key, or a
+variant no ``VARIANTS`` entry has).  It then checks the stored manifest,
+which must equal the one the config derives (so a layout change made
+without a version bump is caught), and the payload length, both before any
+parameter array is allocated.  Every failure raises
+:class:`~tqnet.errors.CheckpointError` naming the file and the detail.  A
+load fills the new model's buffer with one assignment.
 """
 
 from __future__ import annotations
@@ -39,20 +37,16 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from itertools import zip_longest
 
 import numpy as np
 
 from .errors import CheckpointError
-from .model import NORM_EPS, VARIANTS, ModelConfig, TQNet, parameter_shapes
+from .model import ModelConfig, TQNet, parameter_shapes
 
 MAGIC = b"TQNETCK1"
-FORMAT_VERSION = 2
-
-# the config keys format 2 stores for the model constants, each with its one value
-FORMAT2_FIXED = {"use_instance_norm": True, "norm_eps": NORM_EPS,
-                 "scale_by_head_dim": False}
+FORMAT_VERSION = 3
 
 
 def _manifest(config):
@@ -66,23 +60,20 @@ def _json_text(obj):
     return json.dumps(obj, sort_keys=True)
 
 
-# each variant's name, keyed by the JSON text of its wiring
-_VARIANT_NAMES = {_json_text(w._asdict()): name for name, w in VARIANTS.items()}
+def _payload_dtype(config):
+    return np.dtype(config.dtype).newbyteorder("<")
 
 
 def save_checkpoint(path, model):
-    config = {**asdict(model.config), **FORMAT2_FIXED}
-    del config["variant"]  # stored as its wiring
     header = json.dumps(
         {
             "format_version": FORMAT_VERSION,
-            "config": config,
-            "variant": model.wiring._asdict(),
+            "config": asdict(model.config),
             "params": _manifest(model.config),
         },
         sort_keys=True,
     ).encode("utf-8")
-    payload = model.values.astype("<f4", copy=False).tobytes()
+    payload = model.values.astype(_payload_dtype(model.config), copy=False).tobytes()
     body = header + payload
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -123,25 +114,8 @@ def load_checkpoint(path):
             f"not supported (expected {FORMAT_VERSION})"
         )
 
-    wiring = _json_text(header.get("variant"))
-    variant = _VARIANT_NAMES.get(wiring)
-    if variant is None:
-        raise CheckpointError(
-            f"{path}: header key 'variant' is the wiring of no variant: {wiring}")
-    section = header.get("config")
-    if not isinstance(section, dict):
-        raise CheckpointError(f"{path}: header key 'config' must be an object")
-    for key, value in FORMAT2_FIXED.items():
-        stored, want = _json_text(section.pop(key, None)), _json_text(value)
-        if stored != want:
-            raise CheckpointError(f"{path}: header key 'config' has {key} {stored}, "
-                                  f"but only {want} is supported")
-    unknown = sorted(set(section) - {f.name for f in fields(ModelConfig)})
-    if unknown:
-        raise CheckpointError(
-            f"{path}: header key 'config' has unknown field {unknown[0]!r}")
     try:
-        config = ModelConfig(**section, variant=variant)
+        config = ModelConfig(**header.get("config"))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: header key 'config' is invalid ({exc})") from None
@@ -154,18 +128,12 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: header key 'params' differs from the manifest of the stored "
             f"config at entry {diff[0]}: {diff[1]!r}, expected {diff[2]!r}")
+    dtype = _payload_dtype(config)
     have = len(body) - header_len
-    needed = sum(m["rows"] * m["cols"] * 4 for m in want)
+    needed = sum(m["rows"] * m["cols"] for m in want) * dtype.itemsize
     if have != needed:
         raise CheckpointError(
             f"{path}: payload has {have} bytes, the manifest needs {needed}"
         )
 
-    payload = np.frombuffer(body, dtype="<f4", offset=header_len)
-    try:
-        return TQNet(config, values=payload)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"{path}: header key 'config' does not build a model ({exc})"
-        ) from None
-
+    return TQNet(config, values=np.frombuffer(body, dtype=dtype, offset=header_len))

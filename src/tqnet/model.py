@@ -106,8 +106,7 @@ class ModelConfig:
 
 
 class Wiring(NamedTuple):
-    """The attention-block wiring of one of the ``VARIANTS``, as a
-    checkpoint stores it.
+    """The attention-block wiring of one of the ``VARIANTS``.
 
     ``query_source``/``key_source`` say what feeds Q and K ("bank" or
     "window"); values always come from the observed window.  With

@@ -44,13 +44,16 @@ def test_compare_lists_every_difference(tmp_path):
     for name in ("config.json", "model.ckpt", "results.jsonl", "same.csv"):
         (tmp_path / name).write_text("x")
     a = outdiff.snapshot(tmp_path, 0, b"one\ntwo\n", b"", {})
-    b = outdiff.snapshot(tmp_path, 2, b"one\nTWO\n", b"error\n", {})
+    # an argparse refusal: the last differing line names the refused flag
+    b = outdiff.snapshot(tmp_path, 2, b"one\nTWO\n",
+                         b"usage: tqnet\n  train\nerror: unrecognized: --hid\n", {})
     b["files"].update({"config.json": b"y", "model.ckpt": b"xz"})
     del b["files"]["results.jsonl"]
     assert outdiff.differences(a, b) == [
         "exit code 0 != 2",
         "stdout line 2: b'two' != b'TWO'",
-        "stderr line 1: None != b'error'",
+        "stderr line 1: None != b'usage: tqnet'",
+        "stderr line 3: None != b'error: unrecognized: --hid'",
         "config.json: bytes differ at offset 0",
         "model.ckpt: bytes differ at offset 1",
         "file results.jsonl is on one side only",

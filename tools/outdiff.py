@@ -9,18 +9,19 @@ starts with ``tqnet `` is one argv; every other line is a comment.
 
 The parent tree first makes the inputs: a copy of its ``configs/``,
 ``SETUP``'s synth CSV and truth matrix and a checkpoint trained on them
-(``runs/demo``), plus ``bad.csv``
-(a non-numeric cell) and ``bad_variant.ckpt`` (that checkpoint with a
-``variant`` section no variant has).  Each argv then runs once per tree in
-its own process, with one BLAS thread, in a fresh copy of the inputs.
+(``runs/demo``), plus ``bad.csv`` (a non-numeric cell) and
+``bad_variant.ckpt`` (that checkpoint with a config ``variant`` that names
+no variant).  Each argv then runs once per tree in its own process, with one
+BLAS thread, in a fresh copy of the inputs.
 
 Compared per argv: the exit code, stdout, stderr, the set of files in the
 directory afterwards and their bytes.  In stdout and stderr the directory's
 path reads ``<cwd>`` and the tree's ``src`` path ``<src>``; every
 ``"wall_time_s": <number>`` is masked.  One verdict line per argv, then a
 summary line.  A differing argv lists every difference, one per line: the
-exit code, the first differing line of each stream, and each file that
-differs or is on one side only.  The exit status is 1 if any argv differs.
+exit code, the first and the last differing line of each stream, and each
+file that differs or is on one side only.  The exit status is 1 if any argv
+differs.
 """
 
 from __future__ import annotations
@@ -74,17 +75,16 @@ def snapshot(work, code, out, err, paths):
 
 def differences(a, b):
     """Every way the snapshots ``a`` and ``b`` differ, empty if none: the
-    exit code, the first differing line of each stream, and each file that
-    differs or is on one side only, in name order."""
+    exit code, the first and the last differing line of each stream, and
+    each file that differs or is on one side only, in name order."""
     found = []
     if a["exit"] != b["exit"]:
         found.append(f"exit code {a['exit']} != {b['exit']}")
     for stream in ("stdout", "stderr"):
         lines = zip_longest(a[stream].splitlines(), b[stream].splitlines())
-        for n, (x, y) in enumerate(lines, 1):
-            if x != y:
-                found.append(f"{stream} line {n}: {x!r} != {y!r}")
-                break
+        differ = [(n, x, y) for n, (x, y) in enumerate(lines, 1) if x != y]
+        found += [f"{stream} line {n}: {x!r} != {y!r}"
+                  for n, x, y in differ[:1] + differ[1:][-1:]]
     for name in sorted(set(a["files"]) | set(b["files"])):
         x, y = a["files"].get(name), b["files"].get(name)
         if x is None or y is None:
@@ -108,13 +108,13 @@ def run(tree, argv, work, inputs=None):
                     {str(work): "<cwd>", src: "<src>"})
 
 
-def _rewire(src, dst):
-    """Copy the checkpoint ``src`` to ``dst`` with ``bank`` false in its
-    ``variant`` section, checksum updated."""
+def _bad_variant(src, dst):
+    """Copy the checkpoint ``src`` to ``dst`` with a config ``variant`` that
+    names no variant, checksum updated."""
     blob = src.read_bytes()
     (size,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12:12 + size])
-    header["variant"]["bank"] = False
+    header["config"]["variant"] = "bank_only"
     text = json.dumps(header, sort_keys=True).encode()
     body = text + blob[12 + size:-4]
     dst.write_bytes(blob[:8] + struct.pack("<I", len(text)) + body
@@ -129,7 +129,7 @@ def make_inputs(tree, inputs):
             raise SystemExit(f"setup failed: tqnet {shlex.join(argv)}\n"
                              + snap["stderr"].decode(errors="replace"))
     (inputs / "bad.csv").write_text("date,a,b\n1,0.5,xyz\n2,0.1,0.2\n")
-    _rewire(inputs / "runs/demo/model.ckpt", inputs / "bad_variant.ckpt")
+    _bad_variant(inputs / "runs/demo/model.ckpt", inputs / "bad_variant.ckpt")
 
 
 def main(argv=None):
