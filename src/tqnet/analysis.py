@@ -40,16 +40,15 @@ def _once_each(items, what, ints=False):
 def _train_runs(key, runs, split):
     """Train ``runs``, ``(label, table, config, plan, dataset)`` tuples, in
     order.  Returns (rows, reports): a row per label, in first-seen order,
-    holds the label under ``key``, the mean MSE/MAE of its runs and their
-    ``(seed, mse, mae)`` under ``"runs"``; reports holds every run's
-    MetricsReport."""
+    holds only the label under ``key`` and the mean ``mse`` and ``mae`` of
+    its runs; reports holds every run's MetricsReport, in run order."""
     per_label, reports = {}, []
     for label, table, config, plan, dataset in runs:
         rep = run_experiment(table, config, plan, split, dataset=dataset).report
-        per_label.setdefault(label, []).append((plan.seed, rep.mse, rep.mae))
+        per_label.setdefault(label, []).append(rep)
         reports.append(rep)
-    return [{key: label, "mse": float(np.mean([r[1] for r in done])),
-             "mae": float(np.mean([r[2] for r in done])), "runs": done}
+    return [{key: label, "mse": float(np.mean([r.mse for r in done])),
+             "mae": float(np.mean([r.mae for r in done]))}
             for label, done in per_label.items()], reports
 
 
@@ -86,7 +85,6 @@ def run_period_sweep(table, config, plan, split, periods, include_disabled=False
                      dataset))
     rows, reports = _train_runs("period", runs, split)
     for row, report in zip(rows, reports):  # one run, so one report, per row
-        del row["runs"]
         row["best_epoch"] = report.best_epoch
     return rows, reports
 
@@ -203,9 +201,6 @@ def run_covariate_study(config, plan, split, subset_sizes, covariates=8,
         covariates, timesteps, config.horizon, seed=data_seed
     )
     plan = replace(plan, target_rows=(0,))
-    rows, reports = _train_runs("covariates", [
+    return _train_runs("covariates", [
         (n, full.select_channels(range(n + 1)), replace(config, channels=n + 1),
          plan, f"{dataset}-n{n}") for n in sizes], split)
-    for row in rows:
-        del row["runs"]
-    return rows, reports

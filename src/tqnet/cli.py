@@ -9,13 +9,14 @@ the flags and the file's values, through :mod:`tqnet.errors`.
 ``RunConfig`` declares only the run keys ``data``, ``dataset`` and
 ``out_dir``; its other fields are those of ``ModelConfig`` (``variant``
 among them), ``TrainPlan`` and ``SplitSpec`` with their names, annotations
-and defaults, less ``NOT_RUN_FIELDS``.  The defaults of ``covariates
---n-covariates``/``--timesteps`` and ``gradcheck --seed``/``--variant`` are
-read from ``run_covariate_study`` and ``ModelConfig``.  A study picks the
-variants it trains, so it refuses a ``variant`` other than the default, and
-``covariates``, which makes its data, refuses ``data``.  ``train`` and the
-studies make their run directory only after the library call returns, so a
-failed run leaves none.
+and defaults, less ``NOT_RUN_FIELDS``, and ``RunConfig.parts`` builds the
+three.  ``evaluate`` builds only the split, so it accepts training-only keys
+as given.  The defaults of ``covariates --n-covariates``/``--timesteps`` and
+``gradcheck --seed``/``--variant`` are read from ``run_covariate_study`` and
+``ModelConfig``.  A study picks the variants it trains, so it refuses a
+``variant`` other than the default, and ``covariates``, which makes its
+data, refuses ``data``.  ``train`` and the studies make their run directory
+only after the library call returns, so a failed run leaves none.
 
 Exit codes: 0 success, 1 runtime failure (numeric problems, bad checkpoint,
 missing files, out of memory), 2 configuration or usage errors.
@@ -106,22 +107,18 @@ class _RunKeys:
             raise ConfigError(f"dataset must be a name without a path separator, "
                               f"got {self.dataset!r}")
 
-    def model_config(self, channels):
-        return self._build(ModelConfig, channels=channels)
-
-    def train_plan(self):
-        return self._build(TrainPlan)
-
-    def split_spec(self):
-        return self._build(SplitSpec)
-
-    def _build(self, cls, **given):
+    def build(self, cls, **given):
         """``cls`` from this config's values of its fields plus ``given``;
         the ``NOT_RUN_FIELDS`` that ``given`` lacks keep ``cls``'s defaults."""
         for f in fields(cls):
             if f.name not in NOT_RUN_FIELDS:
                 given[f.name] = getattr(self, f.name)
         return cls(**given)
+
+    def parts(self, channels):
+        """The ModelConfig for ``channels`` channels, TrainPlan and SplitSpec."""
+        model = self.build(ModelConfig, channels=channels)
+        return model, self.build(TrainPlan), self.build(SplitSpec)
 
 
 # Flat bag of every tunable a data-driven run needs: the run keys, then the
@@ -139,11 +136,10 @@ def resolve_config(config_path=None, overrides=None, base=None):
     values = dict(base or {})
     if config_path is not None:
         try:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
+            loaded = json.loads(Path(config_path).read_bytes())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {config_path}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{config_path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_path}: top level must be an object")
@@ -279,7 +275,7 @@ def _close_study(cfg, dataset, table, rows, reports, row_format):
     """Open the run directory of a finished study, write its CSV ``table``
     and results.jsonl, and print its rows."""
     out = _open_run(cfg, dataset)
-    keys = [k for k in rows[0] if k != "runs"]
+    keys = list(rows[0])
     write_rows(out / table, keys, ([row[k] for k in keys] for row in rows))
     append_results(out / "results.jsonl", reports)
     for row in rows:
@@ -296,14 +292,9 @@ def _refuse_keys(cfg, command, variant=f"trains {RunConfig.variant!r}", data=Non
             raise ConfigError(f"{command} {how}, not {key} {getattr(cfg, key)!r}")
 
 
-def _run_parts(cfg, channels):
-    """The model config, train plan and split of ``cfg``."""
-    return cfg.model_config(channels), cfg.train_plan(), cfg.split_spec()
-
-
 def cmd_train(args):
     cfg, table, dataset = _prepare_run(args)
-    config, plan, split = _run_parts(cfg, table.channels)
+    config, plan, split = cfg.parts(table.channels)
     log_rows = []
 
     def log(epoch, train_mse, val_mse, improved):
@@ -342,14 +333,10 @@ def cmd_evaluate(args):
             f"checkpoint expects {mc.channels} channels, data has "
             f"{table.channels}"
         )
-    splits = split_and_scale(table, cfg.split_spec(), lookback=mc.lookback)
+    splits = split_and_scale(table, cfg.build(SplitSpec), lookback=mc.lookback)
     test_w = make_windows(splits.test, mc.lookback, mc.horizon)
     mse, mae = evaluate(model, test_w)
-    report = MetricsReport(
-        dataset=dataset, lookback=mc.lookback, horizon=mc.horizon,
-        period=mc.period, variant=mc.variant, seed=mc.seed,
-        mse=mse, mae=mae, best_epoch=0, wall_time_s=0.0,
-    )
+    report = MetricsReport.of(mc, dataset, mc.seed, mse, mae)
     print(report.results_line())
     if cfg.out_dir is not None:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
@@ -379,7 +366,7 @@ def cmd_ablate(args):
     _refuse_keys(cfg, "ablate", variant="trains the variants of --variants")
     variants = _name_list(args.variants, "--variants")
     seeds = [cfg.seed] if args.seeds is None else _int_list(args.seeds, "--seeds")
-    config, plan, split = _run_parts(cfg, table.channels)
+    config, plan, split = cfg.parts(table.channels)
     rows, reports = run_variant_matrix(
         table, config, plan, split, variants=variants, seeds=seeds, dataset=dataset,
     )
@@ -391,7 +378,7 @@ def cmd_covariates(args):
     cfg = resolve_config(args.config, _flag_values(args, RunConfig))
     _refuse_keys(cfg, "covariates", data="generates its own data")
     dataset = cfg.dataset or "covariates"
-    config, plan, split = _run_parts(cfg, 1)
+    config, plan, split = cfg.parts(1)
     rows, reports = run_covariate_study(
         config, plan, split, _int_list(args.sizes, "--sizes"),
         covariates=args.n_covariates, timesteps=args.timesteps, dataset=dataset,
@@ -404,7 +391,7 @@ def cmd_covariates(args):
 def cmd_sweep_w(args):
     cfg, table, dataset = _prepare_run(args)
     _refuse_keys(cfg, "sweep-w")
-    config, plan, split = _run_parts(cfg, table.channels)
+    config, plan, split = cfg.parts(table.channels)
     rows, reports = run_period_sweep(
         table, config, plan, split, _int_list(args.periods, "--periods"),
         include_disabled=args.include_disabled, dataset=dataset,

@@ -80,22 +80,18 @@ def erf(x):
 
 
 def gelu_erf(x):
-    """``erf(x / sqrt 2)``, the costly part of ``gelu``; pass it back to
-    ``gelu`` and ``gelu_grad`` to evaluate it once for both."""
+    """``erf(x / sqrt 2)``, the costly part of ``gelu``; ``gelu`` and
+    ``gelu_grad`` take it as an argument, so it is evaluated once for both."""
     return erf(x * _INV_SQRT2)
 
 
-def gelu(x, erf=None):
-    if erf is None:
-        erf = gelu_erf(x)
+def gelu(x, erf):
     return (0.5 * x * (1.0 + erf)).astype(x.dtype, copy=False)
 
 
-def gelu_grad(x, erf=None):
+def gelu_grad(x, erf):
     # d/dx [x * Phi(x)] = Phi(x) + x * phi(x), exact (erf) formulation;
     # the expression of ``cdf + x * phi`` evaluated into two buffers
-    if erf is None:
-        erf = gelu_erf(x)
     phi = -0.5 * x
     phi *= x
     np.exp(phi, out=phi)

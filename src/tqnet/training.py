@@ -219,6 +219,13 @@ class MetricsReport:
     best_epoch: int
     wall_time_s: float
 
+    @classmethod
+    def of(cls, config, dataset, seed, mse, mae, best_epoch=0, wall_time_s=0.0):
+        """The report of the model ``config`` scored on ``dataset``."""
+        return cls(dataset=dataset, lookback=config.lookback, horizon=config.horizon,
+                   period=config.period, variant=config.variant, seed=seed,
+                   mse=mse, mae=mae, best_epoch=best_epoch, wall_time_s=wall_time_s)
+
     def results_line(self):
         rec = dict(zip(RESULT_KEYS, astuple(self), strict=True))
         rec["wall_time_s"] = round(rec["wall_time_s"], 3)
@@ -250,18 +257,8 @@ def run_experiment(table, config, plan, split, dataset="series", log=None):
     mse, mae = evaluate(model, test_w, plan.target_rows)
     wall = time.perf_counter() - t0
 
-    report = MetricsReport(
-        dataset=dataset,
-        lookback=config.lookback,
-        horizon=config.horizon,
-        period=config.period,
-        variant=config.variant,
-        seed=plan.seed,
-        mse=mse,
-        mae=mae,
-        best_epoch=fit_res.best_epoch,
-        wall_time_s=wall,
-    )
+    report = MetricsReport.of(config, dataset, plan.seed, mse, mae,
+                              fit_res.best_epoch, wall)
     return ExperimentResult(model=model, fit=fit_res, report=report)
 
 

@@ -76,11 +76,13 @@ class TestVariantMatrix:
         )
         assert [r["variant"] for r in rows] == ["default", "pure_mlp"]
         assert len(reports) == 4
-        assert {rep.seed for rep in reports} == {1, 2}
+        assert [(rep.variant, rep.seed) for rep in reports] == [
+            ("default", 1), ("default", 2), ("pure_mlp", 1), ("pure_mlp", 2)]
         for row in rows:
-            assert row["mse"] == pytest.approx(
-                np.mean([m for _, m, _ in row["runs"]])
-            )
+            runs = [rep for rep in reports if rep.variant == row["variant"]]
+            assert row == {"variant": row["variant"],
+                           "mse": np.mean([rep.mse for rep in runs]),
+                           "mae": np.mean([rep.mae for rep in runs])}
 
     def test_reports_carry_variant_names(self):
         _, reports = run_variant_matrix(
@@ -181,16 +183,12 @@ def _variant_row():
     """A two-seed variant row and the mean of two runs by hand."""
     rows, _ = run_variant_matrix(micro_table(), MICRO, PLAN, SPLIT,
                                  variants=["pure_mlp"], seeds=[1, 2])
-    runs = []
-    for seed in (1, 2):
-        rep = run_experiment(micro_table(),
-                             *reseeded(replace(MICRO, variant="pure_mlp"), PLAN, seed),
-                             SPLIT).report
-        runs.append((seed, rep.mse, rep.mae))
+    runs = [run_experiment(micro_table(),
+                           *reseeded(replace(MICRO, variant="pure_mlp"), PLAN, seed),
+                           SPLIT).report for seed in (1, 2)]
     return rows[0], {"variant": "pure_mlp",
-                     "mse": float(np.mean([m for _, m, _ in runs])),
-                     "mae": float(np.mean([a for _, _, a in runs])),
-                     "runs": runs}
+                     "mse": float(np.mean([rep.mse for rep in runs])),
+                     "mae": float(np.mean([rep.mae for rep in runs]))}
 
 
 def _sweep_off_row():

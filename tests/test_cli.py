@@ -72,6 +72,11 @@ class TestResolveConfig:
         assert cfg.hidden == 32  # file beats default
         assert cfg.heads == 4  # default survives
 
+    def test_a_utf16_file_is_read(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"lr": 0.5}), encoding="utf-16")
+        assert resolve_config(cfg_file).lr == 0.5
+
     def test_unknown_key_in_file(self, tmp_path):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({"learning_rate": 0.5}))
@@ -96,9 +101,7 @@ class TestResolveConfig:
 
     def test_run_config_defaults_match_the_dataclasses(self, tmp_path):
         cfg = RunConfig()
-        assert cfg.train_plan() == TrainPlan()
-        assert cfg.split_spec() == SplitSpec()
-        assert cfg.model_config(7) == ModelConfig(7)
+        assert cfg.parts(7) == (ModelConfig(7), TrainPlan(), SplitSpec())
         ref = tmp_path / "ref.csv"
         write_csv(generate_synthetic(SynthSpec())[0], ref)
         assert main(["synth", "--out", str(tmp_path / "x.csv")]) == 0
@@ -269,12 +272,13 @@ class TestTrainEvaluate:
     def test_evaluate_accepts_training_settings_that_differ(
             self, run_dir, synth_csv, tmp_path, capsys):
         # two model settings of the checkpoint stated again, the others left
-        # to it; dropouts, seed and optimizer keys only shaped the training
+        # to it; dropouts, seed and optimizer keys only shaped the training,
+        # so even values a training run refuses are accepted as given
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({
             "lookback": 16, "variant": "default",
-            "attn_dropout": 0.3, "out_dropout": 0.2, "seed": 5, "lr": 0.5,
-            "batch_size": 3, "max_epochs": 9, "patience": 1,
+            "attn_dropout": 1.5, "out_dropout": 0.2, "seed": 5, "lr": 0.5,
+            "batch_size": 3, "max_epochs": 9, "patience": 0,
             "train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2,
         }))
         rc = main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
@@ -414,6 +418,15 @@ class TestExitCodes:
         rc = main(["train", "--data", str(synth_csv), "--config", str(bad)])
         assert rc == 2
         assert "nope" in capsys.readouterr().err
+
+    def test_a_config_that_is_not_utf8_exits_2_naming_the_file(
+            self, tmp_path, capsys, synth_csv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff{"lr": 0.5}')
+        rc = main(["train", "--data", str(synth_csv), "--config", str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: invalid JSON ('utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("key,value", [
         ("use_instance_norm", True), ("norm_eps", 1e-5),

@@ -118,10 +118,7 @@ def argvs(draw):
 
 def _no_training(table, config, plan, split, dataset="series", log=None):
     """``run_experiment``'s result, untrained."""
-    report = MetricsReport(
-        dataset=dataset, lookback=config.lookback, horizon=config.horizon,
-        period=config.period, variant=config.variant,
-        seed=plan.seed, mse=1.0, mae=1.0, best_epoch=1, wall_time_s=0.0)
+    report = MetricsReport.of(config, dataset, plan.seed, 1.0, 1.0, best_epoch=1)
     return ExperimentResult(model=None, fit=None, report=report)
 
 

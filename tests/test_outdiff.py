@@ -61,8 +61,12 @@ def test_compare_lists_every_difference(tmp_path):
 
 
 def test_argvs_cover_every_subcommand_and_every_readme_line():
-    argvs = outdiff.read_argvs((ROOT / "tools" / "argvs.txt").read_text())
+    argvs = outdiff.default_argvs()
     assert {argv[0] for argv in argvs} == set(COMMANDS)
     blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     readme = [argv for block in blocks for argv in outdiff.read_argvs(block)]
-    assert argvs[:len(readme)] == readme
+    assert readme and argvs[:len(readme)] == readme
+    # argvs.txt holds only the argvs beyond README's
+    extra = outdiff.read_argvs((ROOT / "tools" / "argvs.txt").read_text())
+    assert argvs[len(readme):] == extra
+    assert not [argv for argv in extra if argv in readme]

@@ -2,17 +2,20 @@
 
     python tools/outdiff.py PARENT_TREE CHANGE_TREE [ARGV_FILE]
 
-A tree is a checkout; its ``src/`` goes on ``PYTHONPATH``.  ARGV_FILE
-(default: ``argvs.txt`` next to this script) is read the way the README's
-``sh`` blocks are: a trailing backslash continues a line, and each line that
-starts with ``tqnet `` is one argv; every other line is a comment.
+A tree is a checkout; its ``src/`` goes on ``PYTHONPATH``.  Argvs are read
+from text the way the README's ``sh`` blocks are: a trailing backslash
+continues a line, and each line that starts with ``tqnet `` is one argv;
+every other line is a comment.  ARGV_FILE, when given, is the only source.
+Otherwise the argvs are those of the ``sh`` blocks of the repository's
+README.md, in order, then those of ``argvs.txt`` next to this script.
 
 The parent tree first makes the inputs: a copy of its ``configs/``,
 ``SETUP``'s synth CSV and truth matrix and a checkpoint trained on them
-(``runs/demo``), plus ``bad.csv`` (a non-numeric cell) and
+(``runs/demo``), plus ``bad.csv`` (a non-numeric cell),
 ``bad_variant.ckpt`` (that checkpoint with a config ``variant`` that names
-no variant).  Each argv then runs once per tree in its own process, with one
-BLAS thread, in a fresh copy of the inputs.
+no variant) and ``bad_utf8.json`` (a config file that is not UTF-8).  Each
+argv then runs once per tree in its own process, with one BLAS thread, in a
+fresh copy of the inputs.
 
 Compared per argv: the exit code, stdout, stderr, the set of files in the
 directory afterwards and their bytes.  In stdout and stderr the directory's
@@ -50,12 +53,21 @@ tqnet train --data synth.csv --out-dir runs/demo --lookback 24 --horizon 24 \\
     --train-frac 0.6 --val-frac 0.2 --test-frac 0.2
 """
 WALL_TIME = re.compile(rb'"wall_time_s": [-+.0-9eE]+')
+TOOLS = Path(__file__).resolve().parent
 
 
 def read_argvs(text):
     """Every ``tqnet`` line of ``text`` as an argv, without the ``tqnet``."""
     return [shlex.split(line)[1:] for line in text.replace("\\\n", " ").splitlines()
             if line.startswith("tqnet ")]
+
+
+def default_argvs():
+    """The argvs of README.md's ``sh`` blocks, then those of argvs.txt."""
+    blocks = re.findall(r"```sh\n(.*?)```", (TOOLS.parent / "README.md").read_text(),
+                        re.S)
+    return [argv for text in (*blocks, (TOOLS / "argvs.txt").read_text())
+            for argv in read_argvs(text)]
 
 
 def _mask(data):
@@ -129,6 +141,7 @@ def make_inputs(tree, inputs):
             raise SystemExit(f"setup failed: tqnet {shlex.join(argv)}\n"
                              + snap["stderr"].decode(errors="replace"))
     (inputs / "bad.csv").write_text("date,a,b\n1,0.5,xyz\n2,0.1,0.2\n")
+    (inputs / "bad_utf8.json").write_bytes(b'\xff{"lr": 0.5}')
     _bad_variant(inputs / "runs/demo/model.ckpt", inputs / "bad_variant.ckpt")
 
 
@@ -138,8 +151,7 @@ def main(argv=None):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     parent, change = args[:2]
-    argv_file = Path(args[2]) if len(args) == 3 else Path(__file__).with_name("argvs.txt")
-    argvs = read_argvs(argv_file.read_text())
+    argvs = read_argvs(Path(args[2]).read_text()) if len(args) == 3 else default_argvs()
     differ = 0
     with tempfile.TemporaryDirectory(prefix="outdiff-") as tmp, \
             ThreadPoolExecutor(2) as pool:
