@@ -180,15 +180,21 @@ class TestCovariateConstruction:
 
 
 def _variant_row():
-    """A two-seed variant row and the mean of two runs by hand."""
-    rows, _ = run_variant_matrix(micro_table(), MICRO, PLAN, SPLIT,
-                                 variants=["pure_mlp"], seeds=[1, 2])
+    """A two-seed variant row with its per-seed reports, and two runs by hand."""
+    rows, reports = run_variant_matrix(micro_table(), MICRO, PLAN, SPLIT,
+                                       variants=["pure_mlp"], seeds=[1, 2])
     runs = [run_experiment(micro_table(),
                            *reseeded(replace(MICRO, variant="pure_mlp"), PLAN, seed),
                            SPLIT).report for seed in (1, 2)]
-    return rows[0], {"variant": "pure_mlp",
-                     "mse": float(np.mean([rep.mse for rep in runs])),
-                     "mae": float(np.mean([rep.mae for rep in runs]))}
+
+    def per_seed(reps):
+        return [(rep.seed, rep.mse, rep.mae) for rep in reps]
+
+    return (rows[0], per_seed(reports)), (
+        {"variant": "pure_mlp",
+         "mse": float(np.mean([rep.mse for rep in runs])),
+         "mae": float(np.mean([rep.mae for rep in runs]))},
+        per_seed(runs))
 
 
 def _sweep_off_row():
