@@ -101,7 +101,7 @@ def bank_correlation(model):
     (all-zero) bank is degenerate and rejected.
     """
     if model.bank is None:
-        raise ConfigError("model variant has no query bank")
+        raise ConfigError(f"variant {model.config.variant!r} has no query bank")
     theta = model.bank.values
     if not np.any(theta):
         raise DataError("query bank is all zeros (untrained); nothing to correlate")

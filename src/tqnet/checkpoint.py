@@ -27,7 +27,9 @@ which must equal the one the config derives (so a layout change made
 without a version bump is caught), and the payload length, both before any
 parameter array is allocated.  Every failure raises
 :class:`~tqnet.errors.CheckpointError` naming the file and the detail.  A
-load fills the new model's buffer with one assignment.
+load reads the file into one bytes object, checks it through views, and
+fills the new model's buffer with one assignment; a save writes the
+model's buffer through a view, so neither copies the payload once more.
 """
 
 from __future__ import annotations
@@ -73,15 +75,17 @@ def save_checkpoint(path, model):
         },
         sort_keys=True,
     ).encode("utf-8")
-    payload = model.values.astype(_payload_dtype(model.config), copy=False).tobytes()
-    body = header + payload
+    payload = memoryview(
+        model.values.astype(_payload_dtype(model.config), copy=False)).cast("B")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(header)))
-            fh.write(body)
-            fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+            fh.write(header)
+            fh.write(payload)
+            crc = zlib.crc32(payload, zlib.crc32(header))
+            fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -96,14 +100,14 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
     body_start = len(MAGIC) + 4
-    body = blob[body_start:-4]
+    body = memoryview(blob)[body_start:-4]
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if len(body) < header_len:
         raise CheckpointError(f"{path}: truncated header")
     if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupt")
     try:
-        header = json.loads(body[:header_len].decode("utf-8"))
+        header = json.loads(str(body[:header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict):

@@ -130,13 +130,25 @@ RunConfig = make_dataclass(
 _RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
+def _keys_once(path, pairs):
+    """The ``pairs`` of a JSON object in the file ``path`` as a dict; a key
+    given twice is refused, where ``json`` would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{path}: key {key!r} is given twice")
+        obj[key] = value
+    return obj
+
+
 def resolve_config(config_path=None, overrides=None, base=None):
-    """defaults < ``base`` < file < overrides; unknown keys are rejected,
-    and ``RunConfig`` checks the types."""
+    """defaults < ``base`` < file < overrides; unknown and repeated keys are
+    rejected, and ``RunConfig`` checks the types."""
     values = dict(base or {})
     if config_path is not None:
         try:
-            loaded = json.loads(Path(config_path).read_bytes())
+            loaded = json.loads(Path(config_path).read_bytes(),
+                                object_pairs_hook=partial(_keys_once, config_path))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {config_path}") from None
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

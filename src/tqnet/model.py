@@ -20,10 +20,10 @@ head ``h`` in columns ``h*head_dim:(h+1)*head_dim``, so Q, K and V are one
 back the head outputs side by side for the ``attn.wo`` ``linear``: inside
 it, every head's scores, softmax and dropout form a single (heads, B,
 channels, channels) stack.  ``ModelConfig.variant`` names one of the
-``VARIANTS`` of the component study, which rewire the block (raw
+``VARIANTS`` of the component study, which rewire the block (bankless
 self-attention, bank-only attention, additive channel identifiers, plain
-MLP); ``ModelConfig.wiring`` is that name's row of the table, which the
-forward pass reads.
+MLP); ``ModelConfig.wiring`` is that name's row of the table, which both
+the forward pass and the parameter list read.
 
 Every input row is instance-normalized (``NORM_EPS``) and the output mapped
 back with its statistics; attention scores are scaled by ``1/sqrt(lookback)``.
@@ -109,25 +109,24 @@ class Wiring(NamedTuple):
     """The attention-block wiring of one of the ``VARIANTS``.
 
     ``query_source``/``key_source`` say what feeds Q and K ("bank" or
-    "window"); values always come from the observed window.  With
-    ``attention=False`` and ``bank=True`` the bank segment is added to the
-    window elementwise (an additive channel identifier).  With both off the
-    model is the bare MLP trunk.
+    "window"); values always come from the observed window.  A variant has
+    a query bank exactly when a source is "bank".  With ``attention=False``
+    the bank segment is added to the window elementwise (an additive
+    channel identifier), or with no bank the model is the bare MLP trunk.
     """
 
     query_source: str
     key_source: str
     attention: bool
-    bank: bool
 
 
 # The component study's variants, each name with its wiring.
 VARIANTS = {
-    "default": Wiring("bank", "window", True, True),
-    "self_attention": Wiring("window", "window", True, True),
-    "global_only": Wiring("bank", "bank", True, True),
-    "channel_identifier": Wiring("bank", "window", False, True),
-    "pure_mlp": Wiring("window", "window", False, False),
+    "default": Wiring("bank", "window", True),
+    "self_attention": Wiring("window", "window", True),
+    "global_only": Wiring("bank", "bank", True),
+    "channel_identifier": Wiring("bank", "window", False),
+    "pure_mlp": Wiring("window", "window", False),
 }
 
 
@@ -154,9 +153,9 @@ def parameter_shapes(config):
     """``(name, (rows, cols))`` of every parameter of ``TQNet(config)``, in
     ``named_parameters`` order, without allocating any."""
     C, L, H, d = config.channels, config.lookback, config.horizon, config.hidden
-    wiring = config.wiring
-    shapes = [("bank.theta", (C, config.period))] if wiring.bank else []
-    if wiring.attention:
+    q_src, k_src, attention = config.wiring
+    shapes = [("bank.theta", (C, config.period))] if "bank" in (q_src, k_src) else []
+    if attention:
         shapes += [(f"attn.{w}", (L, L)) for w in ("wq", "wk", "wv", "wo")]
     return shapes + [
         ("proj_in.w", (L, d)), ("proj_in.b", (1, d)),

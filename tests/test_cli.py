@@ -214,6 +214,16 @@ class TestSynthAndACF:
         assert main(["corr"]) == 2
         assert "exactly one" in capsys.readouterr().err
 
+    def test_corr_refuses_a_checkpoint_without_a_bank(
+            self, synth_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(synth_csv), "--out-dir", str(out),
+                     "--variant", "self_attention", *MICRO_ARGS]) == 0
+        capsys.readouterr()
+        assert main(["corr", "--checkpoint", str(out / "model.ckpt")]) == 2
+        assert capsys.readouterr().err == (
+            "error: variant 'self_attention' has no query bank\n")
+
 
 @pytest.fixture(scope="module")
 def run_dir(synth_csv, tmp_path_factory):
@@ -427,6 +437,18 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"error: {bad}: invalid JSON ('utf-8' codec can't decode byte 0xff")
+
+    def test_a_config_key_given_twice_exits_2_naming_it(
+            self, tmp_path, capsys, synth_csv):
+        # json.loads would keep the last value and train with lr 0.5
+        dup = tmp_path / "dup.json"
+        dup.write_text('{"lr": 0.1, "max_epochs": 1, "lr": 0.5}')
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(synth_csv), "--config", str(dup),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {dup}: key 'lr' is given twice\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
         ("use_instance_norm", True), ("norm_eps", 1e-5),

@@ -207,15 +207,25 @@ class TestVariants:
         assert "bank.theta" not in names["pure_mlp"]
         assert not any("attn" in n for n in names["pure_mlp"])
 
+    def test_a_variant_has_a_bank_exactly_when_a_source_is_the_bank(self):
+        with_bank = set()
+        for name, wiring in VARIANTS.items():
+            model = tiny_model(name)
+            has = "bank" in (wiring.query_source, wiring.key_source)
+            assert ("bank.theta" in dict(parameter_shapes(model.config))) == has, name
+            assert (model.bank is None) != has, name
+            with_bank |= {name} if has else set()
+        assert with_bank == {"default", "global_only", "channel_identifier"}
+
     def test_raw_self_attention_never_touches_bank(self):
         model = tiny_model("self_attention")
+        assert model.bank is None and "bank.theta" not in model.params
         x = np.random.default_rng(6).normal(size=(2, 8))
         y = np.random.default_rng(7).normal(size=(2, 2))
         tape = Tape()
         loss = mse_loss(tape, model.forward(x, 2, tape, mode="train"), y)
         tape.backward(loss)
-        assert model.bank.grad is None  # disconnected from the loss
-        assert model.params["proj_out.w"].grad is not None
+        assert all(p.grad is not None for p in model.parameters())
 
     def test_channel_identifier_adds_bank_segment(self):
         model = tiny_model("channel_identifier")
@@ -286,8 +296,9 @@ def per_head_attention(model, q_src, k_src, v_src, p, rng):
 def attention_sources(vname, dtype, x, t):
     model = tiny_model(vname, dtype=dtype, channels=3, lookback=12, heads=4,
                        attn_dropout=0.5)
-    rng = np.random.default_rng(14)
-    model.bank.values[...] = rng.normal(size=model.bank.shape)
+    if model.bank is not None:
+        model.bank.values[...] = np.random.default_rng(14).normal(
+            size=model.bank.shape)
     xt, seg, _ = model._inputs(x, t, None)
     return model, xt, *model._qk_sources(xt, seg)
 
@@ -344,8 +355,10 @@ class TestBatchedAttention:
         # a train forward plus its loss: the attention core is one node
         rng = np.random.default_rng(16)
         x, y = rng.normal(size=(3, 2, 8)), rng.normal(size=(3, 2, 2))
-        for vname, nodes in [*((v, 15) for v in ATTENTION_VARIANTS),
-                             ("channel_identifier", 10), ("pure_mlp", 8)]:
+        # self_attention reads no bank, so it records no bank gather
+        for vname, nodes in [("default", 15), ("global_only", 15),
+                             ("self_attention", 14), ("channel_identifier", 10),
+                             ("pure_mlp", 8)]:
             for heads in (1, 4):
                 for attn_dropout in (0.5, 0.0):
                     model = tiny_model(vname, heads=heads, attn_dropout=attn_dropout)

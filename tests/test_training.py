@@ -201,8 +201,7 @@ class TestGradientOwnership:
         before = {id(o) for o in gc.get_objects() if isinstance(o, DiffTensor)}
         model = TQNet(cfg)
         opt = Adam(model, MICRO_PLAN)
-        opt.g.fill(np.nan)  # what a slice no gradient reached must not keep
-        init = {name: p.values.copy() for name, p in model.named_parameters()}
+        opt.g.fill(np.nan)  # what a slice no gradient reached would keep
         pred, loss = _train_backward(model)
         gc.collect()
         live = [o for o in gc.get_objects() if isinstance(o, DiffTensor)
@@ -215,21 +214,17 @@ class TestGradientOwnership:
         offset = 0
         base = opt.g.__array_interface__["data"][0]
         for name, p in model.named_parameters():
-            if want[name] is None:
-                assert p.grad is None, name
-            else:  # its own slice of ``g``, holding the plain tape's bits
-                assert p.grad.shape == p.shape and np.shares_memory(p.grad, opt.g)
-                start = p.grad.__array_interface__["data"][0] - base
-                assert start == offset * opt.g.itemsize, name
-                np.testing.assert_array_equal(p.grad, want[name])
+            # every parameter the variant has is read by its forward, so each
+            # gets its own slice of ``g``, holding the plain tape's bits
+            assert want[name] is not None and p.grad is not None, name
+            assert p.grad.shape == p.shape and np.shares_memory(p.grad, opt.g)
+            start = p.grad.__array_interface__["data"][0] - base
+            assert start == offset * opt.g.itemsize, name
+            np.testing.assert_array_equal(p.grad, want[name])
             offset += p.values.size
         opt.step()
         assert np.isfinite(opt.g).all() and np.isfinite(model.values).all()
-        for name, p in model.named_parameters():
-            assert p.grad is None
-            if want[name] is None:  # zero-filled: Adam leaves it where it was
-                np.testing.assert_array_equal(p.values, init[name])
-        assert any(want[n] is None for n in want) == (variant == "self_attention")
+        assert all(p.grad is None for p in model.parameters())
 
 
 class TestParameterBuffer:
@@ -255,8 +250,7 @@ class TestParameterBuffer:
             assert start == offset * model.values.itemsize, name
             offset += p.values.size
         assert offset == model.values.size
-        if model.wiring.bank:
-            assert model.bank is model.params["bank.theta"]
+        assert model.bank is model.params.get("bank.theta")
 
     def test_adam_and_fit_leave_the_buffer_in_place(self):
         model = TQNet(MICRO)

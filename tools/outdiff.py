@@ -13,7 +13,8 @@ The parent tree first makes the inputs: a copy of its ``configs/``,
 ``SETUP``'s synth CSV and truth matrix and a checkpoint trained on them
 (``runs/demo``), plus ``bad.csv`` (a non-numeric cell),
 ``bad_variant.ckpt`` (that checkpoint with a config ``variant`` that names
-no variant) and ``bad_utf8.json`` (a config file that is not UTF-8).  Each
+no variant), ``bad_utf8.json`` (a config file that is not UTF-8) and
+``dup.json`` (a small-model config file that gives ``lr`` twice).  Each
 argv then runs once per tree in its own process, with one BLAS thread, in a
 fresh copy of the inputs.
 
@@ -142,6 +143,9 @@ def make_inputs(tree, inputs):
                              + snap["stderr"].decode(errors="replace"))
     (inputs / "bad.csv").write_text("date,a,b\n1,0.5,xyz\n2,0.1,0.2\n")
     (inputs / "bad_utf8.json").write_bytes(b'\xff{"lr": 0.5}')
+    (inputs / "dup.json").write_text('{"lookback": 24, "horizon": 24, "period": 24, '
+                                     '"hidden": 32, "max_epochs": 1, "patience": 1, '
+                                     '"lr": 0.1, "lr": 0.5}')
     _bad_variant(inputs / "runs/demo/model.ckpt", inputs / "bad_variant.ckpt")
 
 
