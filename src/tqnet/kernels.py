@@ -117,7 +117,9 @@ def softmax_rows_grad(y, g):
 
 
 def row_norm_stats(x, eps):
-    """Row mean, population variance and the standardized rows.
+    """The standardized rows, the row mean and ``sqrt(var + eps)`` of the
+    row's population variance ``var``: ``(x - mean) / sqrt(var + eps)``
+    maps back to ``x`` times the third value plus the second.
 
     The arithmetic of ``x.mean(axis=-1)`` and ``x.var(axis=-1)``, bit for
     bit (a sum, then a division by the count as an ``intp``), with the mean
@@ -130,8 +132,9 @@ def row_norm_stats(x, eps):
     dev = x - mu
     var = np.add.reduce(np.square(dev), axis=-1, keepdims=True)
     np.true_divide(var, n, out=var, casting="unsafe")
-    dev *= 1.0 / np.sqrt(var + eps)
-    return dev.astype(x.dtype, copy=False), mu[..., 0], var[..., 0]
+    std = np.sqrt(var + eps)
+    dev *= 1.0 / std
+    return dev.astype(x.dtype, copy=False), mu[..., 0], std[..., 0]
 
 
 def adam_update(p, g, m, v, lr, beta1, beta2, eps, t):

@@ -25,8 +25,11 @@ self-attention, bank-only attention, additive channel identifiers, plain
 MLP); ``ModelConfig.wiring`` is that name's row of the table, which both
 the forward pass and the parameter list read.
 
-Every input row is instance-normalized (``NORM_EPS``) and the output mapped
-back with its statistics; attention scores are scaled by ``1/sqrt(lookback)``.
+Every input row is instance-normalized (``NORM_EPS``), and the output is
+mapped back by one ``row_affine`` with the row's ``sqrt(var + NORM_EPS)`` and
+mean, as ``kernels.row_norm_stats`` returns them; ``channel_attention``
+scales the scores by one over the square root of the projection width,
+``1/sqrt(lookback)``.
 """
 
 from __future__ import annotations
@@ -97,10 +100,6 @@ class ModelConfig:
         return self.lookback // self.heads
 
     @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
-
-    @property
     def wiring(self):
         return VARIANTS[self.variant]
 
@@ -136,12 +135,6 @@ def segment_indices(t, length, period):
     indices per start."""
     t = np.asarray(t, dtype=np.int64)
     return (t[..., None] + np.arange(length, dtype=np.int64)) % period
-
-
-def instance_denorm(tape, y, mu, var, eps):
-    """Inverse of ``kernels.row_norm_stats`` on the tensor ``y``: the
-    forward's output denorm."""
-    return row_affine(tape, y, np.sqrt(var + eps), mu)
 
 
 def _uniform_init(rng, shape, dtype):
@@ -191,7 +184,7 @@ class TQNet:
         self.config = config
         self.wiring = config.wiring
         rng = np.random.default_rng(config.seed)
-        dt = config.np_dtype
+        dt = config.dtype
         shapes = parameter_shapes(config)
         self.values = (np.zeros(sum(math.prod(s) for _, s in shapes), dtype=dt)
                        if values is None else np.array(values, dtype=dt))
@@ -243,7 +236,7 @@ class TQNet:
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         attn_p, out_p = ((cfg.attn_dropout, cfg.out_dropout) if mode == "train"
                          else (0.0, 0.0))
-        xt, seg, stats = self._inputs(x, t, tape)
+        xt, seg, denorm = self._inputs(x, t, tape)
 
         if self.wiring.attention:
             h = self._attention(tape, *self._qk_sources(xt, seg), xt, attn_p, rng)
@@ -265,7 +258,7 @@ class TQNet:
         h2 = dropout(tape, h2, out_p, rng)
         y = linear(tape, h2, p["proj_out.w"], p["proj_out.b"])
 
-        y = instance_denorm(tape, y, *stats, NORM_EPS)
+        y = row_affine(tape, y, *denorm)
         if mode == "eval":
             check_finite(y, "output projection")
         return y
@@ -273,9 +266,10 @@ class TQNet:
     def _inputs(self, x, t, tape):
         """Validate a window or a stack; return it as a normalized tensor,
         the bank segment at phase ``t`` (None without a bank), and the
-        instance-norm ``(mu, var)`` the output denorm needs."""
+        per-row ``(scale, shift)`` of the output denorm: the input rows'
+        ``sqrt(var + NORM_EPS)`` and mean."""
         cfg = self.config
-        x = np.asarray(x, dtype=cfg.np_dtype)
+        x = np.asarray(x, dtype=cfg.dtype)
         t = np.asarray(t)
         window = (cfg.channels, cfg.lookback)
         if x.ndim not in (2, 3) or x.shape[-2:] != window or t.shape != x.shape[:-2]:
@@ -286,12 +280,12 @@ class TQNet:
             raise ValueError(f"t must hold non-negative integer window starts, "
                              f"got {t.tolist()!r}")
         check_finite(x, "input window")
-        x, mu, var = kernels.row_norm_stats(x, NORM_EPS)
+        x, mu, std = kernels.row_norm_stats(x, NORM_EPS)
         seg = None
         if self.bank is not None:
             seg = gather_cols(tape, self.bank,
                               segment_indices(t, cfg.lookback, cfg.period))
-        return DiffTensor(x, name="window"), seg, (mu, var)
+        return DiffTensor(x, name="window"), seg, (std, mu)
 
     def _qk_sources(self, xt, seg):
         pick = {"bank": seg, "window": xt}
@@ -303,13 +297,9 @@ class TQNet:
         return [linear(tape, src, self.params[f"attn.{w}"])
                 for src, w in zip(sources, ("wq", "wk", "wv"))]
 
-    def _score_scale(self):
-        return 1.0 / math.sqrt(self.config.lookback)
-
     def _attention(self, tape, q_src, k_src, v_src, p, rng):
-        cfg = self.config
         mixed = channel_attention(tape, *self._projections(tape, q_src, k_src, v_src),
-                                  cfg.heads, self._score_scale(), p, rng)
+                                  self.config.heads, p, rng)
         return add(tape, linear(tape, mixed, self.params["attn.wo"]), v_src)
 
     def attention_weights(self, x, t):
@@ -319,8 +309,7 @@ class TQNet:
             raise ConfigError("variant has no attention block")
         xt, seg, _ = self._inputs(x, t, None)
         q, k = self._projections(None, *self._qk_sources(xt, seg))
-        return list(attention_probs(q.values, k.values, self.config.heads,
-                                    self._score_scale()))
+        return list(attention_probs(q.values, k.values, self.config.heads))
 
     def predict(self, x, t):
         return self.forward(x, t, tape=None, mode="eval").values

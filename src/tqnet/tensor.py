@@ -285,16 +285,22 @@ def _split(v, heads):
     return v.transpose(n - 2, *range(n - 2), n - 1)
 
 
-def attention_probs(q, k, heads, c):
-    """Row softmax of each head's scaled scores ``c * q_h @ k_h^T``, stacked
-    as ``(heads, ..., C, C)``; ``q`` and ``k`` are ``(..., C, heads * d)``
-    arrays with head ``h`` in columns ``h*d : (h+1)*d``."""
+def _score_scale(q):
+    """The attention scores' scale: one over the square root of the
+    projection width, the columns of ``q``."""
+    return 1.0 / math.sqrt(q.shape[-1])
+
+
+def attention_probs(q, k, heads):
+    """Row softmax of each head's scaled scores ``q_h @ k_h^T / sqrt(heads *
+    d)``, stacked as ``(heads, ..., C, C)``; ``q`` and ``k`` are ``(..., C,
+    heads * d)`` arrays with head ``h`` in columns ``h*d : (h+1)*d``."""
     scores = _split(q, heads) @ np.swapaxes(_split(k, heads), -1, -2)
-    scores *= c
+    scores *= _score_scale(q)
     return kernels.softmax_rows(scores)
 
 
-def channel_attention(tape, q, k, v, heads, c, p, rng=None):
+def channel_attention(tape, q, k, v, heads, p, rng=None):
     """Multi-head attention over the rows (channels) of ``(..., C, L)``
     projections: head ``h`` mixes the rows of its columns of ``v`` by
     ``attention_probs`` under inverted dropout (``p`` and ``rng`` as in
@@ -306,7 +312,7 @@ def channel_attention(tape, q, k, v, heads, c, p, rng=None):
         raise ShapeError(
             f"channel_attention: q {q.shape}, k {k.shape} and v {v.shape} must "
             f"share one shape whose columns split into {heads} heads")
-    probs = attention_probs(q.values, k.values, heads, c)
+    probs = attention_probs(q.values, k.values, heads)
     mask = _dropout_mask(probs, p, rng)
     vh = _split(v.values, heads)
 
@@ -316,7 +322,7 @@ def channel_attention(tape, q, k, v, heads, c, p, rng=None):
             v.accumulate(_merge(np.swapaxes(_drop(probs, mask), -1, -2) @ gh))
         dw = gh @ np.swapaxes(vh, -1, -2)
         ds = kernels.softmax_rows_grad(probs, _drop(dw, mask, out=dw))
-        ds *= c
+        ds *= _score_scale(q.values)
         if q.requires_grad:
             q.accumulate(_merge(ds @ _split(k.values, heads)))
         if k.requires_grad:

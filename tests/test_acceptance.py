@@ -25,8 +25,8 @@ from tqnet.analysis import (
 from tqnet.cli import main as cli_main
 from tqnet.data import SplitSpec, SynthSpec, generate_synthetic, load_csv
 from tqnet.kernels import row_norm_stats
-from tqnet.model import ModelConfig, TQNet, instance_denorm, segment_indices
-from tqnet.tensor import DiffTensor, gather_cols
+from tqnet.model import ModelConfig, TQNet, segment_indices
+from tqnet.tensor import DiffTensor, gather_cols, row_affine
 from tqnet.training import (
     TrainPlan,
     check_model_gradients,
@@ -174,12 +174,12 @@ def test_criterion_3_normalization_round_trip():
         x = rng.normal(size=(6, 32)) * rng.uniform(0.1, 100.0, size=(6, 1))
         x[0, :] = 0.0                      # constant channels: zero variance
         x[1, :] = rng.uniform(-5.0, 5.0)
-        xn, mu, var = row_norm_stats(x, eps)
-        back = instance_denorm(None, DiffTensor(xn), mu, var, eps).values
+        xn, mu, std = row_norm_stats(x, eps)
+        back = row_affine(None, DiffTensor(xn), std, mu).values
         worst = max(worst, float(np.abs(back - x).max()))
     x32 = rng.normal(size=(4, 16)).astype(np.float32)
-    xn, mu, var = row_norm_stats(x32, eps)
-    back32 = instance_denorm(None, DiffTensor(xn), mu, var, eps).values
+    xn, mu, std = row_norm_stats(x32, eps)
+    back32 = row_affine(None, DiffTensor(xn), std, mu).values
     worst32 = float(np.abs(back32 - x32).max())
     ok = worst <= 1e-5 and worst32 <= 1e-5
     _verdict(3, ok, (

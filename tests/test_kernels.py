@@ -125,9 +125,9 @@ def test_softmax_grad_matches_central_difference():
 
 
 def test_row_norm_stats_frozen_example():
-    xn, mu, var = kernels.row_norm_stats(np.array([[1.0, 2.0, 3.0]]), 0.0)
+    xn, mu, std = kernels.row_norm_stats(np.array([[1.0, 2.0, 3.0]]), 0.0)
     assert mu[0] == pytest.approx(2.0)
-    assert var[0] == pytest.approx(2.0 / 3.0)
+    assert std[0] == pytest.approx(np.sqrt(2.0 / 3.0))
     np.testing.assert_allclose(
         xn, [[-1.2247448714, 0.0, 1.2247448714]], atol=1e-9
     )
@@ -136,8 +136,8 @@ def test_row_norm_stats_frozen_example():
 def test_row_norm_round_trip_with_eps():
     x = RNG.normal(size=(6, 40), scale=3.0) + RNG.normal(size=(6, 1))
     eps = 1e-5
-    xn, mu, var = kernels.row_norm_stats(x, eps)
-    back = xn * np.sqrt(var + eps)[:, None] + mu[:, None]
+    xn, mu, std = kernels.row_norm_stats(x, eps)
+    back = xn * std[:, None] + mu[:, None]
     np.testing.assert_allclose(back, x, atol=1e-9)
 
 
@@ -145,6 +145,7 @@ def test_row_norm_round_trip_with_eps():
 @pytest.mark.parametrize("shape", [(32, 8, 12), (32, 7, 96), (3, 5, 1), (5, 13),
                                    (4, 2, 321, 321)])
 def test_row_norm_stats_bitwise_equal_to_mean_and_var(dtype, shape):
+    # the third value is ``sqrt(var + eps)``, the denorm's scale
     rng = np.random.default_rng(7)
     x = (rng.normal(size=shape) * 3.0 + rng.normal(size=shape[:-1] + (1,))).astype(dtype)
     eps = 1e-5
@@ -152,7 +153,8 @@ def test_row_norm_stats_bitwise_equal_to_mean_and_var(dtype, shape):
     mu = x.mean(axis=-1)
     var = x.var(axis=-1)
     xn = ((x - mu[..., None]) * (1.0 / np.sqrt(var + eps))[..., None]).astype(dtype)
-    for got, want in zip(kernels.row_norm_stats(x, eps), (xn, mu, var)):
+    want_all = (xn, mu, np.sqrt(var + eps))
+    for got, want in zip(kernels.row_norm_stats(x, eps), want_all, strict=True):
         assert got.dtype == want.dtype == dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 

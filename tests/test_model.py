@@ -12,11 +12,10 @@ from tqnet.model import (
     ModelConfig,
     VARIANTS,
     TQNet,
-    instance_denorm,
     parameter_shapes,
     segment_indices,
 )
-from tqnet.tensor import DiffTensor, Tape, gradient_check, mse_loss
+from tqnet.tensor import DiffTensor, Tape, gradient_check, mse_loss, row_affine
 from tqnet.training import check_model_gradients
 
 TINY = ModelConfig(
@@ -89,15 +88,15 @@ class TestInstanceNorm:
         x = rng.normal(size=(5, 32), scale=4.0).astype(np.float32)
         x[2, :] = 7.25  # constant channel
         x[4, :] = 0.0
-        xn, mu, var = row_norm_stats(x, 1e-5)
-        back = instance_denorm(None, DiffTensor(xn), mu, var, 1e-5).values
+        xn, mu, std = row_norm_stats(x, 1e-5)
+        back = row_affine(None, DiffTensor(xn), std, mu).values
         assert np.abs(back - x).max() < 1e-5
 
     def test_constant_channel_normalizes_to_zero(self):
         x = np.full((1, 16), 3.0)
-        xn, mu, var = row_norm_stats(x, 1e-5)
+        xn, mu, std = row_norm_stats(x, 1e-5)
         np.testing.assert_array_equal(xn, np.zeros((1, 16)))
-        assert mu[0] == 3.0 and var[0] == 0.0
+        assert mu[0] == 3.0 and std[0] == np.sqrt(1e-5)
 
 
 class TestForward:
@@ -319,7 +318,7 @@ class TestBatchedAttention:
         got = model._attention(None, q_src, k_src, xt, p, drop_a).values
         want = per_head_attention(model, q_src.values, k_src.values, xt.values,
                                   p, drop_b)
-        assert got.dtype == want.dtype == model.config.np_dtype
+        assert got.dtype == want.dtype == model.config.dtype
         tol = 1e-12 if dtype == "float64" else 1e-5
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
         assert drop_a.bit_generator.state == drop_b.bit_generator.state

@@ -132,7 +132,7 @@ class TestStructure:
         ]:
             q, k, v = (param(np.zeros(shape)) for shape in shapes)
             with pytest.raises(ShapeError, match=message):
-                channel_attention(None, q, k, v, heads, 1.0, 0.0)
+                channel_attention(None, q, k, v, heads, 0.0)
 
     @pytest.mark.parametrize("rows", [[0, 3], [-1], []])
     def test_mse_loss_rejects_bad_rows(self, rows):
@@ -339,13 +339,13 @@ class TestGradientCheck:
                                   np.zeros((2, 3)))
             if case == "attention_1_head_train":  # the same mask on every call
                 return channel_attention(tape, p, gelu(tape, p), scale(tape, p, -2.0),
-                                         1, 0.7, 0.3, np.random.default_rng(0))
+                                         1, 0.3, np.random.default_rng(0))
             if case == "attention_3_heads_eval":  # two stacked (3, 6) matrices
                 z = linear(tape, xs, p)
                 return channel_attention(tape, gelu(tape, z), z, add(tape, z, z),
-                                         3, 1.3, 0.0)
+                                         3, 0.0)
             if case == "attention_shared_qkv":  # one node, three gradients to p
-                return channel_attention(tape, p, p, p, 3, 0.9, 0.5,
+                return channel_attention(tape, p, p, p, 3, 0.5,
                                          np.random.default_rng(1))
             raise AssertionError(f"no finite-difference case for op {case!r}")
 

@@ -240,7 +240,7 @@ class TestParameterBuffer:
         shapes = parameter_shapes(cfg)
         assert [name for name, _ in model.named_parameters()] == [
             name for name, _ in shapes]
-        assert model.values.ndim == 1 and model.values.dtype == cfg.np_dtype
+        assert model.values.ndim == 1 and model.values.dtype == cfg.dtype
         base = model.values.__array_interface__["data"][0]
         offset = 0
         for (name, p), (_, shape) in zip(model.named_parameters(), shapes):
