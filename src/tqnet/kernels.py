@@ -117,9 +117,7 @@ def softmax_rows_grad(y, g):
 
 
 def row_norm_stats(x, eps):
-    """The standardized rows, the row mean and ``sqrt(var + eps)`` of the
-    row's population variance ``var``: ``(x - mean) / sqrt(var + eps)``
-    maps back to ``x`` times the third value plus the second.
+    """Standardized rows, row mean and ``sqrt(var + eps)``, the denorm scale.
 
     The arithmetic of ``x.mean(axis=-1)`` and ``x.var(axis=-1)``, bit for
     bit (a sum, then a division by the count as an ``intp``), with the mean

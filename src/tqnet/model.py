@@ -15,7 +15,7 @@ Attention mixes *channels* (rows): queries come from the bank segment, keys
 and values from the observed window, so a channel attends to the raw channels
 most useful for predicting it.  All heads run in one pass: ``attn.wq``,
 ``attn.wk`` and ``attn.wv`` are each one (lookback x lookback) weight with
-head ``h`` in columns ``h*head_dim:(h+1)*head_dim``, so Q, K and V are one
+head ``h`` in columns ``h*L/heads : (h+1)*L/heads``, so Q, K and V are one
 ``linear`` each.  One ``channel_attention`` node takes the three and gives
 back the head outputs side by side for the ``attn.wo`` ``linear``: inside
 it, every head's scores, softmax and dropout form a single (heads, B,
@@ -25,11 +25,8 @@ self-attention, bank-only attention, additive channel identifiers, plain
 MLP); ``ModelConfig.wiring`` is that name's row of the table, which both
 the forward pass and the parameter list read.
 
-Every input row is instance-normalized (``NORM_EPS``), and the output is
-mapped back by one ``row_affine`` with the row's ``sqrt(var + NORM_EPS)`` and
-mean, as ``kernels.row_norm_stats`` returns them; ``channel_attention``
-scales the scores by one over the square root of the projection width,
-``1/sqrt(lookback)``.
+Every input row is instance-normalized (``NORM_EPS``) and the output mapped
+back by a ``row_affine``; attention scores are scaled by ``1/sqrt(lookback)``.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from . import kernels
 from .errors import ConfigError, ShapeError, check_field_types
 from .tensor import (
     DiffTensor,
-    _merge,
     add,
     attention_probs,
     channel_attention,
@@ -94,10 +90,6 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; "
                               f"known: {', '.join(sorted(VARIANTS))}")
-
-    @property
-    def head_dim(self):
-        return self.lookback // self.heads
 
     @property
     def wiring(self):
@@ -176,8 +168,9 @@ class TQNet:
     dtype, and each parameter's ``values`` is a view of its slice, at
     consecutive offsets in ``parameter_shapes`` order.  Code that changes
     the weights writes into that buffer, as ``restore`` and ``Adam`` do.
-    ``values``, which only ``load_checkpoint`` passes, is a copy source for
-    the buffer in place of the seeded init draws, which are then skipped.
+    Each ``.w*`` weight draws ``U(±1/sqrt(rows))`` from ``default_rng(seed)``
+    in that order; biases and the bank start at zero.  ``load_checkpoint``
+    passes ``values``, the buffer's copy source in place of those draws.
     """
 
     def __init__(self, config, values=None):
@@ -193,15 +186,7 @@ class TQNet:
         views = flat_views(self.values, [shape for _, shape in shapes])
         for (name, shape), view in zip(shapes, views):
             self.params[name] = DiffTensor(view, requires_grad=True, name=name)
-            if values is not None:
-                continue
-            # the weights (".w*") draw in this order; biases and the bank stay zero
-            if name == "attn.wq":  # head-then-q/k/v draws keep seeded runs bit-identical
-                per_head = (config.heads, 3, config.lookback, config.head_dim)
-                qkv = iter(_merge(_uniform_init(rng, per_head, dt)))
-            if name in ("attn.wq", "attn.wk", "attn.wv"):
-                view[...] = next(qkv)
-            elif name.rpartition(".")[2].startswith("w"):
+            if values is None and name.rpartition(".")[2].startswith("w"):
                 view[...] = _uniform_init(rng, shape, dt)
         self.bank = self.params.get("bank.theta")  # None without a bank
 
@@ -266,8 +251,7 @@ class TQNet:
     def _inputs(self, x, t, tape):
         """Validate a window or a stack; return it as a normalized tensor,
         the bank segment at phase ``t`` (None without a bank), and the
-        per-row ``(scale, shift)`` of the output denorm: the input rows'
-        ``sqrt(var + NORM_EPS)`` and mean."""
+        per-row ``(scale, shift)`` of the output denorm."""
         cfg = self.config
         x = np.asarray(x, dtype=cfg.dtype)
         t = np.asarray(t)

@@ -285,9 +285,7 @@ def _split(v, heads):
     return v.transpose(n - 2, *range(n - 2), n - 1)
 
 
-def _score_scale(q):
-    """The attention scores' scale: one over the square root of the
-    projection width, the columns of ``q``."""
+def _score_scale(q):  # one over the square root of the projection width
     return 1.0 / math.sqrt(q.shape[-1])
 
 

@@ -44,13 +44,13 @@ def test_round_trip_is_bit_exact(tmp_path, dtype):
 
 @pytest.mark.parametrize("variant,dtype,digest", [
     ("default", "float32",
-     "598a5b6327cae795540f36e972fdcb5badb3080008e3332169d0170f8ac8f8b3"),
+     "460764bfdb3d0fe993e7326db750467f63ae728e69b65c6515c7e3bf35ee3d17"),
     ("pure_mlp", "float64",
      "687da37c8af913ecc0c705bc4464076a4df54aeccea49eb29f4b953cea8c4cb9"),
     ("self_attention", "float32",
-     "fde70893ac408af92a31085b2fce308a854a9d9489e6a236bd7bf662fc3415d8"),
+     "2590fece5761ef9aa0dab7ae713ed8e2f23dbea6d2d1b70051c7cf42634e0966"),
     ("global_only", "float32",
-     "7fc702867867f8e6c80ab20e2181d8526c4e0ab978118e715d9ac79b61d048fe"),
+     "e0dbd1c4c702fb67033ae4a36e8af88d1052649615b58a767a4d7bf67fab4357"),
     ("channel_identifier", "float32",
      "e983a1ef130cb5ad4a59dbc54613dbf27ad276b1a035e2d1dcc2f2af7707de3b"),
 ])

@@ -262,8 +262,8 @@ class TestVariants:
 
 
 def head_block(model, w, h):
-    """Head ``h``'s (lookback x head_dim) column block of ``attn.{w}``."""
-    d = model.config.head_dim
+    """Head ``h``'s (lookback x lookback/heads) column block of ``attn.{w}``."""
+    d = model.config.lookback // model.config.heads
     return model.params[f"attn.{w}"].values[:, h * d : (h + 1) * d]
 
 
@@ -334,21 +334,20 @@ class TestBatchedAttention:
             assert g.shape == (3, 3)
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_head_blocks_draw_head_by_head_from_the_seed(self, heads):
-        model = tiny_model(heads=heads, dtype="float32")
-        cfg = model.config
-        L, d = cfg.lookback, cfg.head_dim
-        rng, bound = np.random.default_rng(cfg.seed), 1.0 / math.sqrt(L)
-        for h in range(heads):
-            for w in ("wq", "wk", "wv"):
-                want = rng.uniform(-bound, bound, size=(L, d)).astype(np.float32)
-                np.testing.assert_array_equal(head_block(model, w, h), want)
-        wo = rng.uniform(-bound, bound, size=(L, L)).astype(np.float32)
-        np.testing.assert_array_equal(model.params["attn.wo"].values, wo)
-        attn = [(n, s) for n, s in parameter_shapes(cfg)
-                if n.startswith("attn.")]
-        assert attn == [(f"attn.{w}", (L, L)) for w in ("wq", "wk", "wv", "wo")]
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("vname", list(VARIANTS))
+    def test_weights_draw_from_the_seed_in_parameter_order(self, vname, dtype):
+        # each ``.w*`` weight is U(+-1/sqrt(rows)), drawn in parameter_shapes
+        # order from default_rng(seed); biases and the bank are zero
+        model = tiny_model(vname, heads=4, dtype=dtype)
+        rng = np.random.default_rng(model.config.seed)
+        for name, (rows, cols) in parameter_shapes(model.config):
+            got = model.params[name].values
+            want = np.zeros((rows, cols), dtype=dtype)
+            if name.rpartition(".")[2].startswith("w"):
+                bound = 1.0 / math.sqrt(rows)
+                want = rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
+            assert got.tobytes() == want.tobytes(), name
 
     def test_tape_length_does_not_grow_with_heads(self):
         # a train forward plus its loss: the attention core is one node
