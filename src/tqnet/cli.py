@@ -13,7 +13,8 @@ and defaults, less ``NOT_RUN_FIELDS``, and ``RunConfig.parts`` builds the
 three.  ``evaluate`` builds only the split, so it accepts training-only keys
 as given.  The defaults of ``covariates --n-covariates``/``--timesteps`` and
 ``gradcheck --seed``/``--variant`` are read from ``run_covariate_study`` and
-``ModelConfig``.  A study picks the variants it trains, so it refuses a
+``ModelConfig``, and those of ``gradcheck --eps``/``--tol`` from
+``gradient_check``.  A study picks the variants it trains, so it refuses a
 ``variant`` other than the default, and ``covariates``, which makes its
 data, refuses ``data``.  ``train`` and the studies make their run directory
 only after the library call returns, so a failed run leaves none.
@@ -28,6 +29,7 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from functools import partial
 from pathlib import Path
@@ -57,6 +59,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, check_field_types, field_type
 from .model import VARIANTS, ModelConfig, TQNet
+from .tensor import gradient_check
 from .training import (
     MetricsReport,
     TrainPlan,
@@ -248,8 +251,9 @@ def build_parser():
     p.add_argument("--hidden", type=int, default=4)
     p.add_argument("--heads", type=int, default=2)
     p.add_argument("--variant", default=ModelConfig.variant)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    tolerances = inspect.signature(gradient_check).parameters
+    p.add_argument("--eps", type=float, default=tolerances["eps"].default)
+    p.add_argument("--tol", type=float, default=tolerances["tol"].default)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
 
     return parser
@@ -296,6 +300,17 @@ def _close_study(cfg, dataset, table, rows, reports, row_format):
     return 0
 
 
+@contextmanager
+def _naming(what, errors=(ConfigError, DataError)):
+    """Put ``what``, the file a library call in the block refuses, before
+    the message of an ``errors`` exception it raises; the type, so the exit
+    code, stays."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{what}: {exc}") from None
+
+
 def _refuse_keys(cfg, command, variant=f"trains {RunConfig.variant!r}", data=None):
     """A study picks its variants, as ``variant`` says, and ``covariates`` its
     data, as ``data`` says; a value set for either would be echoed, not used."""
@@ -316,7 +331,8 @@ def cmd_train(args):
             f"val mse {val_mse:.6f}{'  *' if improved else ''}"
         )
 
-    res = run_experiment(table, config, plan, split, dataset=dataset, log=log)
+    with _naming(cfg.data):
+        res = run_experiment(table, config, plan, split, dataset=dataset, log=log)
     out = _open_run(cfg, dataset)
     write_rows(out / "train_log.csv", ("epoch", "train_mse", "val_mse", "improved"),
                log_rows)
@@ -340,13 +356,12 @@ def cmd_evaluate(args):
             raise ConfigError(f"{key} is {getattr(cfg, key)!r}, but the "
                               f"checkpoint {args.checkpoint} has {value!r}")
     mc = model.config
-    if table.channels != mc.channels:
-        raise DataError(
-            f"checkpoint expects {mc.channels} channels, data has "
-            f"{table.channels}"
-        )
-    splits = split_and_scale(table, cfg.build(SplitSpec), lookback=mc.lookback)
-    test_w = make_windows(splits.test, mc.lookback, mc.horizon)
+    with _naming(cfg.data):
+        if table.channels != mc.channels:
+            raise DataError(f"checkpoint {args.checkpoint} expects {mc.channels} "
+                            f"channels, data has {table.channels}")
+        splits = split_and_scale(table, cfg.build(SplitSpec), lookback=mc.lookback)
+        test_w = make_windows(splits.test, mc.lookback, mc.horizon)
     mse, mae = evaluate(model, test_w)
     report = MetricsReport.of(mc, dataset, mc.seed, mse, mae)
     print(report.results_line())
@@ -379,9 +394,10 @@ def cmd_ablate(args):
     variants = _name_list(args.variants, "--variants")
     seeds = [cfg.seed] if args.seeds is None else _int_list(args.seeds, "--seeds")
     config, plan, split = cfg.parts(table.channels)
-    rows, reports = run_variant_matrix(
-        table, config, plan, split, variants=variants, seeds=seeds, dataset=dataset,
-    )
+    with _naming(cfg.data, DataError):
+        rows, reports = run_variant_matrix(
+            table, config, plan, split, variants=variants, seeds=seeds,
+            dataset=dataset)
     return _close_study(cfg, dataset, "variants.csv", rows, reports,
                         "{variant:>20s}  mse {mse:.6f}  mae {mae:.6f}")
 
@@ -404,10 +420,10 @@ def cmd_sweep_w(args):
     cfg, table, dataset = _prepare_run(args)
     _refuse_keys(cfg, "sweep-w")
     config, plan, split = cfg.parts(table.channels)
-    rows, reports = run_period_sweep(
-        table, config, plan, split, _int_list(args.periods, "--periods"),
-        include_disabled=args.include_disabled, dataset=dataset,
-    )
+    with _naming(cfg.data, DataError):
+        rows, reports = run_period_sweep(
+            table, config, plan, split, _int_list(args.periods, "--periods"),
+            include_disabled=args.include_disabled, dataset=dataset)
     return _close_study(
         cfg, dataset, "period_sweep.csv", rows, reports,
         "period {period!s:>4}  mse {mse:.6f}  mae {mae:.6f}  "
@@ -416,7 +432,8 @@ def cmd_sweep_w(args):
 
 def cmd_acf(args):
     table = load_csv(args.data)
-    res = compute_acf(table.data, max_lag=args.max_lag)
+    with _naming(args.data):
+        res = compute_acf(table.data, max_lag=args.max_lag)
     if args.out is not None:
         write_rows(args.out, ("lag", "mean_acf") + tuple(table.names), (
             [int(k), *(FLOAT_FMT % v for v in (res.mean[k], *res.per_channel[k]))]
@@ -437,7 +454,8 @@ def cmd_corr(args):
     if args.data is not None:
         table = load_csv(args.data)
         names = table.names
-        corr = channel_correlation(table.data)
+        with _naming(args.data):
+            corr = channel_correlation(table.data)
         source = f"data {args.data}"
     else:
         model = load_checkpoint(args.checkpoint)
@@ -450,11 +468,11 @@ def cmd_corr(args):
         print(f"wrote {args.out}")
     if args.truth is not None:
         _, truth = read_matrix_csv(args.truth)
-        if truth.shape != corr.shape:
-            raise DataError(
-                f"truth matrix is {truth.shape}, computed is {corr.shape}"
-            )
-        r = upper_triangle_pearson(corr, truth)
+        with _naming(f"truth {args.truth} vs {source}"):
+            if truth.shape != corr.shape:
+                raise DataError(
+                    f"truth matrix is {truth.shape}, computed is {corr.shape}")
+            r = upper_triangle_pearson(corr, truth)
         print(f"upper-triangle Pearson vs truth: {r:+.4f}")
     return 0
 
@@ -476,7 +494,8 @@ def cmd_gradcheck(args):
         attn_dropout=0.0, out_dropout=0.0, seed=args.seed, dtype="float64",
         variant=args.variant,
     )
-    result = check_model_gradients(TQNet(config), args.seed + 1, args.eps, args.tol)
+    result = check_model_gradients(TQNet(config), args.seed + 1,
+                                   eps=args.eps, tol=args.tol)
     print(result.summary())
     return 0 if result.passed else 1
 

@@ -262,11 +262,13 @@ def run_experiment(table, config, plan, split, dataset="series", log=None):
     return ExperimentResult(model=model, fit=fit_res, report=report)
 
 
-def check_model_gradients(model, data_seed, eps=1e-5, tol=1e-4):
+def check_model_gradients(model, data_seed, **tolerances):
     """``gradient_check`` of a float64, dropout-free ``model`` on the training
     path: three windows at phases 3, 0 and 6, loss rows ``(0, C-1, C-1)``.
     x, y and a bank off its zero init are drawn in that order from
-    ``default_rng(data_seed)``; the bank keeps the drawn values."""
+    ``default_rng(data_seed)``; the bank keeps the drawn values.
+    ``tolerances`` (``eps``, ``tol``) go to ``gradient_check``, whose
+    defaults hold for one not given."""
     c = model.config
     rng = np.random.default_rng(data_seed)
     t = np.array([3, 0, 6])
@@ -281,7 +283,7 @@ def check_model_gradients(model, data_seed, eps=1e-5, tol=1e-4):
         pred = model.forward(x, t, tape=tape, mode="train")
         return mse_loss(tape, pred, y, rows=rows), tape
 
-    return gradient_check(closure, model.parameters(), eps=eps, tol=tol)
+    return gradient_check(closure, model.parameters(), **tolerances)
 
 
 def append_results(path, reports):

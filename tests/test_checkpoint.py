@@ -259,6 +259,25 @@ def test_malformed_header_is_checkpoint_error(tmp_path, model, capsys, mutate, k
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_value_is_checkpoint_error_naming_the_parameter(
+        tmp_path, capsys, value, dtype):
+    # saved as trained, checksum valid: a load must not hand on a NaN or inf
+    model = _model(dtype)
+    model.params["mlp.w1"].values[2, 3] = value
+    model.params["proj_out.b"].values[0, 1] = value
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model)
+    message = f"{p}: parameter 'mlp.w1' holds a non-finite value"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(p)
+    for argv in (["corr", "--truth", str(tmp_path / "t.csv")],
+                 ["evaluate", "--data", str(tmp_path / "s.csv")]):
+        assert main([*argv, "--checkpoint", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _traced_peak(call):
     """``call()``'s result and the peak of the memory it allocated."""
     tracemalloc.start()

@@ -30,7 +30,8 @@ from tqnet.cli import (
 from tqnet.data import SplitSpec, SynthSpec, generate_synthetic, write_csv
 from tqnet.errors import ConfigError, NumericError
 from tqnet.model import ModelConfig, TQNet
-from tqnet.training import TrainPlan, config_hash
+from tqnet.tensor import gradient_check
+from tqnet.training import TrainPlan, check_model_gradients, config_hash
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -394,6 +395,14 @@ class TestCliSurface:
         assert gradcheck["seed"] == ModelConfig.seed
         assert gradcheck["variant"] == ModelConfig.variant
 
+    def test_gradcheck_tolerances_are_gradient_checks_defaults(self):
+        # stated once, in gradient_check; check_model_gradients restates none
+        library = inspect.signature(gradient_check).parameters
+        gradcheck = {a.dest: a.default for a in _actions("gradcheck")}
+        assert (gradcheck["eps"], gradcheck["tol"]) == (
+            library["eps"].default, library["tol"].default) == (1e-5, 1e-4)
+        assert "eps" not in inspect.signature(check_model_gradients).parameters
+
     @pytest.mark.parametrize("argv", README_COMMANDS,
                              ids=[argv[0] for argv in README_COMMANDS])
     def test_readme_commands_parse(self, argv):
@@ -472,6 +481,32 @@ class TestExitCodes:
         # an empty path names no file; it is not a path left out
         assert main([*argv, "--data", str(synth_csv)]) == 1
         assert "No such file or directory: ''" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["acf", "--data", "two.csv"], 1,
+         "two.csv: series too short for autocorrelation (T=2)"),
+        (["corr", "--data", "one.csv"], 1,
+         "one.csv: need (timesteps >= 2, channels), got (1, 3)"),
+        (["corr", "--data", "two.csv", "--truth", "eye.csv"], 1,
+         "truth eye.csv vs data two.csv: degenerate (constant) upper triangle"),
+        (["corr", "--data", "ab.csv", "--truth", "t2.csv"], 2,
+         "truth t2.csv vs data ab.csv: "
+         "need at least 3 channels for a meaningful comparison"),
+        (["train", "--data", "two.csv", "--out-dir", "run"], 1,
+         "two.csv: split of 2 rows gives empty part: (1, 1, 0)"),
+    ], ids=["acf-2-rows", "corr-1-row", "corr-identity-truth", "corr-2x2-truth",
+            "train-2-rows"])
+    def test_a_refused_data_or_truth_file_is_named(
+            self, argv, code, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("two.csv").write_text("date,a,b,c\n1,0.5,1.0,2.0\n2,0.7,0.1,3.0\n")
+        Path("one.csv").write_text("date,a,b,c\n1,0.5,1.0,2.0\n")
+        Path("ab.csv").write_text("date,a,b\n1,0.5,1.0\n2,0.7,0.1\n")
+        Path("eye.csv").write_text("a,b,c\n1,0,0\n0,1,0\n0,0,1\n")
+        Path("t2.csv").write_text("a,b\n1,0.5\n0.5,1\n")
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("run").exists()
 
     def test_malformed_csv_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -13,9 +13,12 @@ The parent tree first makes the inputs: a copy of its ``configs/``,
 ``SETUP``'s synth CSV and truth matrix and a checkpoint trained on them
 (``runs/demo``), plus ``bad.csv`` (a non-numeric cell),
 ``bad_variant.ckpt`` (that checkpoint with a config ``variant`` that names
-no variant), ``bad_utf8.json`` (a config file that is not UTF-8) and
-``dup.json`` (a small-model config file that gives ``lr`` twice).  Each
-argv then runs once per tree in its own process, with one BLAS thread, in a
+no variant), ``nan.ckpt`` and ``inf.ckpt`` (that checkpoint with NaN or inf
+as its last weight, checksum valid), ``bad_utf8.json`` (a config file that
+is not UTF-8), ``dup.json`` (a small-model config file that gives ``lr``
+twice), and the small CSVs ``one.csv`` and ``two.csv`` (one and two rows of
+three channels), ``ab.csv`` (two rows of two channels), ``eye.csv`` (a 3x3
+identity matrix) and ``t2.csv`` (a 2x2 matrix).  Each argv then runs once per tree in its own process, with one BLAS thread, in a
 fresh copy of the inputs.
 
 Compared per argv: the exit code, stdout, stderr, the set of files in the
@@ -134,6 +137,15 @@ def _bad_variant(src, dst):
                     + struct.pack("<I", zlib.crc32(body)))
 
 
+def _poisoned(src, dst, value):
+    """Copy the float32 checkpoint ``src`` to ``dst`` with ``value`` as the
+    last value of its payload, checksum updated."""
+    blob = bytearray(src.read_bytes())
+    struct.pack_into("<f", blob, len(blob) - 8, value)
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[12:-4]))
+    dst.write_bytes(blob)
+
+
 def make_inputs(tree, inputs):
     shutil.copytree(Path(tree, "configs"), inputs / "configs")
     for argv in read_argvs(SETUP):
@@ -147,6 +159,14 @@ def make_inputs(tree, inputs):
                                      '"hidden": 32, "max_epochs": 1, "patience": 1, '
                                      '"lr": 0.1, "lr": 0.5}')
     _bad_variant(inputs / "runs/demo/model.ckpt", inputs / "bad_variant.ckpt")
+    _poisoned(inputs / "runs/demo/model.ckpt", inputs / "nan.ckpt", float("nan"))
+    _poisoned(inputs / "runs/demo/model.ckpt", inputs / "inf.ckpt", float("inf"))
+    for name, text in (("one.csv", "date,a,b,c\n1,0.5,1.0,2.0\n"),
+                       ("two.csv", "date,a,b,c\n1,0.5,1.0,2.0\n2,0.7,0.1,3.0\n"),
+                       ("ab.csv", "date,a,b\n1,0.5,1.0\n2,0.7,0.1\n"),
+                       ("eye.csv", "a,b,c\n1,0,0\n0,1,0\n0,0,1\n"),
+                       ("t2.csv", "a,b\n1,0.5\n0.5,1\n")):
+        (inputs / name).write_text(text)
 
 
 def main(argv=None):
