@@ -358,8 +358,8 @@ def cmd_evaluate(args):
     mc = model.config
     with _naming(cfg.data):
         if table.channels != mc.channels:
-            raise DataError(f"checkpoint {args.checkpoint} expects {mc.channels} "
-                            f"channels, data has {table.channels}")
+            raise DataError(f"checkpoint expects {mc.channels} channels, data "
+                            f"has {table.channels}")
         splits = split_and_scale(table, cfg.build(SplitSpec), lookback=mc.lookback)
         test_w = make_windows(splits.test, mc.lookback, mc.horizon)
     mse, mae = evaluate(model, test_w)

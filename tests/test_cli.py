@@ -494,8 +494,14 @@ class TestExitCodes:
          "need at least 3 channels for a meaningful comparison"),
         (["train", "--data", "two.csv", "--out-dir", "run"], 1,
          "two.csv: split of 2 rows gives empty part: (1, 1, 0)"),
+        (["ablate", "--data", "two.csv", "--out-dir", "run"], 1,
+         "two.csv: split of 2 rows gives empty part: (1, 1, 0)"),
+        (["sweep-w", "--data", "two.csv", "--periods", "8", "--out-dir", "run"], 1,
+         "two.csv: split of 2 rows gives empty part: (1, 1, 0)"),
+        (["evaluate", "--data", "two.csv", "--checkpoint", "m.ckpt"], 1,
+         "two.csv: split of 2 rows gives empty part: (1, 1, 0)"),
     ], ids=["acf-2-rows", "corr-1-row", "corr-identity-truth", "corr-2x2-truth",
-            "train-2-rows"])
+            "train-2-rows", "ablate-2-rows", "sweep-w-2-rows", "evaluate-2-rows"])
     def test_a_refused_data_or_truth_file_is_named(
             self, argv, code, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -504,6 +510,8 @@ class TestExitCodes:
         Path("ab.csv").write_text("date,a,b\n1,0.5,1.0\n2,0.7,0.1\n")
         Path("eye.csv").write_text("a,b,c\n1,0,0\n0,1,0\n0,0,1\n")
         Path("t2.csv").write_text("a,b\n1,0.5\n0.5,1\n")
+        save_checkpoint("m.ckpt", TQNet(ModelConfig(
+            channels=3, lookback=8, horizon=4, period=4, hidden=4, heads=2)))
         assert main(argv) == code
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not Path("run").exists()

@@ -14,7 +14,7 @@ The parent tree first makes the inputs: a copy of its ``configs/``,
 (``runs/demo``), plus ``bad.csv`` (a non-numeric cell),
 ``bad_variant.ckpt`` (that checkpoint with a config ``variant`` that names
 no variant), ``nan.ckpt`` and ``inf.ckpt`` (that checkpoint with NaN or inf
-as its last weight, checksum valid), ``bad_utf8.json`` (a config file that
+as its first value, in the query bank, checksum valid), ``bad_utf8.json`` (a config file that
 is not UTF-8), ``dup.json`` (a small-model config file that gives ``lr``
 twice), and the small CSVs ``one.csv`` and ``two.csv`` (one and two rows of
 three channels), ``ab.csv`` (two rows of two channels), ``eye.csv`` (a 3x3
@@ -139,9 +139,10 @@ def _bad_variant(src, dst):
 
 def _poisoned(src, dst, value):
     """Copy the float32 checkpoint ``src`` to ``dst`` with ``value`` as the
-    last value of its payload, checksum updated."""
+    first value of its payload, checksum updated."""
     blob = bytearray(src.read_bytes())
-    struct.pack_into("<f", blob, len(blob) - 8, value)
+    (size,) = struct.unpack_from("<I", blob, 8)
+    struct.pack_into("<f", blob, 12 + size, value)
     struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[12:-4]))
     dst.write_bytes(blob)
 
