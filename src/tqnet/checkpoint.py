@@ -24,9 +24,9 @@ Loading validates magic, checksum, version and the config, which
 ``ModelConfig`` itself checks (an unknown, missing or mistyped key, or a
 variant no ``VARIANTS`` entry has).  It then checks the stored manifest,
 which must equal the one the config derives (so a layout change made
-without a version bump is caught), the payload length, and that each
-parameter's values are finite, all before any parameter array is
-allocated.  Every failure raises :class:`~tqnet.errors.CheckpointError`
+without a version bump is caught), and the payload length, both before any
+parameter array is allocated; last, that each parameter of the new model
+is finite.  Every failure raises :class:`~tqnet.errors.CheckpointError`
 naming the file and the detail (a non-finite value: the parameter).  A
 load reads the file into one bytes object, checks it through views, and
 fills the new model's buffer with one assignment; a save writes the
@@ -46,7 +46,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import CheckpointError
-from .model import ModelConfig, TQNet, flat_views, parameter_shapes
+from .model import ModelConfig, TQNet, parameter_shapes
 
 MAGIC = b"TQNETCK1"
 FORMAT_VERSION = 3
@@ -141,10 +141,9 @@ def load_checkpoint(path):
             f"{path}: payload has {have} bytes, the manifest needs {needed}"
         )
 
-    values = np.frombuffer(body, dtype=dtype, offset=header_len)
-    shapes = [(m["rows"], m["cols"]) for m in want]
-    for m, view in zip(want, flat_views(values, shapes)):
-        if not np.isfinite(view).all():
+    model = TQNet(config, values=np.frombuffer(body, dtype=dtype, offset=header_len))
+    for name, p in model.named_parameters():
+        if not np.isfinite(p.values).all():
             raise CheckpointError(
-                f"{path}: parameter {m['name']!r} holds a non-finite value")
-    return TQNet(config, values=values)
+                f"{path}: parameter {name!r} holds a non-finite value")
+    return model

@@ -14,12 +14,13 @@ The parent tree first makes the inputs: a copy of its ``configs/``,
 (``runs/demo``), plus ``bad.csv`` (a non-numeric cell),
 ``bad_variant.ckpt`` (that checkpoint with a config ``variant`` that names
 no variant), ``nan.ckpt`` and ``inf.ckpt`` (that checkpoint with NaN or inf
-as its first value, in the query bank, checksum valid), ``bad_utf8.json`` (a config file that
-is not UTF-8), ``dup.json`` (a small-model config file that gives ``lr``
-twice), and the small CSVs ``one.csv`` and ``two.csv`` (one and two rows of
-three channels), ``ab.csv`` (two rows of two channels), ``eye.csv`` (a 3x3
-identity matrix) and ``t2.csv`` (a 2x2 matrix).  Each argv then runs once per tree in its own process, with one BLAS thread, in a
-fresh copy of the inputs.
+as its first value, in the query bank, checksum valid), ``bad_utf8.json``
+(a config file that is not UTF-8), ``dup.json`` (a small-model config file
+that gives ``lr`` twice), and the small CSVs ``one.csv`` and ``two.csv``
+(one and two rows of three channels), ``ab.csv`` (two rows of two
+channels), ``eye.csv`` (a 3x3 identity matrix) and ``t2.csv`` (a 2x2
+matrix).  Each argv then runs once per tree in its own process, with one
+BLAS thread, in a fresh copy of the inputs.
 
 Compared per argv: the exit code, stdout, stderr, the set of files in the
 directory afterwards and their bytes.  In stdout and stderr the directory's
