@@ -130,6 +130,7 @@ def upper_triangle_pearson(a, b):
 # ---------------------------------------------------------------------------
 
 SMOOTH = 12  # moving-average width of the covariates; a horizon must cover it
+TARGET_NOISE = 0.05  # standard deviation of the target's own iid noise
 
 
 def _check_counts(covariates, timesteps):
@@ -138,33 +139,32 @@ def _check_counts(covariates, timesteps):
             raise ConfigError(f"{name} must be a positive integer, got {n!r}")
 
 
-def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
-                         smooth=SMOOTH):
+def make_covariate_table(covariates, timesteps, horizon, seed):
     """Series whose channel 0 is a delayed mixture of the other channels.
 
-    Covariates are moving-average-smoothed noise (autocorrelation vanishes
-    beyond the smoothing width); the target equals a fixed near-uniform
-    positive mixture of the covariates ``horizon`` steps earlier, plus a
-    little noise.  Within any observed window the covariate values that
-    determine the next ``horizon`` target steps are already visible, so
-    dropping covariate channels removes exactly that information.  The mixing
-    weights are kept positive and close to equal on purpose: softmax
-    attention over channels mixes with non-negative weights, so this target
-    is reachable by the attention block while staying invisible to any
-    single-channel extrapolation.
+    Covariates are noise smoothed by a ``SMOOTH``-wide moving average
+    (autocorrelation vanishes beyond that width); the target equals a fixed
+    near-uniform positive mixture of the covariates ``horizon`` steps
+    earlier, plus iid noise of scale ``TARGET_NOISE``.  Within any observed
+    window the covariate values that determine the next ``horizon`` target
+    steps are already visible, so dropping covariate channels removes
+    exactly that information.  The mixing weights are kept positive and
+    close to equal on purpose: softmax attention over channels mixes with
+    non-negative weights, so this target is reachable by the attention
+    block while staying invisible to any single-channel extrapolation.
     """
     _check_counts(covariates, timesteps)
-    if smooth < 1 or horizon < smooth:
+    if horizon < SMOOTH:
         raise ConfigError(
-            f"horizon ({horizon}) must be >= smoothing width ({smooth}) so the "
+            f"horizon ({horizon}) must be >= smoothing width ({SMOOTH}) so the "
             "target's own past cannot explain the full horizon"
         )
     rng = np.random.default_rng(seed)
     total = timesteps + horizon
-    kernel = np.ones(smooth) / smooth
+    kernel = np.ones(SMOOTH) / SMOOTH
     cov = np.empty((total, covariates))
     for j in range(covariates):
-        raw = rng.normal(size=total + smooth - 1)
+        raw = rng.normal(size=total + SMOOTH - 1)
         cov[:, j] = np.convolve(raw, kernel, mode="valid")
     cov /= cov.std(axis=0, keepdims=True)
     weights = rng.uniform(0.8, 1.2, size=covariates)
@@ -172,7 +172,7 @@ def make_covariate_table(covariates, timesteps, horizon, seed, noise_sigma=0.05,
     target = np.empty(total)
     target[horizon:] = cov[:-horizon] @ weights
     target[:horizon] = cov[:horizon] @ weights  # warm-up rows, never predicted
-    target += noise_sigma * rng.normal(size=total)
+    target += TARGET_NOISE * rng.normal(size=total)
 
     data = np.column_stack([target[horizon:], cov[horizon:]])
     names = ("target",) + tuple(f"cov{j}" for j in range(covariates))

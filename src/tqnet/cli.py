@@ -15,9 +15,10 @@ as given.  The defaults of ``covariates --n-covariates``/``--timesteps`` and
 ``gradcheck --seed``/``--variant`` are read from ``run_covariate_study`` and
 ``ModelConfig``, and those of ``gradcheck --eps``/``--tol`` from
 ``gradient_check``.  A study picks the variants it trains, so it refuses a
-``variant`` other than the default, and ``covariates``, which makes its
-data, refuses ``data``.  ``train`` and the studies make their run directory
-only after the library call returns, so a failed run leaves none.
+``variant`` other than the default, ``covariates``, which makes its data,
+refuses ``data``, and ``ablate --seeds`` refuses a ``seed`` other than the
+default.  ``train`` and the studies make their run directory only after the
+library call returns, so a failed run leaves none.
 
 Exit codes: 0 success, 1 runtime failure (numeric problems, bad checkpoint,
 missing files, out of memory), 2 configuration or usage errors.
@@ -311,10 +312,12 @@ def _naming(what, errors=(ConfigError, DataError)):
         raise type(exc)(f"{what}: {exc}") from None
 
 
-def _refuse_keys(cfg, command, variant=f"trains {RunConfig.variant!r}", data=None):
-    """A study picks its variants, as ``variant`` says, and ``covariates`` its
-    data, as ``data`` says; a value set for either would be echoed, not used."""
-    for key, how in (("variant", variant), ("data", data)):
+def _refuse_keys(cfg, command, variant=f"trains {RunConfig.variant!r}", data=None,
+                 seed=None):
+    """A study picks its variants, as ``variant`` says, ``covariates`` its
+    data, as ``data`` says, and ``ablate --seeds`` its seeds, as ``seed``
+    says; a value set for any would be echoed, not used."""
+    for key, how in (("variant", variant), ("data", data), ("seed", seed)):
         if how and getattr(cfg, key) != getattr(RunConfig, key):
             raise ConfigError(f"{command} {how}, not {key} {getattr(cfg, key)!r}")
 
@@ -390,7 +393,8 @@ def _int_list(text, flag):
 
 def cmd_ablate(args):
     cfg, table, dataset = _prepare_run(args)
-    _refuse_keys(cfg, "ablate", variant="trains the variants of --variants")
+    _refuse_keys(cfg, "ablate", variant="trains the variants of --variants",
+                 seed=None if args.seeds is None else "trains the seeds of --seeds")
     variants = _name_list(args.variants, "--variants")
     seeds = [cfg.seed] if args.seeds is None else _int_list(args.seeds, "--seeds")
     config, plan, split = cfg.parts(table.channels)

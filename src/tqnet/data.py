@@ -4,7 +4,9 @@ generator with a known ground-truth channel correlation.
 
 One reader and one writer carry the CSV format: both readers go through
 ``_read_header`` and ``_read_rows``, so they refuse a bad file alike, and every
-table the package writes goes through ``write_rows``, floats as ``FLOAT_FMT``.
+table the package writes goes through ``write_rows``.  The series, correlation
+and ACF tables spell floats as ``FLOAT_FMT``; the training log and the study
+tables keep ``repr``'s shortest round-trip form, as ``results.jsonl`` does.
 
 Layout conventions: a :class:`SeriesTable` stores the file layout (rows =
 timesteps, columns = channels).  Split parts flip to channels x time so all
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, check_field_types
 
-FLOAT_FMT = "%.10g"  # how every table the package writes spells a float
+FLOAT_FMT = "%.10g"  # how the series, correlation and ACF tables spell a float
 
 @dataclass(frozen=True)
 class SeriesTable:
@@ -163,7 +165,8 @@ def _parse_cell(path, lineno, column, cell):
 
 def write_rows(path, header, rows):
     """Write ``header``, then each of ``rows``, as a CSV record of ``path``;
-    a cell is written as ``str`` gives it, so floats come as ``FLOAT_FMT``."""
+    a cell is written as ``str`` gives it, so a float the caller did not
+    format with ``FLOAT_FMT`` comes as ``repr`` spells it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -398,9 +401,10 @@ class SynthSpec:
     ``latents`` sinusoids at harmonics 1..K of the base period are mixed into
     ``channels`` series by a random matrix M.  Harmonics at distinct integer
     multiples of the base frequency are orthogonal over whole periods, so the
-    noiseless channel correlation is exactly normalize(M @ M.T) — that matrix
-    is returned as the ground truth.  Optional iid noise, impulse spikes, and
-    zeroed-out (missing) points are applied after mixing.
+    noiseless channel correlation is exactly normalize(M @ M.T), by
+    ``channel_correlation``'s rule; that matrix is returned as the ground
+    truth.  Optional iid noise and zeroed-out (missing) points are applied
+    after mixing.
     """
 
     channels: int = 8
@@ -408,8 +412,6 @@ class SynthSpec:
     period: int = 24
     latents: int = 3
     noise_sigma: float = 0.1
-    spike_rate: float = 0.0
-    spike_scale: float = 5.0
     missing_rate: float = 0.0
     seed: int = 0
 
@@ -417,8 +419,10 @@ class SynthSpec:
         check_field_types(self)
         if self.period < 2:
             raise ConfigError(f"period must be >= 2, got {self.period}")
-        if self.channels < 1 or self.latents < 1:
-            raise ConfigError("channels and latents must be positive")
+        for name in ("channels", "latents"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.timesteps < 2 * self.period:
@@ -430,22 +434,12 @@ class SynthSpec:
                 f"latents ({self.latents}) too many for period {self.period}: "
                 "highest harmonic must stay below the foldover frequency"
             )
-        for name in ("noise_sigma", "spike_scale"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {v!r}")
-        for name in ("spike_rate", "missing_rate"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1)")
-
-
-def ground_truth_correlation(mixing):
-    """normalize(M @ M.T): the noiseless channel correlation of the mixture."""
-    cov = mixing @ mixing.T
-    d = np.sqrt(np.maximum(np.diag(cov), 1e-24))
-    corr = cov / np.outer(d, d)
-    np.fill_diagonal(corr, 1.0)
-    return corr
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError("noise_sigma must be finite and non-negative, "
+                              f"got {self.noise_sigma!r}")
+        if not 0.0 <= self.missing_rate < 1.0:
+            raise ConfigError(
+                f"missing_rate must be in [0, 1), got {self.missing_rate!r}")
 
 
 def generate_synthetic(spec):
@@ -462,10 +456,6 @@ def generate_synthetic(spec):
     x = latents @ mixing.T
     if spec.noise_sigma > 0:
         x = x + rng.normal(0.0, spec.noise_sigma, size=(T, C))
-    if spec.spike_rate > 0:
-        hit = rng.random((T, C)) < spec.spike_rate
-        signs = rng.choice((-1.0, 1.0), size=(T, C))
-        x = x + hit * signs * spec.spike_scale
     if spec.missing_rate > 0:
         x = np.where(rng.random((T, C)) < spec.missing_rate, 0.0, x)
 
@@ -474,7 +464,7 @@ def generate_synthetic(spec):
         timestamps=tuple(str(i) for i in range(T)),
         data=x,
     )
-    return table, ground_truth_correlation(mixing)
+    return table, _normalize(mixing @ mixing.T)
 
 
 def channel_correlation(data):
@@ -487,7 +477,12 @@ def channel_correlation(data):
     if data.ndim != 2 or data.shape[0] < 2:
         raise DataError(f"need (timesteps >= 2, channels), got {data.shape}")
     centered = data - data.mean(axis=0)
-    cov = centered.T @ centered / data.shape[0]
+    return _normalize(centered.T @ centered / data.shape[0])
+
+
+def _normalize(cov):
+    """The correlation matrix of the covariance ``cov``, constant channels
+    (standard deviation <= 1e-12) as ``channel_correlation`` says."""
     d = np.sqrt(np.diag(cov))
     degenerate = d <= 1e-12
     d = np.where(degenerate, 1.0, d)

@@ -50,8 +50,10 @@ class TrainPlan:
         check_field_types(self)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and positive, got {self.lr!r}")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("batch_size and max_epochs must be >= 1")
+        for name in ("batch_size", "max_epochs"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 1 <= self.patience <= self.max_epochs:
@@ -121,7 +123,7 @@ def evaluate(model, windows, target_rows=None):
         chunk = windows[start : start + EVAL_BATCH]
         pred = model.predict(chunk.x, chunk.t)
         mse, mae = kernels.mse_mae(_rows(pred, target_rows),
-                                   _rows(chunk.y.astype(pred.dtype), target_rows))
+                                   _rows(chunk.y, target_rows))
         # windows are equal in size: a chunk's mean is that of its windows' means
         mse_sum += mse * len(chunk)
         mae_sum += mae * len(chunk)

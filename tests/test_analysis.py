@@ -134,9 +134,7 @@ class TestPeriodSweep:
 
 class TestCovariateConstruction:
     def test_target_is_delayed_mixture(self):
-        table = make_covariate_table(
-            covariates=5, timesteps=600, horizon=24, seed=3, noise_sigma=0.01
-        )
+        table = make_covariate_table(covariates=5, timesteps=600, horizon=24, seed=3)
         target = table.data[:, 0]
         cov = table.data[:, 1:]
         # target[t] should be linearly explained by covariates at t - horizon
@@ -152,7 +150,7 @@ class TestCovariateConstruction:
 
     def test_horizon_must_cover_smoothing(self):
         with pytest.raises(ConfigError, match="smoothing"):
-            make_covariate_table(3, 500, horizon=6, seed=0, smooth=12)
+            make_covariate_table(3, 500, horizon=6, seed=0)
 
     @pytest.mark.parametrize("counts,message", [
         ({"covariates": 0}, "covariates must be a positive integer, got 0"),

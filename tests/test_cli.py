@@ -376,9 +376,7 @@ class TestCliSurface:
         ("acf", {"--data", "--max-lag", "--out"}),
         ("corr", {"--data", "--checkpoint", "--truth", "--out"}),
         ("synth", {"--out", "--channels", "--timesteps", "--period",
-                   "--latents", "--noise-sigma", "--missing-rate",
-                   "--spike-rate", "--spike-scale",
-                   "--seed"}),
+                   "--latents", "--noise-sigma", "--missing-rate", "--seed"}),
         ("gradcheck", {"--channels", "--lookback", "--horizon", "--period",
                        "--hidden", "--heads", "--variant", "--eps", "--tol",
                        "--seed"}),
@@ -500,8 +498,16 @@ class TestExitCodes:
          "two.csv: split of 2 rows gives empty part: (1, 1, 0)"),
         (["evaluate", "--data", "two.csv", "--checkpoint", "m.ckpt"], 1,
          "two.csv: split of 2 rows gives empty part: (1, 1, 0)"),
+        # a refused setting is named alone, with its value
+        (["train", "--data", "two.csv", "--batch-size", "0", "--out-dir", "run"],
+         2, "batch_size must be a positive integer, got 0"),
+        (["synth", "--out", "run", "--latents", "0"], 2,
+         "latents must be a positive integer, got 0"),
+        (["synth", "--out", "run", "--missing-rate", "1.5"], 2,
+         "missing_rate must be in [0, 1), got 1.5"),
     ], ids=["acf-2-rows", "corr-1-row", "corr-identity-truth", "corr-2x2-truth",
-            "train-2-rows", "ablate-2-rows", "sweep-w-2-rows", "evaluate-2-rows"])
+            "train-2-rows", "ablate-2-rows", "sweep-w-2-rows", "evaluate-2-rows",
+            "train-batch-size-0", "synth-latents-0", "synth-missing-rate-1.5"])
     def test_a_refused_data_or_truth_file_is_named(
             self, argv, code, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -593,11 +599,11 @@ class TestExitCodes:
 
     def test_synth_rejects_an_infinite_scale(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        rc = main(["synth", "--out", str(out), "--spike-scale", "inf",
+        rc = main(["synth", "--out", str(out), "--noise-sigma", "inf",
                    "--channels", "2", "--timesteps", "30", "--period", "8",
                    "--latents", "1"])
         assert rc == 2
-        assert "spike_scale" in capsys.readouterr().err
+        assert "noise_sigma" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
@@ -628,6 +634,8 @@ class TestExitCodes:
         (["covariates", "--sizes", "1"],
          "horizon (8) must be >= smoothing width (12)"),
         (["ablate", "--seeds", "1,1,2"], "seed 1 is listed twice"),
+        (["ablate", "--seeds", "1", "--seed", "5"],
+         "ablate trains the seeds of --seeds, not seed 5"),
         (["sweep-w", "--periods", "8,8"], "period 8 is listed twice"),
         (["covariates", "--sizes", "1,1"], "subset size 1 is listed twice"),
         (["covariates", "--sizes", "1", "--data", "x.csv"],
@@ -635,7 +643,7 @@ class TestExitCodes:
     ], ids=["unknown-variant", "covariates-out-of-range", "zero-period",
             "ablate-variant", "covariates-variant", "sweep-variant",
             "no-covariates", "horizon-below-smoothing", "ablate-repeated-seed",
-            "sweep-repeated-period", "covariates-repeated-size",
+            "ablate-seed", "sweep-repeated-period", "covariates-repeated-size",
             "covariates-data"])
     def test_a_bad_study_list_exits_2_before_any_artifact(
             self, command, message, synth_csv, tmp_path, capsys):

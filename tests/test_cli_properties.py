@@ -81,8 +81,8 @@ FLAGS = {
     "synth": {
         "--out": st.just("out"),
         "--channels": SMALL_INT, "--timesteps": SMALL_INT, "--period": SMALL_INT,
-        "--latents": SMALL_INT, "--noise-sigma": NUMBER, "--spike-rate": NUMBER,
-        "--spike-scale": NUMBER, "--missing-rate": NUMBER, "--seed": SMALL_INT,
+        "--latents": SMALL_INT, "--noise-sigma": NUMBER, "--missing-rate": NUMBER,
+        "--seed": SMALL_INT,
     },
     "corr": {
         "--data": st.sampled_from(["good.csv", "bad.csv", "missing"]),
