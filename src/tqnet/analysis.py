@@ -20,7 +20,6 @@ import numpy as np
 
 from .data import SeriesTable, channel_correlation
 from .errors import ConfigError, DataError
-from .model import VARIANTS
 from .training import reseeded, run_experiment
 
 
@@ -52,14 +51,14 @@ def _train_runs(key, runs, split):
             for label, done in per_label.items()], reports
 
 
-def run_variant_matrix(table, config, plan, split, variants=None, seeds=None,
+def run_variant_matrix(table, config, plan, split, variants, seeds,
                        dataset="series"):
-    """Train every (variant, seed) pair on identical splits; a row per
-    variant, as ``_train_runs`` gives it.  A variant or seed listed twice is
-    refused: it would run again and weigh twice.
+    """Train each pair of ``variants`` and ``seeds`` on identical splits; a
+    row per variant, as ``_train_runs`` gives it.  A variant or seed listed
+    twice is refused: it would run again and weigh twice.
     """
-    variants = _once_each(VARIANTS if variants is None else variants, "variant")
-    seeds = _once_each([plan.seed] if seeds is None else seeds, "seed", ints=True)
+    variants = _once_each(variants, "variant")
+    seeds = _once_each(seeds, "seed", ints=True)
     if not variants or not seeds:
         raise ConfigError("run_variant_matrix needs at least one variant "
                           f"and one seed, got {variants} and {seeds}")
@@ -68,22 +67,15 @@ def run_variant_matrix(table, config, plan, split, variants=None, seeds=None,
         for name in variants for seed in seeds], split)
 
 
-def run_period_sweep(table, config, plan, split, periods, include_disabled=False,
-                     dataset="series"):
-    """Retrain with each candidate period; optionally add a no-bank baseline.
-
-    The no-bank baseline (period column "off") is the raw self-attention
-    wiring — architecture unchanged, queries taken from the window instead of
-    the bank.  A period listed twice, or one that is no int, is refused.
-    """
+def run_period_sweep(table, config, plan, split, periods, dataset="series"):
+    """Retrain ``config`` with each candidate period; a period listed twice,
+    or one that is no int, is refused.  The bank-off baseline is
+    ``run_variant_matrix`` with ``self_attention``, which reads no period."""
     periods = _once_each(periods, "period", ints=True)
     if not periods:
         raise ConfigError("period sweep needs at least one period")
-    runs = [(w, table, replace(config, period=w), plan, dataset) for w in periods]
-    if include_disabled:
-        runs.append(("off", table, replace(config, variant="self_attention"), plan,
-                     dataset))
-    rows, reports = _train_runs("period", runs, split)
+    rows, reports = _train_runs("period", [
+        (w, table, replace(config, period=w), plan, dataset) for w in periods], split)
     for row, report in zip(rows, reports):  # one run, so one report, per row
         row["best_epoch"] = report.best_epoch
     return rows, reports

@@ -14,11 +14,12 @@ three.  ``evaluate`` builds only the split, so it accepts training-only keys
 as given.  The defaults of ``covariates --n-covariates``/``--timesteps`` and
 ``gradcheck --seed``/``--variant`` are read from ``run_covariate_study`` and
 ``ModelConfig``, and those of ``gradcheck --eps``/``--tol`` from
-``gradient_check``.  A study picks the variants it trains, so it refuses a
-``variant`` other than the default, ``covariates``, which makes its data,
-refuses ``data``, and ``ablate --seeds`` refuses a ``seed`` other than the
-default.  ``train`` and the studies make their run directory only after the
-library call returns, so a failed run leaves none.
+``gradient_check``.  ``ablate`` picks the variants it trains, so it refuses
+a ``variant`` other than the default, and with ``--seeds`` a ``seed`` other
+than the default; ``covariates``, which makes its data, refuses ``data``.
+``train`` and the studies make their run directory only after the library
+call returns, so a failed run leaves none; a study's lists join its config in
+``config.json`` and in the hash.
 
 Exit codes: 0 success, 1 runtime failure (numeric problems, bad checkpoint,
 missing files, out of memory), 2 configuration or usage errors.
@@ -221,8 +222,6 @@ def build_parser():
     p = runish("sweep-w", "retrain across candidate period lengths")
     p.add_argument("--periods", required=True,
                    help="comma-separated period lengths")
-    p.add_argument("--include-disabled", action="store_true",
-                   help="add a bank-off (raw self-attention) baseline row")
 
     p = sub.add_parser("acf", help="autocorrelation period suggestion")
     p.add_argument("--data", required=True)
@@ -277,10 +276,11 @@ def _prepare_run(args, base=None):
     return cfg, load_csv(cfg.data), cfg.dataset or Path(cfg.data).stem
 
 
-def _open_run(cfg, dataset):
-    """Make the run directory of ``cfg``, runs/<dataset>-<config hash> unless
-    ``out_dir`` names one, and echo ``cfg`` to its config.json."""
-    rec = {**asdict(cfg), "config_hash": config_hash(asdict(cfg))}
+def _open_run(cfg, dataset, **lists):
+    """Make the run directory of ``cfg`` and a study's ``lists``, runs/<dataset>-
+    <their hash> unless ``out_dir`` names one, and echo both to its config.json."""
+    rec = {**asdict(cfg), **lists}
+    rec["config_hash"] = config_hash(rec)
     out = (Path("runs", f"{dataset}-{rec['config_hash']}") if cfg.out_dir is None
            else Path(cfg.out_dir))
     out.mkdir(parents=True, exist_ok=True)
@@ -288,10 +288,10 @@ def _open_run(cfg, dataset):
     return out
 
 
-def _close_study(cfg, dataset, table, rows, reports, row_format):
-    """Open the run directory of a finished study, write its CSV ``table``
-    and results.jsonl, and print its rows."""
-    out = _open_run(cfg, dataset)
+def _close_study(cfg, dataset, table, rows, reports, row_format, **lists):
+    """Open the run directory of a finished study and its ``lists``, write
+    its CSV ``table`` and results.jsonl, and print its rows."""
+    out = _open_run(cfg, dataset, **lists)
     keys = list(rows[0])
     write_rows(out / table, keys, ([row[k] for k in keys] for row in rows))
     append_results(out / "results.jsonl", reports)
@@ -312,9 +312,8 @@ def _naming(what, errors=(ConfigError, DataError)):
         raise type(exc)(f"{what}: {exc}") from None
 
 
-def _refuse_keys(cfg, command, variant=f"trains {RunConfig.variant!r}", data=None,
-                 seed=None):
-    """A study picks its variants, as ``variant`` says, ``covariates`` its
+def _refuse_keys(cfg, command, variant=None, data=None, seed=None):
+    """``ablate`` picks its variants, as ``variant`` says, ``covariates`` its
     data, as ``data`` says, and ``ablate --seeds`` its seeds, as ``seed``
     says; a value set for any would be echoed, not used."""
     for key, how in (("variant", variant), ("data", data), ("seed", seed)):
@@ -403,7 +402,8 @@ def cmd_ablate(args):
             table, config, plan, split, variants=variants, seeds=seeds,
             dataset=dataset)
     return _close_study(cfg, dataset, "variants.csv", rows, reports,
-                        "{variant:>20s}  mse {mse:.6f}  mae {mae:.6f}")
+                        "{variant:>20s}  mse {mse:.6f}  mae {mae:.6f}",
+                        variants=variants, seeds=seeds)
 
 
 def cmd_covariates(args):
@@ -415,23 +415,25 @@ def cmd_covariates(args):
         config, plan, split, _int_list(args.sizes, "--sizes"),
         covariates=args.n_covariates, timesteps=args.timesteps, dataset=dataset,
     )
+    # the sizes it trained, which it sorts: "2,0" and "0,2" are one study
     return _close_study(
         cfg, dataset, "covariate_study.csv", rows, reports,
-        "covariates {covariates:3d}  mse {mse:.6f}  mae {mae:.6f}")
+        "covariates {covariates:3d}  mse {mse:.6f}  mae {mae:.6f}",
+        sizes=[row["covariates"] for row in rows], n_covariates=args.n_covariates,
+        timesteps=args.timesteps)
 
 
 def cmd_sweep_w(args):
     cfg, table, dataset = _prepare_run(args)
-    _refuse_keys(cfg, "sweep-w")
     config, plan, split = cfg.parts(table.channels)
+    periods = _int_list(args.periods, "--periods")
     with _naming(cfg.data, DataError):
-        rows, reports = run_period_sweep(
-            table, config, plan, split, _int_list(args.periods, "--periods"),
-            include_disabled=args.include_disabled, dataset=dataset)
+        rows, reports = run_period_sweep(table, config, plan, split, periods,
+                                         dataset=dataset)
     return _close_study(
         cfg, dataset, "period_sweep.csv", rows, reports,
-        "period {period!s:>4}  mse {mse:.6f}  mae {mae:.6f}  "
-        "best epoch {best_epoch}")
+        "period {period:4d}  mse {mse:.6f}  mae {mae:.6f}  best epoch {best_epoch}",
+        periods=periods)
 
 
 def cmd_acf(args):

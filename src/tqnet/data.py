@@ -207,7 +207,8 @@ class SplitSpec:
                 f"split ratios must be non-negative and sum to 1, got {ratios}"
             )
         if self.max_rows is not None and self.max_rows < 1:
-            raise ConfigError(f"max_rows must be positive, got {self.max_rows}")
+            raise ConfigError(
+                f"max_rows must be a positive integer, got {self.max_rows}")
 
     def boundaries(self, timesteps):
         """(n_train, n_val, n_test) row counts after the optional row cap."""

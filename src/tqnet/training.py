@@ -57,9 +57,8 @@ class TrainPlan:
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 1 <= self.patience <= self.max_epochs:
-            raise ConfigError(
-                f"patience must be in [1, max_epochs], got {self.patience}"
-            )
+            raise ConfigError(f"patience must be in [1, max_epochs = "
+                              f"{self.max_epochs}], got {self.patience}")
         rows = self.target_rows
         if rows is not None and not (rows and all(
                 isinstance(r, int) and not isinstance(r, bool) and r >= 0

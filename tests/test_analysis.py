@@ -16,7 +16,7 @@ from tqnet.analysis import (
 )
 from tqnet.data import SplitSpec, SynthSpec, channel_correlation, generate_synthetic
 from tqnet.errors import ConfigError, DataError
-from tqnet.model import ModelConfig, TQNet
+from tqnet.model import VARIANTS, ModelConfig, TQNet
 from tqnet.training import TrainPlan, reseeded, run_experiment
 
 MICRO = ModelConfig(
@@ -86,9 +86,9 @@ class TestVariantMatrix:
 
     def test_reports_carry_variant_names(self):
         _, reports = run_variant_matrix(
-            micro_table(), MICRO, PLAN, SPLIT, variants=["self_attention"],
+            micro_table(), MICRO, PLAN, SPLIT, variants=VARIANTS, seeds=[PLAN.seed],
         )
-        assert reports[0].variant == "self_attention"
+        assert [rep.variant for rep in reports] == list(VARIANTS)
 
 
     @pytest.mark.parametrize("empty", ["variants", "seeds"])
@@ -111,12 +111,17 @@ class TestVariantMatrix:
 class TestPeriodSweep:
     def test_rows_and_disabled_baseline(self):
         rows, reports = run_period_sweep(
-            micro_table(), MICRO, PLAN, SPLIT, periods=[4, 8],
-            include_disabled=True,
-        )
-        assert [r["period"] for r in rows] == [4, 8, "off"]
-        assert reports[-1].variant == "self_attention"
+            micro_table(), MICRO, PLAN, SPLIT, periods=[4, 8])
+        assert [r["period"] for r in rows] == [4, 8]
+        assert [(rep.period, rep.variant) for rep in reports] == [
+            (4, "default"), (8, "default")]
         assert all(np.isfinite(r["mse"]) for r in rows)
+        # the bank-off baseline is the variant matrix's self_attention row,
+        # which reads no period: one row serves every sweep
+        baselines = [run_variant_matrix(
+            micro_table(), replace(MICRO, period=w), PLAN, SPLIT,
+            variants=["self_attention"], seeds=[PLAN.seed])[0] for w in (4, 8)]
+        assert baselines[0] == baselines[1]
 
     def test_empty_period_list_rejected(self):
         with pytest.raises(ConfigError):
@@ -196,12 +201,20 @@ def _variant_row():
 
 
 def _sweep_off_row():
-    """The sweep's no-bank row and a ``self_attention`` run by hand."""
-    rows, _ = run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=[4],
-                               include_disabled=True)
+    """The sweep's no-bank baseline, the variant matrix's ``self_attention``
+    row at the plan's seed, and a ``self_attention`` run by hand."""
+    rows, _ = run_variant_matrix(micro_table(), MICRO, PLAN, SPLIT,
+                                 variants=["self_attention"], seeds=[PLAN.seed])
     rep = run_experiment(micro_table(), replace(MICRO, variant="self_attention"),
                          PLAN, SPLIT).report
-    return rows[1], {"period": "off", "mse": rep.mse, "mae": rep.mae,
+    return rows[0], {"variant": "self_attention", "mse": rep.mse, "mae": rep.mae}
+
+
+def _sweep_period_row():
+    """The sweep's W = 4 row and a run at that period by hand."""
+    rows, _ = run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=[8, 4])
+    rep = run_experiment(micro_table(), replace(MICRO, period=4), PLAN, SPLIT).report
+    return rows[1], {"period": 4, "mse": rep.mse, "mae": rep.mae,
                      "best_epoch": rep.best_epoch}
 
 
@@ -224,8 +237,10 @@ def _covariate_n0_row():
     return rows[0], {"covariates": 0, "mse": rep.mse, "mae": rep.mae}
 
 
-@pytest.mark.parametrize("case", [_variant_row, _sweep_off_row, _covariate_n0_row],
-                         ids=["variant-two-seeds", "sweep-off", "covariates-n0"])
+@pytest.mark.parametrize("case", [_variant_row, _sweep_off_row, _sweep_period_row,
+                                  _covariate_n0_row],
+                         ids=["variant-two-seeds", "sweep-off", "sweep-period",
+                              "covariates-n0"])
 def test_a_study_row_is_run_experiment_by_hand(case):
     row, by_hand = case()
     assert row == by_hand  # bitwise: the same code path

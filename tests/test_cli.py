@@ -366,7 +366,7 @@ class TestCliSurface:
         ("train", set()),
         ("evaluate", {"--checkpoint"}),
         ("ablate", {"--variants", "--seeds"}),
-        ("sweep-w", {"--periods", "--include-disabled"}),
+        ("sweep-w", {"--periods"}),
         ("covariates", {"--sizes", "--n-covariates", "--timesteps"}),
     ])
     def test_run_commands_take_one_flag_per_run_setting(self, command, extra):
@@ -505,9 +505,14 @@ class TestExitCodes:
          "latents must be a positive integer, got 0"),
         (["synth", "--out", "run", "--missing-rate", "1.5"], 2,
          "missing_rate must be in [0, 1), got 1.5"),
+        (["train", "--data", "two.csv", "--max-rows", "0", "--out-dir", "run"],
+         2, "max_rows must be a positive integer, got 0"),
+        (["train", "--data", "two.csv", "--patience", "40", "--out-dir", "run"],
+         2, "patience must be in [1, max_epochs = 30], got 40"),
     ], ids=["acf-2-rows", "corr-1-row", "corr-identity-truth", "corr-2x2-truth",
             "train-2-rows", "ablate-2-rows", "sweep-w-2-rows", "evaluate-2-rows",
-            "train-batch-size-0", "synth-latents-0", "synth-missing-rate-1.5"])
+            "train-batch-size-0", "synth-latents-0", "synth-missing-rate-1.5",
+            "train-max-rows-0", "train-patience-40"])
     def test_a_refused_data_or_truth_file_is_named(
             self, argv, code, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -625,10 +630,6 @@ class TestExitCodes:
         (["sweep-w", "--periods", "0,8"], "period must be a positive integer"),
         (["ablate", "--variant", "pure_mlp"],
          "ablate trains the variants of --variants, not variant 'pure_mlp'"),
-        (["covariates", "--sizes", "1", "--variant", "pure_mlp"],
-         "covariates trains 'default', not variant 'pure_mlp'"),
-        (["sweep-w", "--periods", "8", "--variant", "pure_mlp"],
-         "sweep-w trains 'default', not variant 'pure_mlp'"),
         (["covariates", "--sizes", "0", "--n-covariates", "0"],
          "covariates must be a positive integer, got 0"),
         (["covariates", "--sizes", "1"],
@@ -641,10 +642,9 @@ class TestExitCodes:
         (["covariates", "--sizes", "1", "--data", "x.csv"],
          "covariates generates its own data, not data 'x.csv'"),
     ], ids=["unknown-variant", "covariates-out-of-range", "zero-period",
-            "ablate-variant", "covariates-variant", "sweep-variant",
-            "no-covariates", "horizon-below-smoothing", "ablate-repeated-seed",
-            "ablate-seed", "sweep-repeated-period", "covariates-repeated-size",
-            "covariates-data"])
+            "ablate-variant", "no-covariates", "horizon-below-smoothing",
+            "ablate-repeated-seed", "ablate-seed", "sweep-repeated-period",
+            "covariates-repeated-size", "covariates-data"])
     def test_a_bad_study_list_exits_2_before_any_artifact(
             self, command, message, synth_csv, tmp_path, capsys):
         rc = main([*command, *_data_flag(command, synth_csv),
@@ -701,12 +701,12 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {key} must ")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("key,value", [("data", "x.csv"),
-                                           ("variant", "pure_mlp")])
+    @pytest.mark.parametrize("key,value", [("data", "x.csv")])
     def test_covariates_refuses_a_data_or_variant_config_key(
             self, key, value, tmp_path, capsys):
-        # it makes its own data and trains the default variant; the key
-        # would be echoed in config.json and never read
+        # it makes its own data; the key would be echoed in config.json and
+        # never read.  A variant key is trained, as
+        # test_covariates_trains_the_configured_variant shows.
         (tmp_path / "c.json").write_text(json.dumps({key: value}))
         rc = main(["covariates", "--sizes", "0", "--config", str(tmp_path / "c.json"),
                    "--out-dir", str(tmp_path / "run"), *COVARIATE_ARGS])
@@ -762,6 +762,12 @@ def _cell(text):
     return text
 
 
+def _results(out):
+    """The records of ``out``'s results.jsonl, in order."""
+    return [json.loads(line)
+            for line in (out / "results.jsonl").read_text().splitlines()]
+
+
 def _check_study(out, printed, table, header, row_format, rows):
     """A study's run directory and stdout: ``config.json``; the CSV ``table``
     with ``header`` and ``rows`` rows; one ``results.jsonl`` line per row, in
@@ -772,9 +778,7 @@ def _check_study(out, printed, table, header, row_format, rows):
     cells = [dict(zip(header.split(","), map(_cell, line.split(","))))
              for line in lines[1:]]
     assert len(cells) == rows
-    results = [json.loads(line)
-               for line in (out / "results.jsonl").read_text().splitlines()]
-    assert [r["mse"] for r in results] == [c["mse"] for c in cells]
+    assert [r["mse"] for r in _results(out)] == [c["mse"] for c in cells]
     assert printed.splitlines() == [
         *(row_format.format(**c) for c in cells), f"artifacts in {out}"]
     return cells
@@ -784,14 +788,52 @@ class TestSweepAndAblate:
     def test_sweep_w_writes_table(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "sweep"
         rc = main(["sweep-w", "--data", str(synth_csv), "--periods", "4,8",
-                   "--include-disabled", "--out-dir", str(out), *MICRO_ARGS])
+                   "--out-dir", str(out), *MICRO_ARGS])
         assert rc == 0
         cells = _check_study(
             out, capsys.readouterr().out, "period_sweep.csv",
             "period,mse,mae,best_epoch",
-            "period {period!s:>4}  mse {mse:.6f}  mae {mae:.6f}  "
-            "best epoch {best_epoch}", rows=3)  # 2 periods + disabled
-        assert [c["period"] for c in cells] == [4, 8, "off"]
+            "period {period:4d}  mse {mse:.6f}  mae {mae:.6f}  "
+            "best epoch {best_epoch}", rows=2)
+        assert [c["period"] for c in cells] == [4, 8]
+
+    def test_sweep_w_trains_the_configured_variant(self, synth_csv, tmp_path,
+                                                   capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep-w", "--data", str(synth_csv), "--periods", "4,8",
+                     "--variant", "global_only", "--out-dir", str(out),
+                     *MICRO_ARGS]) == 0
+        assert [(r["W"], r["variant"]) for r in _results(out)] == [
+            (4, "global_only"), (8, "global_only")]
+
+    def test_covariates_trains_the_configured_variant(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text(json.dumps({"variant": "pure_mlp"}))
+        out = tmp_path / "cov"
+        assert main(["covariates", "--sizes", "0,2", "--config",
+                     str(tmp_path / "c.json"), "--out-dir", str(out),
+                     *COVARIATE_ARGS]) == 0
+        results = _results(out)
+        assert [r["variant"] for r in results] == ["pure_mlp", "pure_mlp"]
+        # pure_mlp mixes no channels, so covariates cannot change its target
+        # forecast: the rows are bitwise equal across sizes
+        assert results[0]["mse"] == results[1]["mse"]
+        assert results[0]["mae"] == results[1]["mae"]
+
+    def test_runs_that_differ_only_in_a_list_get_two_directories(
+            self, synth_csv, tmp_path, monkeypatch, capsys):
+        # a study's lists join its config in config.json and in the hash
+        monkeypatch.chdir(tmp_path)
+        for seeds in ("3", "4"):
+            assert main(["ablate", "--data", str(synth_csv), "--variants",
+                         "pure_mlp", "--seeds", seeds, *MICRO_ARGS]) == 0
+        seeds = set()
+        for run in Path("runs").iterdir():
+            echo = json.loads((run / "config.json").read_text())
+            assert run.name == f"synth-{echo['config_hash']}"
+            assert echo["variants"] == ["pure_mlp"]
+            assert [r["seed"] for r in _results(run)] == echo["seeds"]
+            seeds.add(tuple(echo["seeds"]))
+        assert seeds == {(3,), (4,)}
 
     def test_ablate_variants(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "ablate"
@@ -830,6 +872,18 @@ class TestSweepAndAblate:
         assert out.name == f"mix-{echo['config_hash']}"
         result = json.loads((out / "results.jsonl").read_text())
         assert result["dataset"] == "mix-n0"
+
+    def test_a_covariate_study_hashes_the_sizes_it_trains(
+            self, tmp_path, monkeypatch, capsys):
+        # it trains the sizes in ascending order, so "2,0" and "0,2" are one
+        # study in one run directory
+        monkeypatch.chdir(tmp_path)
+        for sizes in ("2,0", "0,2"):
+            assert main(["covariates", "--sizes", sizes, *COVARIATE_ARGS]) == 0
+        out, = Path("runs").iterdir()
+        echo = json.loads((out / "config.json").read_text())
+        assert (echo["sizes"], echo["n_covariates"], echo["timesteps"]) == (
+            [0, 2], 2, 420)
 
 
 # Runs in a fresh interpreter in which importing scipy fails, so a scipy

@@ -33,6 +33,8 @@ INT_LIST = st.lists(
     st.sampled_from([*map(str, range(-2, 10)), "", " ", "1.5", "x", "True"]),
     max_size=4,
 ).map(",".join)
+VARIANT = st.sampled_from(["default", "pure_mlp", "global_only",
+                          "channel_identifier", "nope"])
 VARIANT_LIST = st.lists(
     st.sampled_from(["default", "pure_mlp", "self_attention", "nope", "", " "]),
     max_size=3,
@@ -69,8 +71,7 @@ FLAGS = {
     "gradcheck": {
         "--channels": TINY_INT, "--lookback": TINY_INT, "--horizon": TINY_INT,
         "--period": TINY_INT, "--hidden": TINY_INT, "--heads": TINY_INT,
-        "--variant": st.sampled_from(["default", "pure_mlp", "global_only",
-                                      "channel_identifier", "nope"]),
+        "--variant": VARIANT,
         "--eps": NUMBER, "--tol": NUMBER, "--seed": SMALL_INT,
     },
     "acf": {
@@ -90,9 +91,9 @@ FLAGS = {
         "--truth": st.sampled_from(["truth.csv", "good.csv", "bad.csv", "missing"]),
         "--out": st.just("out"),
     },
-    "ablate": {"--variants": VARIANT_LIST, "--seeds": INT_LIST},
-    "sweep-w": {"--periods": INT_LIST},
-    "covariates": {"--sizes": INT_LIST},
+    "ablate": {"--variants": VARIANT_LIST, "--seeds": INT_LIST, "--variant": VARIANT},
+    "sweep-w": {"--periods": INT_LIST, "--variant": VARIANT},
+    "covariates": {"--sizes": INT_LIST, "--variant": VARIANT},
 }
 # flags every argv of a command carries: a study reads the good data, unless
 # it makes its own, and writes to a scratch directory, never to runs/

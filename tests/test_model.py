@@ -260,6 +260,29 @@ class TestVariants:
         res = check_model_gradients(tiny_model(vname), data_seed=13)
         assert res.passed, res.summary()
 
+    @pytest.mark.parametrize("vname,zero", [
+        ("default", {"attn.wq", "attn.wk"}),
+        ("self_attention", set()),
+        ("global_only", {"bank.theta", "attn.wq", "attn.wk"}),
+        ("channel_identifier", set()),
+        ("pure_mlp", set()),
+    ])
+    def test_the_zero_bank_init_zeroes_these_gradients(self, vname, zero):
+        # Pins a known property, not a wanted one.  The bank starts at zero,
+        # so a bank-fed Q or K is zero and so are the scores.  `default`
+        # still moves its bank (its keys come from the window), and wq, wk
+        # follow from the next step on; `global_only` feeds both Q and K from
+        # the bank, so no step ever moves the bank, wq or wk.
+        model = tiny_model(vname)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 2, 8))
+        y = rng.normal(size=(3, 2, 2))
+        tape = Tape()
+        tape.backward(mse_loss(
+            tape, model.forward(x, np.array([0, 1, 3]), tape, "train"), y))
+        grads = {name: p.grad for name, p in model.named_parameters()}
+        assert {name for name, g in grads.items() if not np.any(g)} == zero
+
 
 def head_block(model, w, h):
     """Head ``h``'s (lookback x lookback/heads) column block of ``attn.{w}``."""
