@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .data import SeriesTable, channel_correlation
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require
 from .training import reseeded, run_experiment
 
 
@@ -69,11 +69,15 @@ def run_variant_matrix(table, config, plan, split, variants, seeds,
 
 def run_period_sweep(table, config, plan, split, periods, dataset="series"):
     """Retrain ``config`` with each candidate period; a period listed twice,
-    or one that is no int, is refused.  The bank-off baseline is
-    ``run_variant_matrix`` with ``self_attention``, which reads no period."""
+    or one that is no int, is refused, as is a variant without a query bank,
+    the one part that reads the period.  The bank-off baseline is
+    ``run_variant_matrix`` with ``self_attention``."""
     periods = _once_each(periods, "period", ints=True)
     if not periods:
         raise ConfigError("period sweep needs at least one period")
+    if not config.wiring.has_bank:
+        raise ConfigError(f"variant {config.variant!r} has no query bank, so "
+                          "every period would train the same model")
     rows, reports = _train_runs("period", [
         (w, table, replace(config, period=w), plan, dataset) for w in periods], split)
     for row, report in zip(rows, reports):  # one run, so one report, per row
@@ -123,12 +127,7 @@ def upper_triangle_pearson(a, b):
 
 SMOOTH = 12  # moving-average width of the covariates; a horizon must cover it
 TARGET_NOISE = 0.05  # standard deviation of the target's own iid noise
-
-
-def _check_counts(covariates, timesteps):
-    for name, n in (("covariates", covariates), ("timesteps", timesteps)):
-        if n < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {n!r}")
+DATA_SEED = 7  # seed of the covariate study's generated table
 
 
 def make_covariate_table(covariates, timesteps, horizon, seed):
@@ -145,7 +144,7 @@ def make_covariate_table(covariates, timesteps, horizon, seed):
     non-negative weights, so this target is reachable by the attention
     block while staying invisible to any single-channel extrapolation.
     """
-    _check_counts(covariates, timesteps)
+    require("a positive integer", covariates=covariates, timesteps=timesteps)
     if horizon < SMOOTH:
         raise ConfigError(
             f"horizon ({horizon}) must be >= smoothing width ({SMOOTH}) so the "
@@ -176,22 +175,20 @@ def make_covariate_table(covariates, timesteps, horizon, seed):
 
 
 def run_covariate_study(config, plan, split, subset_sizes, covariates=8,
-                        timesteps=2400, data_seed=7, dataset="covariates"):
+                        timesteps=2400, dataset="covariates"):
     """Train with the first n covariate channels for each n in subset_sizes,
     in ascending order; each n must be an int in [0, covariates], listed once.
 
     Loss and metrics are restricted to the target channel in every run, so
     n = 0 is exactly the plain single-channel experiment.
     """
-    _check_counts(covariates, timesteps)
+    require("a positive integer", covariates=covariates, timesteps=timesteps)
     sizes = sorted(_once_each(subset_sizes, "subset size", ints=True))
     if not sizes or sizes[0] < 0 or sizes[-1] > covariates:
         raise ConfigError(
             f"subset sizes must lie in [0, {covariates}], got {subset_sizes}"
         )
-    full = make_covariate_table(
-        covariates, timesteps, config.horizon, seed=data_seed
-    )
+    full = make_covariate_table(covariates, timesteps, config.horizon, seed=DATA_SEED)
     plan = replace(plan, target_rows=(0,))
     return _train_runs("covariates", [
         (n, full.select_channels(range(n + 1)), replace(config, channels=n + 1),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_field_types
+from .errors import ConfigError, DataError, check_field_types, require
 
 FLOAT_FMT = "%.10g"  # how the series, correlation and ACF tables spell a float
 
@@ -206,9 +206,7 @@ class SplitSpec:
             raise ConfigError(
                 f"split ratios must be non-negative and sum to 1, got {ratios}"
             )
-        if self.max_rows is not None and self.max_rows < 1:
-            raise ConfigError(
-                f"max_rows must be a positive integer, got {self.max_rows}")
+        require("a positive integer", max_rows=self.max_rows)
 
     def boundaries(self, timesteps):
         """(n_train, n_val, n_test) row counts after the optional row cap."""
@@ -420,12 +418,8 @@ class SynthSpec:
         check_field_types(self)
         if self.period < 2:
             raise ConfigError(f"period must be >= 2, got {self.period}")
-        for name in ("channels", "latents"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        require("a positive integer", channels=self.channels, latents=self.latents)
+        require("a non-negative integer", seed=self.seed)
         if self.timesteps < 2 * self.period:
             raise ConfigError(
                 f"timesteps ({self.timesteps}) must cover at least two periods"
@@ -435,12 +429,8 @@ class SynthSpec:
                 f"latents ({self.latents}) too many for period {self.period}: "
                 "highest harmonic must stay below the foldover frequency"
             )
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ConfigError("noise_sigma must be finite and non-negative, "
-                              f"got {self.noise_sigma!r}")
-        if not 0.0 <= self.missing_rate < 1.0:
-            raise ConfigError(
-                f"missing_rate must be in [0, 1), got {self.missing_rate!r}")
+        require("finite and non-negative", noise_sigma=self.noise_sigma)
+        require("in [0, 1)", missing_rate=self.missing_rate)
 
 
 def generate_synthetic(spec):

@@ -1,5 +1,5 @@
-"""Shared exception types, and the one field-type rule of the config
-dataclasses.
+"""Shared exception types, and the field-type rule and range rules of the
+config dataclasses.
 
 Everything user-facing raises one of these (or a stdlib error where that is
 the established idiom) so the CLI can map failures onto exit codes: config
@@ -8,7 +8,9 @@ and usage problems exit 2, runtime failures exit 1.
 Every config dataclass (``ModelConfig``, ``TrainPlan``, ``SplitSpec``,
 ``SynthSpec``, ``RunConfig``) calls :func:`check_field_types` first in its
 ``__post_init__``, and the CLI types its flags by :func:`field_type`, so a
-field's annotation is the only statement of what it accepts.  ``RunConfig``
+field's annotation is the only statement of what it accepts.  Each range
+rule is one entry of :data:`RANGE_RULES`, which :func:`require` applies; a
+rule that relates two fields stays with its dataclass.  ``RunConfig``
 restates no field: ``tqnet.cli`` builds it from those of ``ModelConfig``,
 ``TrainPlan`` and ``SplitSpec`` less ``cli.NOT_RUN_FIELDS``, plus three run
 keys: ``data``, ``dataset`` and ``out_dir``.
@@ -72,3 +74,20 @@ def check_field_types(obj):
                 ok = False
         if not ok:
             raise ConfigError(f"{f.name} must be of type {f.type}, got {v!r}")
+
+
+RANGE_RULES = {  # the phrase a refusal ends in, and the test a value passes
+    "a positive integer": lambda v: v >= 1,
+    "a non-negative integer": lambda v: v >= 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "finite and positive": lambda v: 0 < v < float("inf"),
+    "finite and non-negative": lambda v: 0 <= v < float("inf"),
+}
+
+
+def require(rule, **values):
+    """Raise :class:`ConfigError` naming the first of ``values`` that breaks
+    ``rule``, a key of :data:`RANGE_RULES`; None passes (an optional field)."""
+    for name, v in values.items():
+        if v is not None and not RANGE_RULES[rule](v):
+            raise ConfigError(f"{name} must be {rule}, got {v!r}")

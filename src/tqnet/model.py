@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ShapeError, check_field_types
+from .errors import ConfigError, ShapeError, check_field_types, require
 from .tensor import (
     DiffTensor,
     add,
@@ -71,20 +71,16 @@ class ModelConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("channels", "lookback", "horizon", "period", "hidden", "heads"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        require("a positive integer", channels=self.channels, lookback=self.lookback,
+                horizon=self.horizon, period=self.period, hidden=self.hidden,
+                heads=self.heads)
+        require("a non-negative integer", seed=self.seed)
         if self.lookback % self.heads != 0:
             raise ConfigError(
                 f"lookback ({self.lookback}) must be divisible by heads ({self.heads})"
             )
-        for name in ("attn_dropout", "out_dropout"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {v!r}")
+        require("in [0, 1)", attn_dropout=self.attn_dropout,
+                out_dropout=self.out_dropout)
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.variant not in VARIANTS:
@@ -100,15 +96,19 @@ class Wiring(NamedTuple):
     """The attention-block wiring of one of the ``VARIANTS``.
 
     ``query_source``/``key_source`` say what feeds Q and K ("bank" or
-    "window"); values always come from the observed window.  A variant has
-    a query bank exactly when a source is "bank".  With ``attention=False``
-    the bank segment is added to the window elementwise (an additive
-    channel identifier), or with no bank the model is the bare MLP trunk.
+    "window"); values always come from the observed window.  With
+    ``attention=False`` the bank segment is added to the window elementwise
+    (an additive channel identifier); with no bank the model is the bare MLP trunk.
     """
 
     query_source: str
     key_source: str
     attention: bool
+
+    @property
+    def has_bank(self):
+        """A variant has a query bank exactly when a source is "bank"."""
+        return "bank" in (self.query_source, self.key_source)
 
 
 # The component study's variants, each name with its wiring.
@@ -138,9 +138,8 @@ def parameter_shapes(config):
     """``(name, (rows, cols))`` of every parameter of ``TQNet(config)``, in
     ``named_parameters`` order, without allocating any."""
     C, L, H, d = config.channels, config.lookback, config.horizon, config.hidden
-    q_src, k_src, attention = config.wiring
-    shapes = [("bank.theta", (C, config.period))] if "bank" in (q_src, k_src) else []
-    if attention:
+    shapes = [("bank.theta", (C, config.period))] if config.wiring.has_bank else []
+    if config.wiring.attention:
         shapes += [(f"attn.{w}", (L, L)) for w in ("wq", "wk", "wv", "wo")]
     return shapes + [
         ("proj_in.w", (L, d)), ("proj_in.b", (1, d)),

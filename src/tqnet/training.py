@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import astuple, dataclass, field, replace
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .data import make_windows, split_and_scale
-from .errors import ConfigError, NumericError, check_field_types
+from .errors import ConfigError, NumericError, check_field_types, require
 from .model import TQNet, flat_views
 from .tensor import Tape, gradient_check, mse_loss
 
@@ -48,14 +47,10 @@ class TrainPlan:
 
     def __post_init__(self):
         check_field_types(self)
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be finite and positive, got {self.lr!r}")
-        for name in ("batch_size", "max_epochs"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        require("finite and positive", lr=self.lr)
+        require("a positive integer", batch_size=self.batch_size,
+                max_epochs=self.max_epochs)
+        require("a non-negative integer", seed=self.seed)
         if not 1 <= self.patience <= self.max_epochs:
             raise ConfigError(f"patience must be in [1, max_epochs = "
                               f"{self.max_epochs}], got {self.patience}")

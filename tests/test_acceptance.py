@@ -342,7 +342,7 @@ COVARIATE_PLAN = TrainPlan(
 def test_criterion_9_covariate_dependency():
     rows, _ = run_covariate_study(
         COVARIATE_CONFIG, COVARIATE_PLAN, SYNTH_SPLIT,
-        subset_sizes=[0, 8], covariates=8, timesteps=1800, data_seed=7,
+        subset_sizes=[0, 8], covariates=8, timesteps=1800,
     )
     none, full = rows[0]["mse"], rows[1]["mse"]
     margin = 1.0 - full / none

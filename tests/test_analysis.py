@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tqnet.analysis import (
+    DATA_SEED,
     bank_correlation,
     make_covariate_table,
     run_covariate_study,
@@ -127,6 +128,18 @@ class TestPeriodSweep:
         with pytest.raises(ConfigError):
             run_period_sweep(micro_table(), MICRO, PLAN, SPLIT, periods=[])
 
+    @pytest.mark.parametrize("variant", ["self_attention", "pure_mlp"])
+    def test_a_variant_without_a_bank_trains_nothing(self, variant, monkeypatch):
+        # only the bank reads the period: each period would train one model
+        calls = []
+        monkeypatch.setattr("tqnet.analysis.run_experiment",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigError, match=f"^variant '{variant}' has no "
+                           "query bank, so every period would train the same model$"):
+            run_period_sweep(micro_table(), replace(MICRO, variant=variant),
+                             PLAN, SPLIT, periods=[4, 8])
+        assert calls == []
+
     @pytest.mark.parametrize("periods,message", [
         ([8, 4, 8], "period 8 is listed twice"),
         ([8.7], "period 8.7 is not an integer"),  # not trained as W = 8
@@ -228,9 +241,8 @@ def _covariate_n0_row():
                      seed=3, target_rows=(0,))
     rows, _ = run_covariate_study(
         cfg, plan, SPLIT, subset_sizes=[0], covariates=3, timesteps=420,
-        data_seed=11,
     )
-    table = make_covariate_table(3, 420, cfg.horizon, seed=11)
+    table = make_covariate_table(3, 420, cfg.horizon, seed=DATA_SEED)
     rep = run_experiment(
         table.select_channels([0]), cfg, plan, SPLIT, dataset="manual"
     ).report

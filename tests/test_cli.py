@@ -10,13 +10,14 @@ import shlex
 import subprocess
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tqnet
-from tqnet.analysis import run_covariate_study
+from tqnet.analysis import make_covariate_table, run_covariate_study
 from tqnet.checkpoint import load_checkpoint, save_checkpoint
 from tqnet.cli import (
     COMMANDS,
@@ -133,7 +134,8 @@ class TestRunConfigDerivation:
 
 
 def _model_config(**kw):
-    return ModelConfig(channels=2, lookback=8, horizon=2, period=4, heads=2, **kw)
+    return ModelConfig(**{"channels": 2, "lookback": 8, "horizon": 2, "period": 4,
+                          "heads": 2, **kw})
 
 
 class TestFieldTypes:
@@ -170,6 +172,49 @@ class TestFieldTypes:
         assert type(_model_config(attn_dropout=0).attn_dropout) is float
         assert type(SynthSpec(noise_sigma=0).noise_sigma) is float
         assert type(RunConfig(val_frac=0).val_frac) is float
+
+
+# the builder of each range case, by name; the covariate counts are
+# make_covariate_table's
+RANGE_BUILDS = {
+    "ModelConfig": _model_config, "TrainPlan": TrainPlan,
+    "SplitSpec": SplitSpec, "SynthSpec": SynthSpec,
+    "covariates": partial(make_covariate_table, covariates=2, timesteps=100,
+                          horizon=12, seed=0),
+}
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build,field,value,rule", [
+    *(("ModelConfig", f, 0, "a positive integer")
+      for f in ("channels", "lookback", "horizon", "period", "hidden", "heads")),
+    ("ModelConfig", "seed", -1, "a non-negative integer"),
+    ("ModelConfig", "attn_dropout", 1.0, "in [0, 1)"),
+    ("ModelConfig", "attn_dropout", NAN, "in [0, 1)"),
+    ("ModelConfig", "out_dropout", -0.1, "in [0, 1)"),
+    ("ModelConfig", "out_dropout", NAN, "in [0, 1)"),
+    ("TrainPlan", "lr", 0.0, "finite and positive"),
+    ("TrainPlan", "lr", NAN, "finite and positive"),
+    ("TrainPlan", "lr", float("inf"), "finite and positive"),
+    ("TrainPlan", "batch_size", 0, "a positive integer"),
+    ("TrainPlan", "max_epochs", 0, "a positive integer"),
+    ("TrainPlan", "seed", -2, "a non-negative integer"),
+    ("SplitSpec", "max_rows", 0, "a positive integer"),
+    ("SynthSpec", "channels", 0, "a positive integer"),
+    ("SynthSpec", "latents", -1, "a positive integer"),
+    ("SynthSpec", "seed", -1, "a non-negative integer"),
+    ("SynthSpec", "noise_sigma", -1.0, "finite and non-negative"),
+    ("SynthSpec", "noise_sigma", NAN, "finite and non-negative"),
+    ("SynthSpec", "missing_rate", 1.5, "in [0, 1)"),
+    ("SynthSpec", "missing_rate", NAN, "in [0, 1)"),
+    ("covariates", "covariates", 0, "a positive integer"),
+    ("covariates", "timesteps", -5, "a positive integer"),
+])
+def test_a_value_out_of_range_names_field_rule_and_value(build, field, value,
+                                                         rule):
+    with pytest.raises(ConfigError) as exc:
+        RANGE_BUILDS[build](**{field: value})
+    assert str(exc.value) == f"{field} must be {rule}, got {value!r}"
 
 
 @pytest.mark.parametrize("build", [_model_config, TrainPlan, SynthSpec])
@@ -653,6 +698,23 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("variant", ["self_attention", "pure_mlp"])
+    def test_sweep_w_refuses_a_variant_without_a_bank(
+            self, variant, synth_csv, tmp_path, monkeypatch, capsys):
+        # only the bank reads the period: each row would be one model
+        calls = []
+        monkeypatch.setattr("tqnet.analysis.run_experiment",
+                            lambda *args, **kwargs: calls.append(args))
+        rc = main(["sweep-w", "--data", str(synth_csv), "--periods", "4,8",
+                   "--variant", variant, "--out-dir", str(tmp_path / "run"),
+                   *MICRO_ARGS])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: variant '{variant}' has no query bank, so every period "
+            "would train the same model\n")
+        assert calls == []
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--seed", "-1"], ["ablate", "--seeds", "1,-2"],
         ["synth", "--seed", "-3"], ["gradcheck", "--seed", "-1"],
@@ -702,7 +764,7 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key,value", [("data", "x.csv")])
-    def test_covariates_refuses_a_data_or_variant_config_key(
+    def test_covariates_refuses_a_data_config_key(
             self, key, value, tmp_path, capsys):
         # it makes its own data; the key would be echoed in config.json and
         # never read.  A variant key is trained, as
